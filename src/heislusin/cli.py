@@ -78,6 +78,23 @@ def _write_meta(outdir, args):
         fh.write("\n")
 
 
+# largest staircase depth the counterexample commands accept; the
+# breakpoint denominators grow like 2^(depth(depth+6))
+MAX_DEPTH = 14
+
+
+def _depth(s) -> int:
+    try:
+        depth = int(s)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError("bad depth %r" % s) from exc
+    if not 1 <= depth <= MAX_DEPTH:
+        raise argparse.ArgumentTypeError(
+            "depth must be in 1..%d, got %d" % (MAX_DEPTH, depth)
+        )
+    return depth
+
+
 def _rat(s) -> Fraction:
     try:
         return Fraction(s)
@@ -110,6 +127,8 @@ def read_curve_csv(path):
     if len(rows) < 2:
         raise ValueError("need at least two sample rows")
     ts = [r[0] for r in rows]
+    if any(t0 >= t1 for t0, t1 in zip(ts, ts[1:])):
+        raise ValueError("t must be strictly increasing")
     comps = []
     for idx in (1, 2, 3):
         pieces = []
@@ -203,8 +222,8 @@ def _cmd_ce_verify(args, fmt) -> int:
 
 def _cmd_ce_straddle(args, fmt) -> int:
     params = default_params(args.depth)
-    if args.n + 1 > args.depth:
-        print("error: need n + 1 <= depth", file=sys.stderr)
+    if not 0 <= args.n < args.depth:
+        print("error: need 0 <= n and n + 1 <= depth", file=sys.stderr)
         return 2
     C = build_curve(params)
     ratio = straddle_ratio(C, args.n)
@@ -293,18 +312,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ce = sub.add_parser("counterexample").add_subparsers(dest="sub")
     b = ce.add_parser("build")
-    b.add_argument("--depth", type=int, default=10)
+    b.add_argument("--depth", type=_depth, default=10)
     b.add_argument("--out", required=True)
     b.add_argument("--samples", type=int, default=0,
                    help="uniform sample count instead of breakpoints")
     b.set_defaults(_run=_cmd_ce_build, _command="counterexample build")
     v = ce.add_parser("verify")
-    v.add_argument("--depth", type=int, default=10)
+    v.add_argument("--depth", type=_depth, default=10)
     v.add_argument("--p-max", dest="p_max", type=int, default=4)
     v.set_defaults(_run=_cmd_ce_verify, _command="counterexample verify")
     s = ce.add_parser("straddle")
     s.add_argument("--n", type=int, required=True)
-    s.add_argument("--depth", type=int, default=10)
+    s.add_argument("--depth", type=_depth, default=10)
     s.set_defaults(_run=_cmd_ce_straddle, _command="counterexample straddle")
 
     jets = sub.add_parser("jets").add_subparsers(dest="sub")

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Optional
 
 from .curves import PiecewiseCurve, PiecewisePolynomial, lift
@@ -89,12 +90,10 @@ class CounterexampleCurve:
     I_levels: tuple  # IntervalSet per level 1..depth
     curve: PiecewiseCurve
 
-    @property
+    @cached_property
     def I_union(self) -> IntervalSet:
-        out = IntervalSet.empty()
-        for lev in self.I_levels:
-            out = out.union(lev)
-        return out
+        """Union of all levels, computed on first use and kept."""
+        return IntervalSet(iv for lev in self.I_levels for iv in lev.intervals)
 
     def __call__(self, t):
         return self.curve(t)
@@ -306,20 +305,27 @@ def measure_report(C: CounterexampleCurve) -> dict:
         lam = params.lam(n)
         A_n = partial.dilate(lam).subtract(I_all)
         bound = 2 * lam * Fraction(2**n - 1)
+        measure = A_n.measure()
         shells.append({
             "n": n,
-            "measure": A_n.measure(),
+            "measure": measure,
             "bound": bound,
-            "within_bound": A_n.measure() <= bound,
+            "within_bound": measure <= bound,
             "set": A_n,
         })
+    measure_I = I_all.measure()
     return {
         "sum_2n_wn": two_pow_w,
         "sum_2n_wn_le_1_31": two_pow_w <= Fraction(1, 31),
-        "measure_I": I_all.measure(),
-        "measure_le_sum": I_all.measure() <= two_pow_w,
+        "measure_I": measure_I,
+        "measure_le_sum": measure_I <= two_pow_w,
         "shells": shells,
     }
+
+
+def _check_level(C: CounterexampleCurve, n: int) -> None:
+    if not 0 <= n < C.params.depth:
+        raise ValueError("need 0 <= n and n + 1 <= depth")
 
 
 def good_pair_search(E: IntervalSet, C: CounterexampleCurve,
@@ -332,19 +338,16 @@ def good_pair_search(E: IntervalSet, C: CounterexampleCurve,
     midpoint otherwise). Returns (x, y) or None when no component admits
     a pair.
     """
-    if n + 1 > C.params.depth:
-        raise ValueError("need n + 1 <= depth")
+    _check_level(C, n)
     free = E.subtract(C.I_union)
     half = Fraction(1, 2 ** (n + 1))
     for iv in C.I_levels[n].intervals:
         c = (iv.lo + iv.hi) / 2
-        left = free.intersect(IntervalSet.closed(c - half, iv.lo))
-        right = free.intersect(IntervalSet.closed(iv.hi, c + half))
-        if not left or not right:
+        liv = free.last_piece(c - half, iv.lo)
+        riv = free.first_piece(iv.hi, c + half)
+        if liv is None or riv is None:
             continue
-        liv = left.intervals[-1]
         x = liv.hi if liv.hi_closed else (liv.lo + liv.hi) / 2
-        riv = right.intervals[0]
         y = riv.lo if riv.lo_closed else (riv.lo + riv.hi) / 2
         if y - x <= Fraction(1, 2**n):
             return x, y
@@ -364,8 +367,7 @@ def straddle_ratio(C: CounterexampleCurve, n: int) -> Fraction:
     """
     from .curves import area_discrepancy, velocity
 
-    if n + 1 > C.params.depth:
-        raise ValueError("need n + 1 <= depth")
+    _check_level(C, n)
     iv = C.I_levels[n].intervals[0]
     c = (iv.lo + iv.hi) / 2
     half = Fraction(1, 2 ** (n + 1))

@@ -131,40 +131,34 @@ def _merged_breakpoints(u: PiecewisePolynomial, v: PiecewisePolynomial):
 
 @dataclass(frozen=True)
 class PiecewiseCurve:
-    """Curve (f, g, h) with shared breakpoints and polynomial pieces."""
+    """Curve (f, g, h) with shared breakpoints and polynomial pieces.
+
+    The components f, g and h are built, and checked for continuity,
+    once, when the curve is made.
+    """
 
     breakpoints: tuple
     f_pieces: tuple
     g_pieces: tuple
     h_pieces: tuple
+    f: PiecewisePolynomial = field(init=False, repr=False, compare=False)
+    g: PiecewisePolynomial = field(init=False, repr=False, compare=False)
+    h: PiecewisePolynomial = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(
             self, "breakpoints", tuple(_q(t) for t in self.breakpoints)
         )
-        for name in ("f_pieces", "g_pieces", "h_pieces"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
         n = len(self.breakpoints) - 1
-        if not all(
-            len(getattr(self, name)) == n
-            for name in ("f_pieces", "g_pieces", "h_pieces")
-        ):
-            raise ValueError("component piece counts must match breakpoints")
-        for comp in (self.f, self.g, self.h):
+        for name in "fgh":
+            pieces = tuple(getattr(self, name + "_pieces"))
+            if len(pieces) != n:
+                raise ValueError("component piece counts must match breakpoints")
+            comp = PiecewisePolynomial(self.breakpoints, pieces)
             if not comp.is_continuous():
-                raise ValueError("curve components must be continuous")
-
-    @property
-    def f(self) -> PiecewisePolynomial:
-        return PiecewisePolynomial(self.breakpoints, self.f_pieces)
-
-    @property
-    def g(self) -> PiecewisePolynomial:
-        return PiecewisePolynomial(self.breakpoints, self.g_pieces)
-
-    @property
-    def h(self) -> PiecewisePolynomial:
-        return PiecewisePolynomial(self.breakpoints, self.h_pieces)
+                raise ValueError("curve component %s must be continuous" % name)
+            object.__setattr__(self, name + "_pieces", pieces)
+            object.__setattr__(self, name, comp)
 
     @property
     def domain(self):
@@ -181,20 +175,30 @@ class PiecewiseCurve:
 
 
 def lift(f: PiecewisePolynomial, g: PiecewisePolynomial, h0=0) -> PiecewiseCurve:
-    """Horizontal lift: h' = 2 (f'g - g'f) with h(t0) = h0, exactly."""
-    if not f.is_continuous() or not g.is_continuous():
-        raise ValueError("lift requires continuous horizontal components")
-    bps = _merged_breakpoints(f, g)
-    fr, gr = f.refine_to(bps), g.refine_to(bps)
+    """Horizontal lift: h' = 2 (f'g - g'f) with h(t0) = h0, exactly.
+
+    When f and g share their breakpoints (as the staircase, CSV curves and
+    the Hermite fill do) they are used as they are, without merging and
+    refining. Continuity of f and g is checked once, by the curve.
+    """
+    if f.breakpoints == g.breakpoints:
+        bps, fr, gr = f.breakpoints, f, g
+    else:
+        bps = _merged_breakpoints(f, g)
+        fr, gr = f.refine_to(bps), g.refine_to(bps)
     h_pieces = []
     acc = _q(h0)
     for i, (fp, gp) in enumerate(zip(fr.pieces, gr.pieces)):
         integrand = 2 * (fp.derivative() * gp - gp.derivative() * fp)
         A = integrand.antiderivative()
-        lo = bps[i]
-        h_pieces.append(A - A(lo) + Polynomial.constant(acc))
+        h_pieces.append(A + (acc - A(bps[i])))
         acc = h_pieces[-1](bps[i + 1])
-    return PiecewiseCurve(bps, fr.pieces, gr.pieces, tuple(h_pieces))
+    try:
+        return PiecewiseCurve(bps, fr.pieces, gr.pieces, tuple(h_pieces))
+    except ValueError as exc:
+        raise ValueError(
+            "lift requires continuous horizontal components"
+        ) from exc
 
 
 def _max_piece_sup(curve: PiecewiseCurve, defect_for_piece,

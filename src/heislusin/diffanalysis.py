@@ -111,28 +111,6 @@ def lp_remainder_ladder(
 # ---------------------------------------------------------------------------
 
 
-def _nonpositive_measure(q: Polynomial, a: Fraction, b: Fraction,
-                         tol: Fraction) -> Fraction:
-    """Measure of {y in [a,b] : q(y) <= 0}, up to tol per root."""
-    if a >= b:
-        return Fraction(0)
-    if q.is_zero:
-        return b - a
-    if q.degree == 0:
-        return b - a if q.coeffs[0] <= 0 else Fraction(0)
-    cuts = [a]
-    for enc in isolate_roots(q, a, b):
-        enc = refine_root(enc, tol)
-        cuts.append(enc.midpoint)
-    cuts.append(b)
-    cuts = sorted(set(cuts))
-    total = Fraction(0)
-    for lo, hi in zip(cuts, cuts[1:]):
-        if q((lo + hi) / 2) <= 0:
-            total += hi - lo
-    return total
-
-
 def approx_density(
     u: PiecewisePolynomial,
     P: Polynomial,

@@ -10,7 +10,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 
 def _q(x) -> Fraction:
@@ -20,10 +20,6 @@ def _q(x) -> Fraction:
 def rational_to_str(x: Fraction) -> str:
     x = _q(x)
     return "%d/%d" % (x.numerator, x.denominator)
-
-
-def rational_from_str(s: str) -> Fraction:
-    return Fraction(s)
 
 
 @dataclass(frozen=True)
@@ -212,38 +208,56 @@ class IntervalSet:
         return IntervalSet(self.intervals + other.intervals)
 
     def intersect(self, other: "IntervalSet") -> "IntervalSet":
+        """One sweep over both sorted lists, O(N + M)."""
+        A, B = self.intervals, other.intervals
         out = []
-        for a in self.intervals:
-            for b in other.intervals:
-                if b.lo > a.hi:
-                    break
-                if b.hi < a.lo:
-                    continue
-                iv = a.intersect(b)
-                if not iv.empty:
-                    out.append(iv)
+        i = j = 0
+        while i < len(A) and j < len(B):
+            a, b = A[i], B[j]
+            iv = a.intersect(b)
+            if not iv.empty:
+                out.append(iv)
+            # drop whichever ends first; on a tie the next piece of either
+            # set starts after the shared end or at it, open
+            if a.hi <= b.hi:
+                i += 1
+            if b.hi <= a.hi:
+                j += 1
         return IntervalSet(out)
 
     def subtract(self, other: "IntervalSet") -> "IntervalSet":
+        """One sweep over both sorted lists, O(N + M).
+
+        Each interval a of self is cut left to right by the intervals of
+        other that meet it; (lo, lo_closed) is the start of what is left
+        of a. Intervals of other that end before a starts are passed for
+        good, since the later intervals of self start later still.
+        """
+        B = other.intervals
         out = []
+        j = 0
         for a in self.intervals:
-            pieces = [a]
-            for b in other.intervals:
-                if b.lo > a.hi:
+            while j < len(B) and B[j].hi < a.lo:
+                j += 1
+            lo, lo_closed = a.lo, a.lo_closed
+            k = j
+            while k < len(B):
+                b = B[k]
+                if b.lo > a.hi or (
+                    b.lo == a.hi and not (b.lo_closed and a.hi_closed)
+                ):
                     break
-                nxt = []
-                for p in pieces:
-                    if b.hi < p.lo or b.lo > p.hi:
-                        nxt.append(p)
-                        continue
-                    left = Interval(p.lo, b.lo, p.lo_closed, not b.lo_closed)
-                    right = Interval(b.hi, p.hi, not b.hi_closed, p.hi_closed)
-                    if not left.empty:
-                        nxt.append(left)
-                    if not right.empty:
-                        nxt.append(right)
-                pieces = nxt
-            out.extend(pieces)
+                left = Interval(lo, b.lo, lo_closed, not b.lo_closed)
+                if not left.empty:
+                    out.append(left)
+                if b.hi > lo:
+                    lo, lo_closed = b.hi, not b.hi_closed
+                elif b.hi == lo:
+                    lo_closed = lo_closed and not b.hi_closed
+                k += 1
+            rest = Interval(lo, a.hi, lo_closed, a.hi_closed)
+            if not rest.empty:
+                out.append(rest)
         return IntervalSet(out)
 
     def dilate(self, lam) -> "IntervalSet":
@@ -265,6 +279,26 @@ class IntervalSet:
 
     def clip(self, a, b) -> "IntervalSet":
         return self.intersect(IntervalSet.closed(a, b))
+
+    def first_piece(self, a, b) -> Optional[Interval]:
+        """First interval of self.clip(a, b), or None; O(log N) by bisection."""
+        window = Interval(a, b)
+        j = max(bisect.bisect_left(self._los, window.lo) - 1, 0)
+        for iv in self.intervals[j:j + 2]:
+            piece = iv.intersect(window)
+            if not piece.empty:
+                return piece
+        return None
+
+    def last_piece(self, a, b) -> Optional[Interval]:
+        """Last interval of self.clip(a, b), or None; O(log N) by bisection."""
+        window = Interval(a, b)
+        j = bisect.bisect_right(self._los, window.hi)
+        for iv in self.intervals[max(j - 2, 0):j][::-1]:
+            piece = iv.intersect(window)
+            if not piece.empty:
+                return piece
+        return None
 
     # -- serialization --------------------------------------------------
 

@@ -97,8 +97,10 @@ class Polynomial:
 
     def __call__(self, x):
         x = _q(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
+        if not self.coeffs:
+            return Fraction(0)
+        acc = self.coeffs[-1]
+        for c in self.coeffs[-2::-1]:
             acc = acc * x + c
         return acc
 

@@ -1,9 +1,10 @@
 import json
+import time
 from fractions import Fraction as F
 
 import pytest
 
-from heislusin.cli import read_curve_csv, run
+from heislusin.cli import MAX_DEPTH, read_curve_csv, run
 from heislusin.jets import Jet, JetTriple
 
 
@@ -66,6 +67,43 @@ class TestStraddle:
             capsys, "counterexample", "straddle", "--n", "9", "--depth", "9"
         )
         assert status == 2
+
+    def test_negative_level(self, capsys):
+        status, out, err = invoke(
+            capsys, "counterexample", "straddle", "--n", "-1", "--depth", "3"
+        )
+        assert status == 2
+        assert out == "" and "0 <= n" in err
+
+
+class TestDepthBound:
+    @pytest.mark.parametrize("argv", [
+        ("build", "--out", "{out}"),
+        ("verify",),
+        ("straddle", "--n", "1"),
+    ])
+    @pytest.mark.parametrize("depth", ["0", "15", "40"])
+    def test_out_of_range_depth_is_usage_error(self, capsys, tmp_path,
+                                               argv, depth):
+        outdir = tmp_path / "out"
+        argv = [a.format(out=outdir) for a in argv]
+        start = time.perf_counter()
+        status, out, err = invoke(
+            capsys, "counterexample", *argv, "--depth", depth
+        )
+        assert status == 2
+        assert time.perf_counter() - start < 0.5
+        assert out == "" and "depth must be in 1..%d" % MAX_DEPTH in err
+        assert not outdir.exists()
+
+    def test_max_depth_is_accepted(self, capsys):
+        # --depth is converted before --help stops the parse, so a
+        # rejected depth would exit 2 here without building anything
+        status, _, _ = invoke(
+            capsys, "counterexample", "straddle", "--n", "1",
+            "--depth", str(MAX_DEPTH), "--help",
+        )
+        assert status == 0
 
 
 class TestVerify:
@@ -196,6 +234,33 @@ class TestDiffAndSieve:
         assert status == 0
         obj = json.loads(out)
         assert obj["measure"] == "1/1"
+
+
+class TestMalformedCsv:
+    REPEATED_T = "t,f,g,h\n0,0,0,0\n1/2,1,0,0\n1/2,1,0,0\n1,0,0,0\n"
+
+    def test_reader_rejects_repeated_and_decreasing_t(self, tmp_path):
+        for text in (self.REPEATED_T, "t,f,g,h\n0,0,0,0\n1,1,0,0\n1/2,0,0,0\n"):
+            src = tmp_path / "bad.csv"
+            src.write_text(text)
+            with pytest.raises(ValueError, match="strictly increasing"):
+                read_curve_csv(src)
+
+    @pytest.mark.parametrize("argv", [
+        ("sieve", "--m", "1", "--grid", "64"),
+        ("diff", "lp", "--x", "1/2", "--m", "1"),
+        ("diff", "density", "--x", "1/2", "--m", "1", "--eps", "1",
+         "--radius", "1/4"),
+        ("curve", "lift"),
+    ])
+    def test_repeated_t_is_usage_error(self, capsys, tmp_path, argv):
+        src = tmp_path / "repeated-t.csv"
+        src.write_text(self.REPEATED_T)
+        status, out, err = invoke(capsys, *argv, "--input", str(src))
+        assert status == 2
+        assert out == ""
+        assert "t must be strictly increasing" in err
+        assert "Traceback" not in err
 
 
 class TestDecimalMode:

@@ -216,6 +216,41 @@ class TestGoodPair:
             E = E.subtract(IntervalSet.open(c - F(1, 2), c + F(1, 2)))
         assert good_pair_search(E, curve10, 1) is None
 
+    def test_negative_level_rejected(self, curve10):
+        with pytest.raises(ValueError):
+            good_pair_search(IntervalSet.unit(), curve10, -1)
+        with pytest.raises(ValueError):
+            good_pair_search(IntervalSet.unit(), curve10, 10)
+
+    def test_matches_clip_of_whole_free_set(self):
+        """The bisection for the free piece next to each component gives
+        the pair that clipping the whole free set gives."""
+        C = build_curve(default_params(6))
+
+        def by_clip(E, n):
+            free = E.subtract(C.I_union)
+            half = F(1, 2 ** (n + 1))
+            for iv in C.I_levels[n].intervals:
+                c = (iv.lo + iv.hi) / 2
+                left = free.clip(c - half, iv.lo)
+                right = free.clip(iv.hi, c + half)
+                if not left or not right:
+                    continue
+                liv, riv = left.intervals[-1], right.intervals[0]
+                x = liv.hi if liv.hi_closed else (liv.lo + liv.hi) / 2
+                y = riv.lo if riv.lo_closed else (riv.lo + riv.hi) / 2
+                if y - x <= F(1, 2**n):
+                    return x, y
+            return None
+
+        holes = IntervalSet.from_pairs(
+            [(F(k, 64), F(4 * k + 1, 256)) for k in range(64)], False, False
+        )
+        for E in (IntervalSet.unit(), IntervalSet.unit().subtract(holes),
+                  IntervalSet.from_pairs([(F(1, 8), F(3, 8))], True, False)):
+            for n in range(6):
+                assert good_pair_search(E, C, n) == by_clip(E, n)
+
     def test_sanity_constant(self):
         assert F(2, 3) + F(4, 31) == F(74, 93) <= F(4, 5)
 
@@ -230,6 +265,10 @@ class TestStraddle:
         p = curve10.params
         assert 4**6 * p.h(7) == F(4096, 2187) < 2
         assert 4**7 * p.h(8) == F(16384, 6561) >= 2
+
+    def test_negative_level_rejected(self, curve10):
+        with pytest.raises(ValueError):
+            straddle_ratio(curve10, -1)
 
     def test_strictly_increasing(self, curve10):
         vals = [straddle_ratio(curve10, n) for n in range(1, 10)]

@@ -80,8 +80,38 @@ class TestLift:
 
     def test_discontinuous_rejected(self):
         jump = PiecewisePolynomial([0, F(1, 2), 1], [poly(0), poly(1)])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="lift requires continuous"):
             lift(jump, single(poly(0, 1)))
+
+    def test_discontinuous_g_rejected(self):
+        jump = PiecewisePolynomial([0, F(1, 2), 1], [poly(0), poly(1)])
+        with pytest.raises(ValueError, match="lift requires continuous"):
+            lift(single(poly(0, 1)), jump)
+
+    def test_different_breakpoints_are_merged(self):
+        f = PiecewisePolynomial([0, F(1, 3), 1], [poly(0, 1), poly(0, 1)])
+        g = PiecewisePolynomial([0, F(1, 2), 1], [poly(0, 0, 1), poly(0, 0, 1)])
+        c = lift(f, g)
+        assert c.breakpoints == (0, F(1, 3), F(1, 2), 1)
+        assert c.h(1) == lifted(poly(0, 1), poly(0, 0, 1)).h(1) == F(-2, 3)
+
+    def test_components_built_once(self):
+        c = lifted(poly(0, 1), poly(0, 0, 1))
+        assert c.f is c.f and c.g is c.g and c.h is c.h
+        assert c.h.pieces == c.h_pieces
+
+
+class TestPiecewiseCurve:
+    def test_discontinuous_h_rejected(self):
+        bps = [0, F(1, 2), 1]
+        zero = Polynomial.zero()
+        with pytest.raises(ValueError, match="component h"):
+            PiecewiseCurve(bps, (zero, zero), (zero, zero), (poly(0), poly(1)))
+
+    def test_piece_count_mismatch_rejected(self):
+        zero = Polynomial.zero()
+        with pytest.raises(ValueError, match="piece counts"):
+            PiecewiseCurve([0, 1], (zero,), (zero,), (zero, zero))
 
 
 class TestResiduals:

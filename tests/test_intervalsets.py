@@ -79,6 +79,56 @@ class TestAlgebra:
         rhs = u.subtract(s).intersect(u.subtract(t))
         assert lhs == rhs
 
+    def test_subtract_left_neighbour_adds_no_point(self):
+        s = IntervalSet.open(0, 1).subtract(IntervalSet.open(-1, 0))
+        assert s == IntervalSet.open(0, 1)
+        assert not s.contains(0)
+
+    def test_subtract_right_neighbour_adds_no_point(self):
+        s = IntervalSet.open(0, 1).subtract(IntervalSet.open(1, 2))
+        assert s == IntervalSet.open(0, 1)
+        assert not s.contains(1)
+
+    def test_subtract_one_wide_by_many_small(self):
+        holes = IntervalSet.from_pairs(
+            [(F(k, 16), F(2 * k + 1, 32)) for k in range(16)], False, True
+        )
+        s = IntervalSet.unit().subtract(holes)
+        assert s.intervals == (Interval(0, 0),) + tuple(
+            Interval(F(2 * k + 1, 32), F(k + 1, 16), False, True)
+            for k in range(16)
+        )
+
+    @given(interval_sets(), interval_sets())
+    @settings(max_examples=300, deadline=None)
+    def test_membership_oracle(self, s, t):
+        """subtract and intersect agree with pointwise set logic at every
+        endpoint and at every midpoint between consecutive endpoints."""
+        ends = sorted(
+            {x for iv in s.intervals + t.intervals for x in (iv.lo, iv.hi)}
+        )
+        points = ends + [(a + b) / 2 for a, b in zip(ends, ends[1:])]
+        diff, meet = s.subtract(t), s.intersect(t)
+        for x in points:
+            assert diff.contains(x) == (s.contains(x) and not t.contains(x))
+            assert meet.contains(x) == (s.contains(x) and t.contains(x))
+
+    def test_pieces_beside_a_missing_point(self):
+        s = IntervalSet([Interval(0, F(1, 2), True, False),
+                         Interval(F(1, 2), 1, False, True)])
+        assert s.last_piece(0, F(1, 2)) == Interval(0, F(1, 2), True, False)
+        assert s.first_piece(F(1, 2), 1) == Interval(F(1, 2), 1, False, True)
+        assert s.first_piece(F(1, 2), F(1, 2)) is None
+        assert s.last_piece(F(1, 2), F(1, 2)) is None
+
+    @given(interval_sets(), rationals, rationals)
+    @settings(max_examples=300, deadline=None)
+    def test_first_and_last_piece_match_clip(self, s, a, b):
+        a, b = min(a, b), max(a, b)
+        clipped = s.clip(a, b).intervals
+        assert s.first_piece(a, b) == (clipped[0] if clipped else None)
+        assert s.last_piece(a, b) == (clipped[-1] if clipped else None)
+
     @given(interval_sets())
     @settings(max_examples=100, deadline=None)
     def test_normalization_idempotent(self, s):
