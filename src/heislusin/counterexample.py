@@ -21,13 +21,9 @@ from functools import cached_property
 from typing import Callable, Optional
 
 from .curves import PiecewiseCurve, PiecewisePolynomial, lift
-from .intervalsets import Interval, IntervalSet, rational_to_str
+from .intervalsets import Interval, IntervalSet, _q, rational_to_str
 from .jets import Jet, JetTriple
 from .polynomials import Polynomial
-
-
-def _q(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 @dataclass(frozen=True)

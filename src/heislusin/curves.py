@@ -15,19 +15,16 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .intervalsets import rational_to_str
-from .jets import DEFAULT_LADDER, Jet, JetTriple
+from .intervalsets import _q, rational_to_str
+from .jets import DEFAULT_LADDER, Jet, JetTriple, ladder_maxima
 from .polynomials import (
     DEFAULT_TOL,
     CertifiedValue,
     Polynomial,
     abs_integral,
+    prefix_abs_integrals,
     sup_norm,
 )
-
-
-def _q(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 class PiecewisePolynomial:
@@ -248,22 +245,44 @@ def higher_horizontality_residual(curve: PiecewiseCurve, k: int,
 # ---------------------------------------------------------------------------
 
 
+def _taylor_pair(triple: JetTriple, a):
+    return triple.F.taylor_poly(a), triple.G.taylor_poly(a)
+
+
+def _discrepancies(triple: JetTriple, a, TF: Polynomial, TG: Polynomial,
+                   ends) -> list:
+    """A(a, b) for every b in `ends`, from the Taylor polynomials at a."""
+    swept = (TF.derivative() * TG - TG.derivative() * TF).antiderivative()
+    F, G, H = triple.F, triple.G, triple.H
+    Fa, Ga, Ha, swept_a = F.value(a, 0), G.value(a, 0), H.value(a, 0), swept(a)
+    return [
+        H.value(b, 0)
+        - Ha
+        - 2 * (swept(b) - swept_a)
+        + 2 * Fa * (G.value(b, 0) - TG(b))
+        - 2 * Ga * (F.value(b, 0) - TF(b))
+        for b in ends
+    ]
+
+
+def _velocities(m: int, a, TF: Polynomial, TG: Polynomial, ends,
+                tol: Fraction) -> list:
+    """V(a, b) for every b in the nondecreasing `ends`, each > a."""
+    dF = prefix_abs_integrals(TF.derivative(), a, ends, tol)
+    dG = prefix_abs_integrals(TG.derivative(), a, ends, tol)
+    return [
+        (b - a) ** (2 * m) + (b - a) ** m * (f.value + g.value)
+        for b, f, g in zip(ends, dF, dG)
+    ]
+
+
 def area_discrepancy(triple: JetTriple, a, b) -> Fraction:
     """Vertical gap A(a,b) between the prescribed H-increment and the
     signed area swept by the Taylor polynomials of F and G."""
     a, b = _q(a), _q(b)
     if a == b:
         raise ValueError("require distinct sites")
-    TF = triple.F.taylor_poly(a)
-    TG = triple.G.taylor_poly(a)
-    swept = (TF.derivative() * TG - TG.derivative() * TF).integral(a, b)
-    return (
-        triple.H.value(b, 0)
-        - triple.H.value(a, 0)
-        - 2 * swept
-        + 2 * triple.F.value(a, 0) * (triple.G.value(b, 0) - TG(b))
-        - 2 * triple.G.value(a, 0) * (triple.F.value(b, 0) - TF(b))
-    )
+    return _discrepancies(triple, a, *_taylor_pair(triple, a), (b,))[0]
 
 
 def velocity(triple: JetTriple, a, b, tol: Fraction = DEFAULT_TOL) -> Fraction:
@@ -271,14 +290,7 @@ def velocity(triple: JetTriple, a, b, tol: Fraction = DEFAULT_TOL) -> Fraction:
     a, b = _q(a), _q(b)
     if a >= b:
         raise ValueError("require a < b")
-    m = triple.m
-    TF = triple.F.taylor_poly(a)
-    TG = triple.G.taylor_poly(a)
-    total = (
-        abs_integral(TF.derivative(), a, b, tol).value
-        + abs_integral(TG.derivative(), a, b, tol).value
-    )
-    return (b - a) ** (2 * m) + (b - a) ** m * total
+    return _velocities(triple.m, a, *_taylor_pair(triple, a), (b,), tol)[0]
 
 
 @dataclass
@@ -337,22 +349,23 @@ def extendability_report(
     if len(triple.sites) < 2:
         raise ValueError("need at least two sites")
     profiles = {
-        "F": [triple.F.whitney_modulus(d) for d in ladder],
-        "G": [triple.G.whitney_modulus(d) for d in ladder],
-        "H": [triple.H.whitney_modulus(d) for d in ladder],
+        name: [v for _, v in jet.modulus_profile(ladder)]
+        for name, jet in (("F", triple.F), ("G", triple.G), ("H", triple.H))
     }
     ode_max = triple.max_ode_residual()
 
+    # Taylor data once per site a, every later site b in one sweep
     pairs = []
-    for i, a in enumerate(triple.sites):
-        for b in triple.sites[i + 1:]:
-            av = area_discrepancy(triple, a, b)
-            vv = velocity(triple, a, b, tol)
-            pairs.append((b - a, abs(av) / vv))
-    ratio_profile = []
-    for d in ladder:
-        vals = [r for gap, r in pairs if gap <= d]
-        ratio_profile.append(max(vals) if vals else None)
+    sites = triple.sites
+    for i, a in enumerate(sites[:-1]):
+        ends = sites[i + 1:]
+        TF, TG = _taylor_pair(triple, a)
+        areas = _discrepancies(triple, a, TF, TG, ends)
+        speeds = _velocities(triple.m, a, TF, TG, ends, tol)
+        pairs.extend(
+            (b - a, abs(av) / vv) for b, av, vv in zip(ends, areas, speeds)
+        )
+    ratio_profile = ladder_maxima(pairs, ladder)
 
     populated = [v for v in ratio_profile if v is not None]
     if populated:
@@ -394,9 +407,6 @@ def hermite_two_point(a, va: Sequence, b, vb: Sequence) -> Polynomial:
     vals = [_q(v) for v in va] + [_q(v) for v in vb]
     for i in range(n):
         dd[i][0] = vals[0] if nodes[i] == a else vals[m + 1]
-    dd0 = [vals[0] if nodes[i] == a else vals[m + 1] for i in range(n)]
-    for i in range(n):
-        dd[i][0] = dd0[i]
     for j in range(1, n):
         for i in range(n - j):
             if nodes[i + j] == nodes[i]:
@@ -414,6 +424,15 @@ def hermite_two_point(a, va: Sequence, b, vb: Sequence) -> Polynomial:
     return poly
 
 
+def _gap_interpolants(triple: JetTriple, i: int):
+    """Hermite interpolants of the F and G data across the gap after site i."""
+    a, b = triple.sites[i], triple.sites[i + 1]
+    return (
+        hermite_two_point(a, triple.F.values[i], b, triple.F.values[i + 1]),
+        hermite_two_point(a, triple.G.values[i], b, triple.G.values[i + 1]),
+    )
+
+
 def hermite_gap_fill(triple: JetTriple) -> PiecewiseCurve:
     """Fill the gaps between consecutive sites with degree-(2m+1) Hermite
     interpolants of the F and G data, then lift the vertical component.
@@ -425,20 +444,9 @@ def hermite_gap_fill(triple: JetTriple) -> PiecewiseCurve:
     sites = triple.sites
     if len(sites) < 2:
         raise ValueError("need at least two sites")
-    f_pieces, g_pieces = [], []
-    for a, b in zip(sites, sites[1:]):
-        f_pieces.append(
-            hermite_two_point(
-                a, triple.F.values[sites.index(a)],
-                b, triple.F.values[sites.index(b)],
-            )
-        )
-        g_pieces.append(
-            hermite_two_point(
-                a, triple.G.values[sites.index(a)],
-                b, triple.G.values[sites.index(b)],
-            )
-        )
+    f_pieces, g_pieces = zip(
+        *(_gap_interpolants(triple, i) for i in range(len(sites) - 1))
+    )
     f = PiecewisePolynomial(sites, f_pieces)
     g = PiecewisePolynomial(sites, g_pieces)
     return lift(f, g, triple.H.value(sites[0], 0))
@@ -452,11 +460,10 @@ def horizontal_repair_gap(triple: JetTriple, a, b) -> Fraction:
     """
     a, b = _q(a), _q(b)
     sites = triple.sites
-    ia = sites.index(a)
+    ia = triple.F._index(a)
     if ia + 1 >= len(sites) or sites[ia + 1] != b:
         raise ValueError("a, b must be consecutive sites")
-    fp = hermite_two_point(a, triple.F.values[ia], b, triple.F.values[ia + 1])
-    gp = hermite_two_point(a, triple.G.values[ia], b, triple.G.values[ia + 1])
+    fp, gp = _gap_interpolants(triple, ia)
     integrand = 2 * (fp.derivative() * gp - gp.derivative() * fp)
     h_lift_b = triple.H.value(a, 0) + integrand.integral(a, b)
     return triple.H.value(b, 0) - h_lift_b

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .curves import PiecewisePolynomial
-from .intervalsets import Interval, IntervalSet, rational_to_str
+from .intervalsets import Interval, IntervalSet, _q, rational_to_str
 from .jets import DEFAULT_LADDER
 from .polynomials import (
     DEFAULT_TOL,
@@ -29,10 +29,6 @@ from .polynomials import (
     isolate_roots,
     refine_root,
 )
-
-
-def _q(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 @dataclass

@@ -14,6 +14,7 @@ from typing import Iterable, Optional, Sequence
 
 
 def _q(x) -> Fraction:
+    """Coerce to Fraction; the one rational-coercion helper of the package."""
     return x if isinstance(x, Fraction) else Fraction(x)
 
 

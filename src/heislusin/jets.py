@@ -8,19 +8,30 @@ little-o limit, only exhibit decay.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .intervalsets import rational_to_str
+from .intervalsets import _q, rational_to_str
 from .polynomials import Polynomial, truncate_shifted
 
 DEFAULT_LADDER = tuple(Fraction(1, 2**j) for j in range(13))
 
 
-def _q(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+def ladder_maxima(pairs, ladder, empty=None) -> list:
+    """For each scale d of the ladder, the largest value among the
+    (gap, value) pairs with gap <= d, or `empty` if there is none."""
+    pairs = sorted(pairs, key=lambda p: p[0])
+    gaps = [gap for gap, _ in pairs]
+    running = list(itertools.accumulate((v for _, v in pairs), max))
+    out = []
+    for d in ladder:
+        n = bisect.bisect_right(gaps, d)
+        out.append(running[n - 1] if n else empty)
+    return out
 
 
 @dataclass(frozen=True)
@@ -30,6 +41,7 @@ class Jet:
     m: int
     sites: tuple
     values: tuple  # one (m+1)-tuple of Fractions per site
+    _rows: dict = field(init=False, repr=False, compare=False)  # site -> row
 
     def __post_init__(self):
         sites = tuple(_q(x) for x in self.sites)
@@ -40,6 +52,7 @@ class Jet:
             raise ValueError("each value vector must have length m+1")
         object.__setattr__(self, "sites", sites)
         object.__setattr__(self, "values", values)
+        object.__setattr__(self, "_rows", {x: i for i, x in enumerate(sites)})
 
     @staticmethod
     def from_polynomial(p: Polynomial, sites: Sequence, m: int) -> "Jet":
@@ -51,8 +64,8 @@ class Jet:
     def _index(self, a) -> int:
         a = _q(a)
         try:
-            return self.sites.index(a)
-        except ValueError:
+            return self._rows[a]
+        except KeyError:
             raise ValueError("%s is not a site of this jet" % a) from None
 
     def value(self, a, k: int) -> Fraction:
@@ -62,10 +75,11 @@ class Jet:
 
     def taylor_poly(self, a) -> Polynomial:
         """Taylor polynomial of order m at the site a."""
-        row = self.values[self._index(a)]
-        a = _q(a)
+        i = self._index(a)
+        row = self.values[i]
         return Polynomial.from_taylor(
-            [row[k] / math.factorial(k) for k in range(self.m + 1)], a
+            [row[k] / math.factorial(k) for k in range(self.m + 1)],
+            self.sites[i],
         )
 
     def remainder(self, a, b, k: int) -> Fraction:
@@ -84,27 +98,40 @@ class Jet:
     def whitney_modulus(self, delta) -> Fraction:
         """max over k and site pairs with 0 < |b-a| <= delta of
         |remainder| / |b-a|^(m-k); 0 if no pair qualifies."""
-        delta = _q(delta)
-        if delta <= 0:
-            raise ValueError("delta must be positive")
-        best = Fraction(0)
-        n = len(self.sites)
-        for ia in range(n):
-            for ib in range(n):
-                if ia == ib:
-                    continue
-                gap = abs(self.sites[ib] - self.sites[ia])
-                if gap > delta:
-                    continue
-                for k in range(self.m + 1):
-                    r = abs(self.remainder(self.sites[ia], self.sites[ib], k))
-                    val = r / gap ** (self.m - k)
-                    if val > best:
-                        best = val
-        return best
+        return self.modulus_profile((delta,))[0][1]
 
     def modulus_profile(self, ladder=DEFAULT_LADDER) -> list:
-        return [(d, self.whitney_modulus(d)) for d in ladder]
+        """(delta, whitney_modulus(delta)) for every delta of the ladder.
+
+        Each unordered site pair is visited once, in both directions and
+        at every order k, for its worst normalized remainder; every scale
+        is then a prefix maximum over the pairs sorted by gap.
+        """
+        ladder = tuple(ladder)
+        scales = [_q(d) for d in ladder]
+        if any(d <= 0 for d in scales):
+            raise ValueError("delta must be positive")
+        m, sites, values = self.m, self.sites, self.values
+        inv_fact = [Fraction(1, math.factorial(ell)) for ell in range(m + 1)]
+        pairs = []
+        for ia, a in enumerate(sites):
+            va = values[ia]
+            for ib in range(ia + 1, len(sites)):
+                vb = values[ib]
+                gap = sites[ib] - a
+                ahead = [gap**ell * inv_fact[ell] for ell in range(m + 1)]
+                behind = [-c if ell & 1 else c for ell, c in enumerate(ahead)]
+                worst = Fraction(0)
+                for k in range(m + 1):
+                    # remainders of order k at b from a, and at a from b
+                    fwd, back = vb[k], va[k]
+                    for ell in range(m - k + 1):
+                        fwd -= va[k + ell] * ahead[ell]
+                        back -= vb[k + ell] * behind[ell]
+                    # |remainder| / gap^(m-k) = |remainder| gap^k / gap^m
+                    worst = max(worst, max(abs(fwd), abs(back)) * gap**k)
+                pairs.append((gap, worst / gap**m))
+        return list(zip(ladder, ladder_maxima(pairs, scales, Fraction(0))))
 
     def to_json_obj(self) -> dict:
         return {
@@ -157,14 +184,12 @@ class JetTriple:
         """
         if not 1 <= k <= self.m:
             raise ValueError("require 1 <= k <= m")
-        a = _q(a)
+        row = self.F._index(a)
+        f, g = self.F.values[row], self.G.values[row]
         acc = Fraction(0)
         for i in range(k):
-            acc += math.comb(k - 1, i) * (
-                self.F.value(a, k - i) * self.G.value(a, i)
-                - self.G.value(a, k - i) * self.F.value(a, i)
-            )
-        return self.H.value(a, k) - 2 * acc
+            acc += math.comb(k - 1, i) * (f[k - i] * g[i] - g[k - i] * f[i])
+        return self.H.values[row][k] - 2 * acc
 
     def max_ode_residual(self) -> Fraction:
         best = Fraction(0)

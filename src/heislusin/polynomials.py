@@ -13,13 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .intervalsets import IntervalSet, rational_to_str
+from .intervalsets import IntervalSet, _q, rational_to_str
 
 DEFAULT_TOL = Fraction(1, 10**12)
-
-
-def _q(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 class Polynomial:
@@ -377,10 +373,15 @@ def refine_root(enc: RootEnclosure, width: Fraction) -> RootEnclosure:
     s = enc.poly
     lo, hi = enc.lo, enc.hi
     sign_lo = s(lo) > 0
+    cand = None
     while hi - lo > width:
-        cand = simplest_between(lo, hi)
-        if lo < cand < hi and s(cand) == 0:
-            return RootEnclosure(cand, cand, cand)
+        # the simplest fraction of a bracket is also the simplest of every
+        # sub-bracket holding it, so it is recomputed (and tested) only
+        # once the bracket has shrunk past it
+        if cand is None or not lo <= cand <= hi:
+            cand = simplest_between(lo, hi)
+            if lo < cand < hi and s(cand) == 0:
+                return RootEnclosure(cand, cand, cand)
         mid = (lo + hi) / 2
         fm = s(mid)
         if fm == 0:
@@ -431,33 +432,61 @@ def abs_integral(p: Polynomial, a, b, tol: Fraction = DEFAULT_TOL) -> CertifiedV
     """Integral of |p| over [a, b].
 
     Exact whenever the sign changes of p inside (a, b) happen at rational
-    points; otherwise correct to within `tol`.
+    points; otherwise correct to within `tol`. The one-end case of
+    `prefix_abs_integrals`.
     """
     a, b = _q(a), _q(b)
     if a > b:
         raise ValueError("require a <= b")
-    if p.is_zero or a == b:
-        return CertifiedValue(Fraction(0), True, Fraction(0))
-    roots = isolate_roots(p, a, b)
-    bound = _coeff_bound(p, a, b)
-    exact = True
-    breaks = [a]
-    error = Fraction(0)
+    return prefix_abs_integrals(p, a, (b,), tol)[0]
+
+
+def prefix_abs_integrals(p: Polynomial, a, ends, tol: Fraction = DEFAULT_TOL) -> list:
+    """Integrals of |p| over [a, b], one per b in the nondecreasing `ends`.
+
+    The roots of p on (a, last b) are isolated and refined once, to a
+    width set by their count and by the bound on |p| over the whole
+    [a, last b]. Each value is exact when the sign changes inside its
+    interval are rational, and otherwise within `tol`: a bracketed root
+    whose bracket starts below b costs at most 2 * width * bound there,
+    whichever side of b the root lies on.
+    """
+    a = _q(a)
+    ends = [_q(b) for b in ends]
+    if not ends:
+        return []
+    if ends[0] < a or any(x > y for x, y in zip(ends, ends[1:])):
+        raise ValueError("require a <= b, with the ends nondecreasing")
+    last = ends[-1]
+    if p.is_zero or a == last:
+        return [CertifiedValue(Fraction(0), True, Fraction(0)) for _ in ends]
+    roots = isolate_roots(p, a, last)
+    bound = _coeff_bound(p, a, last)
     if roots:
         budget = tol / (2 * len(roots))
         width = budget / (2 * bound) if bound > 0 else Fraction(1)
-        for enc in roots:
-            enc = refine_root(enc, width)
+        roots = [refine_root(enc, width) for enc in roots]
+    F = p.antiderivative()
+    out = []
+    passed = Fraction(0)  # integral of |p| from a to the last break below b
+    F_break = F(a)
+    exact = True
+    error = Fraction(0)
+    n_breaks = n_costed = 0
+    for b in ends:
+        while n_breaks < len(roots) and roots[n_breaks].midpoint < b:
+            F_mid = F(roots[n_breaks].midpoint)
+            passed += abs(F_mid - F_break)
+            F_break = F_mid
+            n_breaks += 1
+        while n_costed < len(roots) and roots[n_costed].lo < b:
+            enc = roots[n_costed]
             if enc.exact is None:
                 exact = False
                 error += 2 * enc.width * bound
-            breaks.append(enc.midpoint)
-    breaks.append(b)
-    F = p.antiderivative()
-    total = Fraction(0)
-    for lo, hi in zip(breaks, breaks[1:]):
-        total += abs(F(hi) - F(lo))
-    return CertifiedValue(total, exact, error)
+            n_costed += 1
+        out.append(CertifiedValue(passed + abs(F(b) - F_break), exact, error))
+    return out
 
 
 def sup_norm(p: Polynomial, a, b, tol: Fraction = DEFAULT_TOL) -> CertifiedValue:

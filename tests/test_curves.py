@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from heislusin import polynomials
 from heislusin.curves import (
     PiecewiseCurve,
     PiecewisePolynomial,
@@ -207,6 +208,80 @@ class TestExtendabilityReport:
         }
 
 
+def random_triple(rng, m, sites):
+    rows = lambda: tuple(
+        tuple(F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(m + 1))
+        for _ in sites
+    )
+    return JetTriple(Jet(m, sites, rows()), Jet(m, sites, rows()),
+                     Jet(m, sites, rows()))
+
+
+class TestPairSweep:
+    SITES = (0, F(1, 7), F(1, 4), F(1, 2), F(5, 8), F(2, 3), 1)
+
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    def test_ratio_profile_matches_per_pair_brute_force(self, m):
+        # the velocity integrands have degree <= 1 here: rational roots,
+        # so every ratio is exact and must be the same Fraction
+        t = random_triple(random.Random(m), m, self.SITES)
+        # every pair's gap is a scale, plus one scale below them all
+        ladder = sorted({F(1, 64)} | {
+            b - a for i, a in enumerate(self.SITES) for b in self.SITES[i + 1:]})
+        rep = extendability_report(t, ladder)
+        ratios = {}
+        for i, a in enumerate(t.sites):
+            for b in t.sites[i + 1:]:
+                ratios[(a, b)] = abs(area_discrepancy(t, a, b)) / velocity(t, a, b)
+        for d, got in zip(ladder, rep.ratio_profile):
+            vals = [r for (a, b), r in ratios.items() if b - a <= d]
+            assert got == (max(vals) if vals else None)
+        for name, jet in (("F", t.F), ("G", t.G), ("H", t.H)):
+            assert rep.whitney_profiles[name] == [
+                jet.whitney_modulus(d) for d in ladder]
+
+    def test_certified_ratios_within_tol_of_per_pair(self):
+        # m = 3: quadratic integrands with irrational roots
+        t = random_triple(random.Random(7), 3, self.SITES)
+        tol = F(1, 10**12)
+        rep = extendability_report(t, (F(1, 2), 1), tol=tol)
+        ratios, slack = [], F(0)
+        for i, a in enumerate(t.sites):
+            for b in t.sites[i + 1:]:
+                A, V = abs(area_discrepancy(t, a, b)), velocity(t, a, b, tol)
+                ratios.append(A / V)
+                # both routes are within 2 tol of the true sum of the two
+                # integrals, so the velocities differ by <= 4 tol (b-a)^m
+                dV = 4 * tol * (b - a) ** 3
+                slack = max(slack, A * dV / (V * (V - dV)))
+        assert abs(rep.ratio_profile[-1] - max(ratios)) <= slack
+
+    def test_call_counts_stay_linear(self, monkeypatch):
+        n = 9
+        sites = tuple(F(i, n - 1) for i in range(n))
+        t = random_triple(random.Random(1), 3, sites)
+        counts = {"isolate_roots": 0, "taylor_poly": 0}
+        isolate, taylor = polynomials.isolate_roots, Jet.taylor_poly
+
+        def counted_isolate(*args, **kwargs):
+            counts["isolate_roots"] += 1
+            return isolate(*args, **kwargs)
+
+        def counted_taylor(self, a):
+            counts["taylor_poly"] += 1
+            return taylor(self, a)
+
+        def no_remainder(self, *args):
+            raise AssertionError("modulus_profile called Jet.remainder")
+
+        monkeypatch.setattr(polynomials, "isolate_roots", counted_isolate)
+        monkeypatch.setattr(Jet, "taylor_poly", counted_taylor)
+        monkeypatch.setattr(Jet, "remainder", no_remainder)
+        extendability_report(t)
+        assert 0 < counts["isolate_roots"] <= 2 * (n - 1)
+        assert 0 < counts["taylor_poly"] <= 2 * n
+
+
 class TestHermite:
     def test_reproduces_cubic(self):
         q = poly(1, -2, 0, 5)
@@ -252,6 +327,14 @@ class TestHermite:
         H = Jet(1, (0, 1), ((3, 0), (8, 0)))
         t = JetTriple(z, z, H)
         assert horizontal_repair_gap(t, 0, 1) == 5
+
+    def test_repair_gaps_read_off_the_fill(self):
+        t = random_triple(random.Random(3), 2, (0, F(1, 3), F(1, 2), 1))
+        filled = hermite_gap_fill(t)
+        for i, (a, b) in enumerate(zip(t.sites, t.sites[1:])):
+            h = filled.h_pieces[i]
+            want = t.H.value(b, 0) - t.H.value(a, 0) - (h(b) - h(a))
+            assert horizontal_repair_gap(t, a, b) == want
 
     def test_non_consecutive_rejected(self):
         c = lifted(poly(0, 1), poly(0, 1))

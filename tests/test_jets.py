@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heislusin.jets import Jet, JetTriple, integrate_jet, vertical_jet
 from heislusin.polynomials import Polynomial
@@ -87,6 +89,104 @@ class TestWhitneyModulus:
     def test_no_pair_in_range(self):
         j = Jet.from_polynomial(CUBE, [0, 1], 2)
         assert j.whitney_modulus(F(1, 2)) == 0
+
+
+def brute_modulus(j, delta):
+    """max over ordered site pairs 0 < |b-a| <= delta and orders k of
+    |remainder| / |b-a|^(m-k), one scale at a time; 0 if no pair."""
+    best = F(0)
+    for a in j.sites:
+        for b in j.sites:
+            gap = abs(b - a)
+            if a == b or gap > delta:
+                continue
+            for k in range(j.m + 1):
+                best = max(best, abs(j.remainder(a, b, k)) / gap ** (j.m - k))
+    return best
+
+
+small = st.fractions(min_value=-9, max_value=9, max_denominator=7)
+
+
+@st.composite
+def jets_and_ladders(draw):
+    m = draw(st.integers(0, 3))
+    sites = sorted(draw(st.sets(
+        st.fractions(min_value=-2, max_value=2, max_denominator=16),
+        min_size=1, max_size=6)))
+    values = tuple(tuple(draw(small) for _ in range(m + 1)) for _ in sites)
+    # scales below the smallest gap, between gaps and above the widest
+    ladder = draw(st.lists(
+        st.fractions(min_value=F(1, 512), max_value=5, max_denominator=512),
+        min_size=1, max_size=6))
+    return Jet(m, tuple(sites), values), ladder
+
+
+class TestModulusProfile:
+    @given(jets_and_ladders())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_brute_force_per_scale(self, case):
+        j, ladder = case
+        profile = j.modulus_profile(ladder)
+        assert [d for d, _ in profile] == ladder
+        for d, v in profile:
+            assert type(v) is F
+            assert v == brute_modulus(j, d)
+
+    def test_empty_scales_read_zero(self):
+        j = Jet.from_polynomial(CUBE, [0, F(1, 4), 1], 2)
+        profile = j.modulus_profile((F(1, 8), F(1, 4), F(3, 4), 1))
+        assert [v for _, v in profile] == [0, F(3, 2), F(9, 2), 6]
+
+    def test_whitney_modulus_is_one_scale_case(self):
+        j = Jet.from_polynomial(CUBE, [0, F(1, 3), F(1, 2), 1], 2)
+        for d in (F(1, 6), F(1, 3), F(1, 2), 1):
+            assert j.whitney_modulus(d) == j.modulus_profile((d,))[0][1]
+
+    def test_nonpositive_scale_rejected(self):
+        j = Jet.from_polynomial(CUBE, [0, 1], 2)
+        for bad in ((0,), (1, F(-1, 2))):
+            with pytest.raises(ValueError):
+                j.modulus_profile(bad)
+        with pytest.raises(ValueError):
+            j.whitney_modulus(0)
+
+    def test_no_remainder_calls(self, monkeypatch):
+        calls = []
+        original = Jet.remainder
+
+        def counted(self, *args):
+            calls.append(args)
+            return original(self, *args)
+
+        monkeypatch.setattr(Jet, "remainder", counted)
+        j = Jet.from_polynomial(CUBE, [F(i, 9) for i in range(10)], 3)
+        j.modulus_profile()
+        j.whitney_modulus(F(1, 3))
+        assert calls == []
+
+
+class TestSiteLookup:
+    def test_row_map_ignored_by_eq_and_repr(self):
+        a = Jet(1, (0, 1), ((0, 1), (2, 3)))
+        b = Jet(1, (F(0), F(1)), ((0, 1), (2, 3)))
+        assert a == b and hash(a) == hash(b)
+        assert "_rows" not in repr(a)
+
+    def test_every_accessor_rejects_non_sites(self):
+        j = Jet(2, (0, F(1, 3), 1), ((0, 0, 0),) * 3)
+        t = JetTriple(j, j, j)
+        for call in (lambda: j.value(F(1, 2), 0),
+                     lambda: j.taylor_poly(F(1, 2)),
+                     lambda: j.remainder(0, F(1, 2), 0),
+                     lambda: t.ode_residual(F(1, 2), 1)):
+            with pytest.raises(ValueError, match="is not a site of this jet"):
+                call()
+
+    def test_lookup_accepts_any_rational_spelling(self):
+        j = Jet(1, (F(1, 2), 1), ((5, 6), (7, 8)))
+        assert j.value(0.5, 1) == 6 and j.value(1, 0) == 7
+        assert j.taylor_poly(1) == Polynomial.from_taylor([7, 8], 1)
 
 
 class TestOdeResidual:

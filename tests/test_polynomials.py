@@ -1,6 +1,8 @@
+import math
 import random
 from fractions import Fraction as F
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,10 +10,12 @@ from hypothesis import strategies as st
 from heislusin.intervalsets import IntervalSet
 from heislusin.polynomials import (
     Polynomial,
+    RootEnclosure,
     abs_integral,
     degiorgi_ratio,
     intmax_ratio,
     isolate_roots,
+    prefix_abs_integrals,
     refine_root,
     simplest_between,
     sup_norm,
@@ -108,6 +112,150 @@ class TestRoots:
         p = Polynomial.from_roots(1, [F(1, 2), F(1, 2), F(1, 4)])
         encs = [refine_root(e, F(1, 2**40)) for e in isolate_roots(p, 0, 1)]
         assert [e.exact for e in encs] == [F(1, 4), F(1, 2)]
+
+
+def refine_reference(enc, width):
+    """Bisection that recomputes the simplest-fraction candidate at every
+    step, the form `refine_root` must agree with."""
+    if enc.exact is not None:
+        return enc
+    s, lo, hi = enc.poly, enc.lo, enc.hi
+    sign_lo = s(lo) > 0
+    while hi - lo > width:
+        cand = simplest_between(lo, hi)
+        if lo < cand < hi and s(cand) == 0:
+            return RootEnclosure(cand, cand, cand)
+        mid = (lo + hi) / 2
+        fm = s(mid)
+        if fm == 0:
+            return RootEnclosure(mid, mid, mid)
+        if (fm > 0) == sign_lo:
+            lo = mid
+        else:
+            hi = mid
+    return RootEnclosure(lo, hi, None, s)
+
+
+class TestRefineRoot:
+    def test_sqrt2_pinned_dyadic_bracket(self):
+        e = refine_root(RootEnclosure(F(1), F(2), None, P(-2, 0, 1)),
+                        F(1, 2**40))
+        assert e.exact is None
+        assert (e.lo, e.hi) == (F(1554944255987, 2**40),
+                                F(1554944255988, 2**40))
+        # the same bracket from integer square roots
+        assert e.lo == F(math.isqrt(2 * 4**40), 2**40)
+
+    def test_rational_root_of_quadratic_exact(self):
+        p = P(-20, 11, 3)  # (3y - 4)(y + 5)
+        # the first candidate, 1, is the bracket's left endpoint; 4/3
+        # only becomes the candidate once the bracket has left 1 behind
+        e = refine_root(RootEnclosure(F(1), F(2), None, p), F(1, 2**40))
+        assert e.exact == F(4, 3)
+
+    def test_candidate_on_endpoint_then_midpoint_hit(self):
+        p = P(-15, -4, 4)  # (2y - 5)(2y + 3); candidate 2 is the endpoint
+        e = refine_root(RootEnclosure(F(2), F(3), None, p), F(1, 2**40))
+        assert e.exact == F(5, 2)
+
+    def test_candidate_kept_inside_bracket(self):
+        p = P(-5, 0, 3)  # 3y^2 - 5, irrational root in (1, 2)
+        e = refine_root(RootEnclosure(F(1), F(2), None, p), F(1, 2**30))
+        assert e.exact is None and e.lo < e.hi and e.hi - e.lo <= F(1, 2**30)
+        assert p(e.lo) < 0 < p(e.hi)
+
+    @given(st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=9),
+                    min_size=1, max_size=3),
+           st.integers(-2, 5), st.integers(1, 60))
+    @settings(max_examples=150, deadline=None)
+    def test_same_enclosures_as_per_step_candidate(self, roots, c, bits):
+        # rational roots plus a possibly irrational factor y^2 - c
+        p = Polynomial.from_roots(1, roots) * P(-c, 0, 1)
+        width = F(1, 2**bits)
+        for enc in isolate_roots(p, -4, 4):
+            assert refine_root(enc, width) == refine_reference(enc, width)
+
+
+def mp(x):
+    return mpmath.mpf(x.numerator) / x.denominator
+
+
+def mp_real_roots(p, lo, hi):
+    """The real roots of p strictly between lo and hi, at 50 digits."""
+    with mpmath.workdps(50):
+        cs = [mp(c) for c in reversed(p.coeffs)]
+        return sorted(r.real for r in mpmath.polyroots(cs, maxsteps=200, extraprec=200)
+                      if abs(r.imag) < mpmath.mpf(10) ** -40 and mp(lo) < r.real < mp(hi))
+
+
+def mp_abs_integral(p, roots, a, b):
+    """Integral of |p| over [a, b] at 50 digits, split at the given roots."""
+    with mpmath.workdps(50):
+        cs = [mp(c) for c in reversed(p.coeffs)]
+        anti = [c / (len(cs) - i) for i, c in enumerate(cs)] + [0]
+        pts = [mp(a)] + [r for r in roots if mp(a) < r < mp(b)] + [mp(b)]
+        return sum(abs(mpmath.polyval(anti, v) - mpmath.polyval(anti, u))
+                   for u, v in zip(pts, pts[1:]))
+
+
+class TestPrefixAbsIntegrals:
+    @given(st.lists(st.fractions(min_value=-2, max_value=2, max_denominator=7),
+                    min_size=1, max_size=4),
+           st.lists(st.fractions(min_value=-2, max_value=2, max_denominator=12),
+                    min_size=1, max_size=6),
+           st.fractions(min_value=-3, max_value=3, max_denominator=5))
+    @settings(max_examples=150, deadline=None)
+    def test_rational_roots_equal_per_end(self, roots, ends, lead):
+        p = Polynomial.from_roots(lead if lead != 0 else 1, roots)
+        a = min(ends) - F(1, 3)
+        ends = sorted(ends)
+        got = prefix_abs_integrals(p, a, ends)
+        assert got == [abs_integral(p, a, b) for b in ends]
+        assert all(v.exact and v.error == 0 for v in got)
+
+    @pytest.mark.parametrize("p", [
+        P(-2, 0, 1),  # y^2 - 2
+        P(-2, 0, 1) * P(-3, 0, 1) * P(F(-1, 5), 1),  # irrational and rational
+        P(1, -4, 0, 1),  # y^3 - 4y + 1, three irrational roots
+    ])
+    def test_irrational_roots_within_tol_of_mpmath(self, p):
+        tol = F(1, 10**9)
+        a = F(-5, 2)
+        roots = mp_real_roots(p, a, 2)
+        ends = {F(k, 8) for k in range(-19, 17)}
+        # ends on both sides of each root, 2^-36 to 2^-70 away: some lie
+        # inside its refined bracket, on either side of the midpoint
+        for r in roots:
+            k = int(mpmath.floor(r * 2**70))
+            ends |= {F(k, 2**70), F(k + 1, 2**70)}
+            for e in range(36, 61, 2):
+                ends |= {F(k - 2 ** (70 - e), 2**70), F(k + 2 ** (70 - e), 2**70)}
+        ends = sorted(ends)
+        got = prefix_abs_integrals(p, a, ends, tol)
+        assert not all(v.exact for v in got)
+        for b, v in zip(ends, got):
+            assert v.error <= tol
+            with mpmath.workdps(50):
+                diff = abs(mp(v.value) - mp_abs_integral(p, roots, a, b))
+                assert diff <= mp(v.error) + mpmath.mpf(10) ** -45
+
+    def test_one_end_is_abs_integral(self):
+        p = P(1, -4, 0, 1)
+        for b in (F(-1), F(1, 3), F(2)):
+            assert prefix_abs_integrals(p, -2, [b]) == [abs_integral(p, -2, b)]
+
+    def test_end_on_a_root_and_repeated_ends(self):
+        p = P(-1, 0, 1)  # roots -1 and 1
+        got = prefix_abs_integrals(p, -2, [-2, -1, -1, 0, 1, 2])
+        assert [v.value for v in got] == [
+            0, F(4, 3), F(4, 3), F(2), F(8, 3), F(4)]
+
+    def test_bad_ends_rejected(self):
+        with pytest.raises(ValueError):
+            prefix_abs_integrals(P(0, 1), 0, [F(1, 2), F(1, 4)])
+        with pytest.raises(ValueError):
+            prefix_abs_integrals(P(0, 1), 0, [F(-1, 4)])
+        assert prefix_abs_integrals(P(0, 1), 0, []) == []
 
 
 class TestAbsIntegral:
