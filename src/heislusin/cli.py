@@ -81,18 +81,29 @@ def _write_meta(outdir, args):
 # largest staircase depth the counterexample commands accept; the
 # breakpoint denominators grow like 2^(depth(depth+6))
 MAX_DEPTH = 14
+# largest sieve grid and stage count; the sieve's pair sweep grows like
+# grid^2 and its bad-cell counts like nmax * grid
+MAX_GRID = 2**14
+MAX_NMAX = 32
 
 
-def _depth(s) -> int:
-    try:
-        depth = int(s)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError("bad depth %r" % s) from exc
-    if not 1 <= depth <= MAX_DEPTH:
-        raise argparse.ArgumentTypeError(
-            "depth must be in 1..%d, got %d" % (MAX_DEPTH, depth)
-        )
-    return depth
+def _int_in(name, lo, hi):
+    """argparse type for an integer in lo..hi, so that an out-of-range
+    value exits 2 before any input is read or anything is built."""
+    def convert(s) -> int:
+        try:
+            value = int(s)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError("bad %s %r" % (name, s)) from exc
+        if not lo <= value <= hi:
+            raise argparse.ArgumentTypeError(
+                "%s must be in %d..%d, got %d" % (name, lo, hi, value)
+            )
+        return value
+    return convert
+
+
+_depth = _int_in("depth", 1, MAX_DEPTH)
 
 
 def _rat(s) -> Fraction:
@@ -368,8 +379,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sv.add_argument("--component", choices="fgh", default="f")
     sv.add_argument("--m", type=int, required=True)
     sv.add_argument("--eps", type=_rat, default=Fraction(5, 100))
-    sv.add_argument("--grid", type=int, default=2**14)
-    sv.add_argument("--nmax", type=int, default=6)
+    sv.add_argument("--grid", type=_int_in("grid", 8, MAX_GRID),
+                    default=MAX_GRID)
+    sv.add_argument("--nmax", type=_int_in("nmax", 1, MAX_NMAX), default=6)
     sv.add_argument("--out", default="-")
     sv.set_defaults(_run=_cmd_sieve, _command="sieve")
     return ap

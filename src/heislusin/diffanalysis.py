@@ -12,7 +12,6 @@ Whitney field.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,7 +21,7 @@ import numpy as np
 
 from .curves import PiecewisePolynomial
 from .intervalsets import Interval, IntervalSet, _q, rational_to_str
-from .jets import DEFAULT_LADDER
+from .jets import DEFAULT_LADDER, ladder_maxima
 from .polynomials import (
     DEFAULT_TOL,
     Polynomial,
@@ -210,15 +209,6 @@ class SieveResult:
         }
 
 
-def _sample_piecewise(u: PiecewisePolynomial, points) -> np.ndarray:
-    bps = u.breakpoints
-    out = np.empty(len(points))
-    for j, t in enumerate(points):
-        i = min(bisect.bisect_right(bps, t) - 1, len(u.pieces) - 1)
-        out[j] = float(u.pieces[i](t))
-    return out
-
-
 def whitney_sieve(
     u: PiecewisePolynomial,
     m: int,
@@ -237,14 +227,22 @@ def whitney_sieve(
     W(x,r) = {y in B(x,r) : |u(y) - P_x(y)| > (1/n) |y - x|^m} with P_x
     the Taylor polynomial from the piecewise derivatives of u at x; x
     survives stage n when measure(W(x,r)) <= r/4 at every tested radius
-    r <= 1/n. A cell is retained when its center and every extra test
-    point inside it survive all stages. `extra_points` lets callers
-    force exact evaluation at places a uniform grid would miss (e.g.
-    component centers of the counterexample curve); u is evaluated at
-    them in exact arithmetic before rounding.
+    r <= 1/n. The measure counts the grid cells whose centres lie in
+    W(x,r), and the comparison with r/4 is exact. A cell is retained
+    when its center and every extra test point inside it survive all
+    stages. `extra_points` lets callers force exact evaluation at
+    places a uniform grid would miss (e.g. component centers of the
+    counterexample curve); u is evaluated at them in exact arithmetic
+    before rounding.
 
     The epsilon budget is reported, not enforced: `defects` lists the
     newly excluded measure at each stage against eps/2^n.
+
+    The modulus follows the definition of `Jet.whitney_modulus`, in
+    floats: at each ladder scale, the largest |remainder of order k| /
+    gap^(m-k) over the orders k and both directions of every pair of
+    kept points at most that scale apart, and 0.0 at a scale with no
+    such pair.
     """
     eps = _q(eps)
     if eps <= 0:
@@ -264,133 +262,125 @@ def whitney_sieve(
     order = np.argsort([float(t) for t in points], kind="stable")
     xs_q = [points[i] for i in order]
     xs = np.array([float(t) for t in xs_q])
+    is_center = order < grid
 
     derivs = [u.derivative(k) if k else u for k in range(m + 1)]
-    U = np.vstack([_sample_piecewise(d, xs_q) for d in derivs])
-    fact = [math.factorial(k) for k in range(m + 1)]
+    U = np.array([[float(d(t)) for t in xs_q] for d in derivs])
 
-    # radii tested: ladder values representable on the grid
-    r_min = Fraction(4, grid)
-    radii = sorted((r for r in (_q(r) for r in ladder) if r >= r_min))
+    # radii tested: ladder values representable on the grid, up to the
+    # radius 1 of the first stage
+    radii = sorted({r for r in map(_q, ladder) if 4 * cell <= r <= 1})
+    first_bad = _first_bad_counts(xs, U, is_center, radii, n_max)
+    # measure(W(x,r)) <= r/4 holds when at most this many cells are bad
+    caps = [math.floor(r * grid / 4) for r in radii]
 
-    npts = len(xs_q)
-    alive = np.ones(npts, dtype=bool)
-    widths = np.array(
-        [float(cell)] * grid + [0.0] * len(extras)
-    )[order]  # cell weight carried by each test point
+    alive = np.ones(len(xs), dtype=bool)
+    bad = np.zeros(first_bad.shape[1:], dtype=first_bad.dtype)
     defects = []
-    stage_excluded_prev = Fraction(0)
-    budget_ok = True
-
-    u0 = U[0]
+    excluded_prev = Fraction(0)
     for n in range(1, n_max + 1):
-        delta = 1.0 / n
-        stage_alive = np.ones(npts, dtype=bool)
-        for r in radii:
-            if r > Fraction(1, n):
-                continue
-            rf = float(r)
-            allowed = rf / 4.0
-            # measure of W(x,r) via cell-weighted counting around each x
-            badmass = np.zeros(npts)
-            # pair (i, j): j right neighbor of i within r
-            lo_idx = np.searchsorted(xs, xs - rf, side="left")
-            hi_idx = np.searchsorted(xs, xs + rf, side="right")
-            # accumulate per-lag to keep it vectorized
-            max_span = int(np.max(hi_idx - lo_idx))
-            for lag in range(1, max_span):
-                i = np.arange(0, npts - lag)
-                j = i + lag
-                d = xs[j] - xs[i]
-                within = d <= rf
-                if not np.any(within):
-                    break
-                # Taylor of u at x_i evaluated at x_j, and vice versa
-                pred_r = np.zeros(npts - lag)
-                pred_l = np.zeros(npts - lag)
-                for k in range(m, -1, -1):
-                    pred_r = pred_r * d + U[k][i] / fact[k]
-                    pred_l = pred_l * (-d) + U[k][j] / fact[k]
-                thr = delta * d**m
-                bad_r = within & (np.abs(u0[j] - pred_r) > thr)
-                bad_l = within & (np.abs(u0[i] - pred_l) > thr)
-                badmass[i] += np.where(bad_r, widths[j], 0.0)
-                badmass[j] += np.where(bad_l, widths[i], 0.0)
-            stage_alive &= badmass <= allowed
-        alive &= stage_alive
-        excluded = _excluded_measure(alive, order, grid, cell, len(extras))
-        new = excluded - stage_excluded_prev
-        budget = eps / 2**n
-        defects.append((n, new, budget))
-        budget_ok = budget_ok and new <= budget
-        stage_excluded_prev = excluded
+        bad += first_bad[n - 1]
+        within = bad.cumsum(axis=0)  # bad cells at gap <= radii[r]
+        for r, (radius, cap) in enumerate(zip(radii, caps)):
+            if radius <= Fraction(1, n):
+                alive &= within[r] <= cap
+        excluded = cell * int(np.count_nonzero(is_center & ~alive))
+        new = excluded - excluded_prev
+        defects.append((n, new, eps / 2**n))
+        excluded_prev = excluded
+    budget_ok = all(new <= budget for _, new, budget in defects)
 
     # retained cells: center alive and every extra point in the closed
     # cell alive
-    cell_alive = _cell_survival(alive, order, grid, xs_q, extras)
+    alive_by_point = np.empty_like(alive)
+    alive_by_point[order] = alive
+    cell_alive = alive_by_point[:grid].copy()
+    for t, ok in zip(extras, alive_by_point[grid:]):
+        if not ok:
+            k = t * grid
+            cell_alive[max(math.ceil(k) - 1, 0):math.floor(k) + 1] = False
     retained = IntervalSet(
         Interval(Fraction(i, grid), Fraction(i + 1, grid), True, True)
         for i in range(grid)
         if cell_alive[i]
     )
 
-    keep = [i for i in range(npts) if alive[i] and cell_alive[
-        min(int(xs_q[i] * grid), grid - 1)
-    ]]
+    cell_of = np.array(
+        list(range(grid)) + [min(int(t * grid), grid - 1) for t in extras]
+    )[order]
+    keep = np.flatnonzero(alive & cell_alive[cell_of])
     if len(keep) > modulus_cap:
-        stride = -(-len(keep) // modulus_cap)
-        keep = keep[::stride]
+        keep = keep[::-(-len(keep) // modulus_cap)]
     profile_scales = tuple(_q(s) for s in ladder)
-    profile = _jet_modulus(xs[keep], U[:, keep], m, profile_scales)
+    profile = _jet_modulus(xs[keep], U[:, keep], profile_scales)
     return SieveResult(
         retained, cell, defects, budget_ok, profile_scales, profile
     )
 
 
-def _excluded_measure(alive, order, grid, cell, n_extra) -> Fraction:
-    dead_cells = set()
-    inv = np.empty(len(order), dtype=int)
-    inv[order] = np.arange(len(order))
-    for i in range(grid):
-        if not alive[inv[i]]:
-            dead_cells.add(i)
-    return cell * len(dead_cells)
+def _remainder_sweep(xs: np.ndarray, U: np.ndarray, orders, reach: float):
+    """Taylor remainders of a sampled jet over the pairs of sorted points.
+
+    U holds the k-th derivatives at the points xs, k = 0..m. Lag by lag,
+    while some gap d = xs[i + lag] - xs[i] is at most `reach`, yields
+    (lag, d, rems) where rems lists for each order k in `orders` the
+    absolute order-k remainders forward, at x_(i+lag) expanded at x_i,
+    and backward, at x_i expanded at x_(i+lag).
+    """
+    m = len(U) - 1
+    fact = [math.factorial(ell) for ell in range(m + 1)]
+    coef = {k: [U[k + ell] / fact[ell] for ell in range(m - k + 1)]
+            for k in orders}
+    for lag in range(1, len(xs)):
+        d = xs[lag:] - xs[:-lag]
+        if not np.any(d <= reach):
+            return
+        rems = []
+        for k in orders:
+            c = coef[k]
+            fwd, back = c[-1][:-lag], c[-1][lag:]
+            for ell in range(m - k - 1, -1, -1):  # Horner's rule
+                fwd = fwd * d + c[ell][:-lag]
+                back = back * -d + c[ell][lag:]
+            rems.append((np.abs(U[k][lag:] - fwd), np.abs(U[k][:-lag] - back)))
+        yield lag, d, rems
 
 
-def _cell_survival(alive, order, grid, xs_q, extras):
-    inv = np.empty(len(order), dtype=int)
-    inv[order] = np.arange(len(order))
-    cell_alive = [bool(alive[inv[i]]) for i in range(grid)]
-    for e, t in enumerate(extras):
-        if alive[inv[grid + e]]:
-            continue
-        lo_cell = int(t * grid) - (1 if (t * grid).denominator == 1 else 0)
-        hi_cell = int(t * grid)
-        for c in (lo_cell, hi_cell):
-            if 0 <= c < grid:
-                cell_alive[c] = False
-    return cell_alive
+def _first_bad_counts(xs, U, is_center, radii, n_max) -> np.ndarray:
+    """counts[s, r, x]: grid cells y with |u(y) - P_x(y)| > (1/n)|y - x|^m
+    first at stage n = s + 1 and with radii[r] the smallest radius
+    >= |y - x|. The last stage and radius slots hold the pairs that are
+    never bad or farther apart than every radius."""
+    m = len(U) - 1
+    rf = np.array([float(r) for r in radii])
+    inv_n = np.array([1.0 / n for n in range(1, n_max + 1)])[:, None]
+    counts = np.zeros((n_max + 1, len(radii) + 1, len(xs)), dtype=np.int32)
+    reach = max(rf, default=-1.0)
+    for lag, d, [(fwd, back)] in _remainder_sweep(xs, U, (0,), reach):
+        thr = inv_n * d**m
+        gap_bin = np.searchsorted(rf, d)
+        i = np.arange(len(d))
+        # thr falls with n, so a pair stays bad from its first bad stage on
+        counts[n_max - (fwd > thr).sum(axis=0), gap_bin, i] += is_center[lag:]
+        counts[n_max - (back > thr).sum(axis=0), gap_bin, i + lag] += (
+            is_center[:-lag]
+        )
+    return counts
 
 
-def _jet_modulus(xs: np.ndarray, U: np.ndarray, m: int, scales) -> list:
-    """Whitney modulus profile of the sampled jet at the given points."""
-    npts = len(xs)
-    if npts < 2:
-        return [0.0 for _ in scales]
-    fact = [math.factorial(k) for k in range(m + 1)]
-    d = xs[None, :] - xs[:, None]  # d[i, j] = x_j - x_i
-    mask = d > 0
-    gap = np.where(mask, d, np.inf)
-    worst = np.full(d.shape, 0.0)
-    for k in range(m + 1):
-        pred = np.zeros(d.shape)
-        for ell in range(m - k, -1, -1):
-            pred = pred * d + U[k + ell][:, None] / fact[ell]
-        rem = np.abs(U[k][None, :] - pred)
-        ratio = rem / gap ** (m - k)
-        worst = np.maximum(worst, np.where(mask, ratio, 0.0))
-    out = []
-    for s in scales:
-        sel = mask & (d <= float(s))
-        out.append(float(np.max(np.where(sel, worst, 0.0))) if np.any(sel) else 0.0)
-    return out
+def _jet_modulus(xs: np.ndarray, U: np.ndarray, scales) -> list:
+    """Whitney modulus profile of the sampled jet at the sorted points xs."""
+    m = len(U) - 1
+    bins = np.unique([float(s) for s in scales])
+    best = np.zeros(len(bins) + 1)  # the last slot: gaps beyond every scale
+    reach = max(bins, default=-1.0)
+    for lag, d, rems in _remainder_sweep(xs, U, range(m + 1), reach):
+        # coincident points (an extra point on a centre) are no pair
+        gap = np.where(d > 0, d, np.inf)
+        worst = np.zeros(len(d))
+        for k, (fwd, back) in enumerate(rems):
+            norm = gap ** (m - k)
+            worst = np.maximum(worst, np.maximum(fwd / norm, back / norm))
+        np.maximum.at(best, np.searchsorted(bins, d), worst)
+    pairs = [(float(g), float(v)) for g, v in zip(bins, best)]
+    return ladder_maxima(pairs, [float(s) for s in scales], 0.0)

@@ -4,7 +4,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from heislusin.cli import MAX_DEPTH, read_curve_csv, run
+from heislusin.cli import (
+    MAX_DEPTH, MAX_GRID, MAX_NMAX, read_curve_csv, run,
+)
 from heislusin.jets import Jet, JetTriple
 
 
@@ -105,6 +107,36 @@ class TestDepthBound:
         )
         assert status == 0
 
+
+
+class TestSieveBounds:
+    @pytest.mark.parametrize("flag, value, bounds", [
+        ("--grid", "7", "grid must be in 8..%d" % MAX_GRID),
+        ("--grid", str(MAX_GRID + 1), "grid must be in 8..%d" % MAX_GRID),
+        ("--grid", str(2**40), "grid must be in 8..%d" % MAX_GRID),
+        ("--nmax", "0", "nmax must be in 1..%d" % MAX_NMAX),
+        ("--nmax", str(10**9), "nmax must be in 1..%d" % MAX_NMAX),
+    ])
+    def test_out_of_range_is_usage_error(self, capsys, tmp_path, flag,
+                                         value, bounds):
+        # the input does not exist: the bound must be checked first
+        missing = tmp_path / "never-read.csv"
+        start = time.perf_counter()
+        status, out, err = invoke(
+            capsys, "sieve", "--input", str(missing), "--m", "1", flag, value
+        )
+        assert status == 2
+        assert time.perf_counter() - start < 0.5
+        assert out == "" and bounds in err
+        assert "No such file" not in err
+
+    def test_bounds_are_accepted(self, capsys, tmp_path):
+        for grid, nmax in ((8, 1), (MAX_GRID, MAX_NMAX)):
+            status, _, _ = invoke(
+                capsys, "sieve", "--input", str(tmp_path / "x.csv"),
+                "--m", "1", "--grid", str(grid), "--nmax", str(nmax), "--help",
+            )
+            assert status == 0
 
 class TestVerify:
     def test_passes_at_depth_six(self, capsys):

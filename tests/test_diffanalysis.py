@@ -1,15 +1,24 @@
+import bisect
+import hashlib
+import json
+import math
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heislusin.counterexample import build_curve, default_params
 from heislusin.curves import PiecewisePolynomial
 from heislusin.diffanalysis import (
+    _jet_modulus,
     approx_density,
     lp_remainder_ladder,
     whitney_sieve,
 )
-from heislusin.intervalsets import IntervalSet
+from heislusin.intervalsets import Interval, IntervalSet
+from heislusin.jets import DEFAULT_LADDER, Jet
 from heislusin.polynomials import Polynomial
 
 
@@ -22,6 +31,11 @@ CUBE = poly(0, 0, 0, 1)
 
 def single(p, a=0, b=1):
     return PiecewisePolynomial([a, b], [p])
+
+
+def kink(c):
+    """u(t) = |t - c| on [0, 1]."""
+    return PiecewisePolynomial([0, c, 1], [poly(c, -1), poly(-c, 1)])
 
 
 @pytest.fixture(scope="module")
@@ -123,6 +137,12 @@ class TestWhitneySieve:
         assert res.retained.measure() == 1
         assert all(v == 0 for v in res.modulus_profile)
 
+    def test_empty_ladder_tests_nothing(self):
+        u = PiecewisePolynomial([0, F(1, 2), 1], [poly(0), poly(1)])
+        res = whitney_sieve(u, 1, F(5, 100), grid=2**6, ladder=())
+        assert res.retained.measure() == 1
+        assert res.modulus_profile == []
+
     def test_jump_excludes_neighborhood(self):
         u = PiecewisePolynomial([0, F(1, 2), 1], [poly(0), poly(1)])
         res = whitney_sieve(u, 1, F(5, 100), grid=2**10)
@@ -154,3 +174,113 @@ class TestWhitneySieve:
         obj = res.to_json_obj()
         assert obj["measure"] == "1/1"
         assert obj["defects"][0]["n"] == 1
+
+    @pytest.mark.parametrize("grid, c", [(80, F(11, 28)), (100, F(11, 28))])
+    def test_survival_test_is_exact_off_power_of_two_grids(self, grid, c):
+        # some centres have exactly r/4 of bad measure; adding up float
+        # cell widths of 1/80 or 1/100 overshoots r/4 and drops them
+        u = kink(c)
+        res = whitney_sieve(u, 1, F(1, 20), grid=grid, n_max=3)
+        assert res.retained == exact_retained(u, 1, grid, 3)
+
+
+def exact_retained(u, m, grid, n_max):
+    """The sieve's survival rule in exact arithmetic, for grid centres
+    only: x survives when, for every stage n and tested radius r <= 1/n,
+    the cells whose centres y satisfy 0 < |y - x| <= r and
+    |u(y) - P_x(y)| > |y - x|^m / n measure at most r/4."""
+    xs = [F(2 * i + 1, 2 * grid) for i in range(grid)]
+
+    def piece(t):
+        i = bisect.bisect_right(u.breakpoints, t) - 1
+        return u.pieces[min(i, len(u.pieces) - 1)]
+
+    radii = [r for r in DEFAULT_LADDER if r >= F(4, grid)]
+    kept = []
+    for x in xs:
+        p = piece(x)
+        taylor = [p.derivative(k)(x) / math.factorial(k) for k in range(m + 1)]
+        pairs = [
+            (abs(y - x),
+             abs(piece(y)(y) - sum(a * (y - x) ** k
+                                   for k, a in enumerate(taylor))))
+            for y in xs if y != x
+        ]
+        kept.append(all(
+            4 * sum(1 for gap, rem in pairs if gap <= r and n * rem > gap**m)
+            <= r * grid
+            for n in range(1, n_max + 1) for r in radii if r <= F(1, n)
+        ))
+    return IntervalSet(
+        Interval(F(i, grid), F(i + 1, grid), True, True)
+        for i, ok in enumerate(kept) if ok
+    )
+
+
+small = st.fractions(min_value=-9, max_value=9, max_denominator=7)
+
+
+@st.composite
+def sampled_jets(draw):
+    m = draw(st.integers(0, 3))
+    sites = sorted(draw(st.sets(st.integers(0, 64), min_size=1, max_size=6)))
+    values = tuple(tuple(draw(small) for _ in range(m + 1)) for _ in sites)
+    # scales below the grid step 1/64 hold no pair
+    ladder = draw(st.lists(
+        st.fractions(min_value=F(1, 512), max_value=2, max_denominator=512),
+        min_size=1, max_size=6))
+    return Jet(m, tuple(F(x, 64) for x in sites), values), ladder
+
+
+class TestSieveModulus:
+    @given(sampled_jets())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_exact_jet_modulus(self, case):
+        jet, ladder = case
+        xs = np.array([float(x) for x in jet.sites])
+        U = np.array([[float(row[k]) for row in jet.values]
+                      for k in range(jet.m + 1)])
+        got = _jet_modulus(xs, U, ladder)
+        gaps = [b - a for a, b in zip(jet.sites, jet.sites[1:])]
+        for (d, exact), value in zip(jet.modulus_profile(ladder), got):
+            assert type(value) is float
+            if not any(g <= d for g in gaps):
+                assert value == 0.0
+            # a remainder sums terms below 9e in size with relative error
+            # about 1e-15 each, then divides by gap^(m-k) >= 64^-3
+            assert math.isclose(value, float(exact),
+                                rel_tol=1e-9, abs_tol=1e-7)
+
+
+def _cube():
+    return single(CUBE), 2, 2**9
+
+
+def _jump():
+    return PiecewisePolynomial([0, F(1, 2), 1], [poly(0), poly(1)]), 1, 2**10
+
+
+def _kink():
+    return kink(F(1201, 2048)), 1, 2**9
+
+
+def _quartic():
+    return single(poly(0, 0, 0, 0, 1)), 3, 2**9
+
+
+@pytest.mark.parametrize("case, digest", [
+    (_cube, "49e5650e94ca4e6c943203129152b925706c82a72731dc4c16b4c856563a78d4"),
+    (_jump, "a94ebe4e5a3ae7e2c99d261692e47f3bc4ac6c127f5f477b8ad008be13aaf89b"),
+    (_kink, "6009f10fe6178f35834d3b34dfdd4f95d21fb8bfda5bb1cc6b7e19ec3c81689e"),
+    (_quartic,
+     "6c109f542e8dac1a5b56f2d19e894d67c23a1b26ae06bc56874b79d8699cb6a2"),
+])
+def test_sieve_output_is_pinned(case, digest):
+    """sha256 of the sorted-key JSON of the whole sieve result, recorded
+    from the earlier implementation that reran the lag loop for every
+    (stage, radius) and built the modulus as a dense matrix; any change
+    to retention, defects or modulus values changes it."""
+    u, m, grid = case()
+    obj = whitney_sieve(u, m, F(5, 100), grid=grid).to_json_obj()
+    text = json.dumps(obj, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
