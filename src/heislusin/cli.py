@@ -140,14 +140,10 @@ def read_curve_csv(path):
     ts = [r[0] for r in rows]
     if any(t0 >= t1 for t0, t1 in zip(ts, ts[1:])):
         raise ValueError("t must be strictly increasing")
-    comps = []
-    for idx in (1, 2, 3):
-        pieces = []
-        for (t0, *v0), (t1, *v1) in zip(rows, rows[1:]):
-            s = (v1[idx - 1] - v0[idx - 1]) / (t1 - t0)
-            pieces.append(Polynomial((v0[idx - 1] - s * t0, s)))
-        comps.append(PiecewisePolynomial(ts, pieces))
-    return tuple(comps)
+    return tuple(
+        PiecewisePolynomial.linear(ts, [r[idx] for r in rows])
+        for idx in (1, 2, 3)
+    )
 
 
 def curve_to_csv(ts, f, g, h, fmt) -> str:

@@ -15,15 +15,21 @@ obstruction.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Optional
 
-from .curves import PiecewiseCurve, PiecewisePolynomial, lift
+from .curves import (
+    PiecewiseCurve,
+    PiecewisePolynomial,
+    area_discrepancy,
+    lift,
+    velocity,
+)
 from .intervalsets import Interval, IntervalSet, _q, rational_to_str
 from .jets import Jet, JetTriple
-from .polynomials import Polynomial
 
 
 @dataclass(frozen=True)
@@ -190,8 +196,6 @@ def check_params(params: CounterexampleParams, p_max: int = 4,
 def build_intervals(params: CounterexampleParams) -> list:
     """I_1..I_depth: level n+1 keeps the open interval of radius w_{n+1}
     around each dyadic center k/2^{n+1} that misses all earlier levels."""
-    import bisect
-
     levels = []
     # chosen components so far, kept sorted as (lo, hi) pairs
     chosen = [(Fraction(1, 2) - params.w(1), Fraction(1, 2) + params.w(1))]
@@ -216,11 +220,6 @@ def build_intervals(params: CounterexampleParams) -> list:
     return levels
 
 
-def _linear_through(x0, y0, x1, y1) -> Polynomial:
-    s = (y1 - y0) / (x1 - x0)
-    return Polynomial((y0 - s * x0, s))
-
-
 def build_curve(params: CounterexampleParams) -> CounterexampleCurve:
     """Assemble (f, g, h) on [0,1]: the four-piece square pattern of side
     h_n on every level-n component, zero in the gaps, h by exact lift."""
@@ -231,39 +230,28 @@ def build_curve(params: CounterexampleParams) -> CounterexampleCurve:
             components.append((iv.lo, iv.hi, n))
     components.sort()
 
-    bps = [Fraction(0)]
-    f_pieces, g_pieces = [], []
-    zero = Polynomial.zero()
+    # vertices of f and g: 0 off the components; on one, the quarter
+    # points after lo carry the square's corners
+    bps, fs, gs = [Fraction(0)], [0], [0]
     t = Fraction(0)
     for lo, hi, n in components:
         if lo > t:
             bps.append(lo)
-            f_pieces.append(zero)
-            g_pieces.append(zero)
+            fs.append(0)
+            gs.append(0)
         hn = params.h(n)
         quarter = (hi - lo) / 4
-        p = [lo + i * quarter for i in range(1, 5)]
-        bps.extend(p)
-        f_pieces += [
-            zero,
-            _linear_through(p[0], 0, p[1], hn),
-            Polynomial.constant(hn),
-            _linear_through(p[2], hn, p[3], 0),
-        ]
-        g_pieces += [
-            _linear_through(lo, 0, p[0], hn),
-            Polynomial.constant(hn),
-            _linear_through(p[1], hn, p[2], 0),
-            zero,
-        ]
+        bps += [lo + i * quarter for i in range(1, 5)]
+        fs += [0, hn, hn, 0]
+        gs += [hn, hn, 0, 0]
         t = hi
     if t < 1:
         bps.append(Fraction(1))
-        f_pieces.append(zero)
-        g_pieces.append(zero)
+        fs.append(0)
+        gs.append(0)
 
-    f = PiecewisePolynomial(bps, f_pieces)
-    g = PiecewisePolynomial(bps, g_pieces)
+    f = PiecewisePolynomial.linear(bps, fs)
+    g = PiecewisePolynomial.linear(bps, gs)
     curve = lift(f, g, 0)
     return CounterexampleCurve(params, tuple(levels), curve)
 
@@ -361,8 +349,6 @@ def straddle_ratio(C: CounterexampleCurve, n: int) -> Fraction:
     discrepancy is the full increment 4 h_{n+1}^2 while the velocity
     normalizer is just the gap to the fourth power.
     """
-    from .curves import area_discrepancy, velocity
-
     _check_level(C, n)
     iv = C.I_levels[n].intervals[0]
     c = (iv.lo + iv.hi) / 2

@@ -2,9 +2,11 @@
 
 The vertical component of a horizontal curve is determined by the
 horizontal pair through the signed-area integral
-h(t) = h(a) + 2 int_a^t (f'g - g'f); `lift` realizes this exactly for
-piecewise-polynomial inputs, and the residual functions quantify how far
-an arbitrary curve is from satisfying it (to every derivative order).
+h(t) = h(a) + 2 int_a^t (f'g - g'f). Everything here reads that one
+identity, h' = area_rate(f, g), from `jets.area_rate`: `lift` integrates
+it exactly for piecewise-polynomial inputs, and both residuals measure
+how far an arbitrary curve is from it, the order-k one as the (k-1)-th
+derivative of h' - area_rate(f, g).
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .intervalsets import _q, rational_to_str
-from .jets import DEFAULT_LADDER, Jet, JetTriple, ladder_maxima
+from .jets import DEFAULT_LADDER, Jet, JetTriple, area_rate, ladder_maxima
 from .polynomials import (
     DEFAULT_TOL,
     CertifiedValue,
@@ -108,6 +110,21 @@ class PiecewisePolynomial:
                 error += part.error
         return CertifiedValue(total, exact, error)
 
+    @staticmethod
+    def linear(ts: Sequence, ys: Sequence) -> "PiecewisePolynomial":
+        """The continuous piecewise-linear function through the points
+        (ts[i], ys[i]); ts strictly increasing."""
+        pieces = []
+        for t0, t1, y0, y1 in zip(ts, ts[1:], ys, ys[1:]):
+            if y0 == y1:
+                pieces.append(Polynomial((y0,)))
+            elif t0 < t1:
+                s = (y1 - y0) / (t1 - t0)
+                pieces.append(Polynomial((y0 - s * t0, s)))
+            else:
+                raise ValueError("ts must be strictly increasing")
+        return PiecewisePolynomial(ts, pieces)
+
     def refine_to(self, breakpoints) -> "PiecewisePolynomial":
         """Re-express on a finer breakpoint grid covering the same domain."""
         bps = tuple(_q(t) for t in breakpoints)
@@ -186,8 +203,7 @@ def lift(f: PiecewisePolynomial, g: PiecewisePolynomial, h0=0) -> PiecewiseCurve
     h_pieces = []
     acc = _q(h0)
     for i, (fp, gp) in enumerate(zip(fr.pieces, gr.pieces)):
-        integrand = 2 * (fp.derivative() * gp - gp.derivative() * fp)
-        A = integrand.antiderivative()
+        A = area_rate(fp, gp).antiderivative()
         h_pieces.append(A + (acc - A(bps[i])))
         acc = h_pieces[-1](bps[i + 1])
     try:
@@ -198,14 +214,25 @@ def lift(f: PiecewisePolynomial, g: PiecewisePolynomial, h0=0) -> PiecewiseCurve
         ) from exc
 
 
-def _max_piece_sup(curve: PiecewiseCurve, defect_for_piece,
-                   tol: Fraction = DEFAULT_TOL) -> Fraction:
+def higher_horizontality_residual(curve: PiecewiseCurve, k: int,
+                                  tol: Fraction = DEFAULT_TOL) -> Fraction:
+    """Defect of the order-k differentiated horizontality identity.
+
+    Max over pieces of the certified sup of (h' - area_rate(f, g))^(k-1),
+    which by Leibniz is
+    h^(k) - 2 sum_j C(k-1,j) (f^(k-j) g^(j) - g^(k-j) f^(j)).
+    """
+    if k < 1:
+        raise ValueError("require k >= 1")
+    bps = curve.breakpoints
     best = Fraction(0)
-    for i in range(len(curve.breakpoints) - 1):
-        d = defect_for_piece(i)
+    for i, (fp, gp, hp) in enumerate(
+        zip(curve.f_pieces, curve.g_pieces, curve.h_pieces)
+    ):
+        d = (hp.derivative() - area_rate(fp, gp)).derivative(k - 1)
         if d.is_zero:
             continue
-        sv = sup_norm(d, curve.breakpoints[i], curve.breakpoints[i + 1], tol=tol)
+        sv = sup_norm(d, bps[i], bps[i + 1], tol=tol)
         best = max(best, sv.value + sv.error)
     return best
 
@@ -213,31 +240,7 @@ def _max_piece_sup(curve: PiecewiseCurve, defect_for_piece,
 def horizontality_residual(curve: PiecewiseCurve,
                            tol: Fraction = DEFAULT_TOL) -> Fraction:
     """Max sup-norm over pieces of h' - 2(f'g - g'f); 0 iff horizontal."""
-
-    def defect(i):
-        fp, gp, hp = curve.f_pieces[i], curve.g_pieces[i], curve.h_pieces[i]
-        return hp.derivative() - 2 * (fp.derivative() * gp - gp.derivative() * fp)
-
-    return _max_piece_sup(curve, defect, tol)
-
-
-def higher_horizontality_residual(curve: PiecewiseCurve, k: int,
-                                  tol: Fraction = DEFAULT_TOL) -> Fraction:
-    """Defect of the order-k differentiated horizontality identity."""
-    if k < 1:
-        raise ValueError("require k >= 1")
-
-    def defect(i):
-        fp, gp, hp = curve.f_pieces[i], curve.g_pieces[i], curve.h_pieces[i]
-        acc = Polynomial.zero()
-        for j in range(k):
-            acc = acc + math.comb(k - 1, j) * (
-                fp.derivative(k - j) * gp.derivative(j)
-                - gp.derivative(k - j) * fp.derivative(j)
-            )
-        return hp.derivative(k) - 2 * acc
-
-    return _max_piece_sup(curve, defect, tol)
+    return higher_horizontality_residual(curve, 1, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -252,13 +255,13 @@ def _taylor_pair(triple: JetTriple, a):
 def _discrepancies(triple: JetTriple, a, TF: Polynomial, TG: Polynomial,
                    ends) -> list:
     """A(a, b) for every b in `ends`, from the Taylor polynomials at a."""
-    swept = (TF.derivative() * TG - TG.derivative() * TF).antiderivative()
+    swept = area_rate(TF, TG).antiderivative()
     F, G, H = triple.F, triple.G, triple.H
     Fa, Ga, Ha, swept_a = F.value(a, 0), G.value(a, 0), H.value(a, 0), swept(a)
     return [
         H.value(b, 0)
         - Ha
-        - 2 * (swept(b) - swept_a)
+        - (swept(b) - swept_a)
         + 2 * Fa * (G.value(b, 0) - TG(b))
         - 2 * Ga * (F.value(b, 0) - TF(b))
         for b in ends
@@ -401,26 +404,21 @@ def hermite_two_point(a, va: Sequence, b, vb: Sequence) -> Polynomial:
     if len(vb) != m + 1:
         raise ValueError("endpoint data must have equal length")
     nodes = [a] * (m + 1) + [b] * (m + 1)
-    n = len(nodes)
-    # divided-difference table with repeated nodes
-    dd = [[Fraction(0)] * n for _ in range(n)]
     vals = [_q(v) for v in va] + [_q(v) for v in vb]
-    for i in range(n):
-        dd[i][0] = vals[0] if nodes[i] == a else vals[m + 1]
+    n = len(nodes)
+    # after pass j, dd[i] is the divided difference on nodes[i-j..i]
+    # (i >= j); going from the bottom up keeps dd[i-1] at pass j-1
+    dd = [vals[0]] * (m + 1) + [vals[m + 1]] * (m + 1)
     for j in range(1, n):
-        for i in range(n - j):
-            if nodes[i + j] == nodes[i]:
+        for i in range(n - 1, j - 1, -1):
+            if nodes[i] == nodes[i - j]:
                 src = vals[j] if nodes[i] == a else vals[m + 1 + j]
-                dd[i][j] = src / math.factorial(j)
+                dd[i] = src / math.factorial(j)
             else:
-                dd[i][j] = (dd[i + 1][j - 1] - dd[i][j - 1]) / (
-                    nodes[i + j] - nodes[i]
-                )
-    poly = Polynomial.zero()
-    basis = Polynomial.constant(1)
-    for j in range(n):
-        poly = poly + basis * dd[0][j]
-        basis = basis * Polynomial((-nodes[j], 1))
+                dd[i] = (dd[i] - dd[i - 1]) / (nodes[i] - nodes[i - j])
+    poly = Polynomial.constant(dd[-1])
+    for j in range(n - 2, -1, -1):
+        poly = poly * Polynomial((-nodes[j], 1)) + dd[j]
     return poly
 
 
@@ -463,7 +461,7 @@ def horizontal_repair_gap(triple: JetTriple, a, b) -> Fraction:
     ia = triple.F._index(a)
     if ia + 1 >= len(sites) or sites[ia + 1] != b:
         raise ValueError("a, b must be consecutive sites")
-    fp, gp = _gap_interpolants(triple, ia)
-    integrand = 2 * (fp.derivative() * gp - gp.derivative() * fp)
-    h_lift_b = triple.H.value(a, 0) + integrand.integral(a, b)
+    h_lift_b = triple.H.value(a, 0) + area_rate(
+        *_gap_interpolants(triple, ia)
+    ).integral(a, b)
     return triple.H.value(b, 0) - h_lift_b

@@ -42,7 +42,6 @@ class LadderReport:
     scales: tuple
     values: list  # floats
     power_values: Optional[list] = None  # Fractions, exact path only
-    densities: Optional[list] = None
 
     def to_json_obj(self) -> dict:
         out = {
@@ -51,8 +50,6 @@ class LadderReport:
         }
         if self.power_values is not None:
             out["power_values"] = [rational_to_str(v) for v in self.power_values]
-        if self.densities is not None:
-            out["densities"] = [rational_to_str(d) for d in self.densities]
         return out
 
     def to_csv(self) -> str:

@@ -176,7 +176,8 @@ class IntervalSet:
         return "IntervalSet{%s}" % " u ".join(parts)
 
     def measure(self) -> Fraction:
-        return sum((iv.length for iv in self.intervals), Fraction(0))
+        # a normalized set holds no empty interval
+        return sum((iv.hi - iv.lo for iv in self.intervals), Fraction(0))
 
     def contains(self, x) -> bool:
         x = _q(x)

@@ -180,7 +180,9 @@ class JetTriple:
     def ode_residual(self, a, k: int) -> Fraction:
         """Defect of the order-k horizontality constraint at the site a.
 
-        Zero iff H^k(a) = 2 sum_i C(k-1,i) (F^(k-i) G^i - G^(k-i) F^i)(a).
+        Zero iff H^k(a) = 2 sum_i C(k-1,i) (F^(k-i) G^i - G^(k-i) F^i)(a),
+        which is `area_rate(F, G)` differentiated k-1 times (Leibniz),
+        read off the jet values.
         """
         if not 1 <= k <= self.m:
             raise ValueError("require 1 <= k <= m")
@@ -230,6 +232,15 @@ class JetTriple:
         )
 
 
+def area_rate(p: Polynomial, q: Polynomial) -> Polynomial:
+    """2 (p'q - q'p): the rate at which the planar path (p, q) sweeps
+    signed area, and so the h' of its horizontal lift."""
+    if p.is_zero or q.is_zero:
+        # no area; most pieces of the staircase curve have a zero component
+        return Polynomial.zero()
+    return 2 * (p.derivative() * q - q.derivative() * p)
+
+
 def integrate_jet(p: Polynomial, f_at_x, x) -> Polynomial:
     """Q(y) = f(x) + integral from x to y of p."""
     x = _q(x)
@@ -244,6 +255,5 @@ def vertical_jet(p: Polynomial, q: Polynomial, h_at_x, x, m: int) -> Polynomial:
     horizontal data (p, q).
     """
     x = _q(x)
-    integrand = p.derivative() * q - q.derivative() * p
-    r = integrate_jet(2 * integrand, _q(h_at_x), x)
+    r = integrate_jet(area_rate(p, q), _q(h_at_x), x)
     return truncate_shifted(r, x, m)

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction as F
 
 import pytest
@@ -14,7 +15,7 @@ from heislusin.counterexample import (
     straddle_ratio,
 )
 from heislusin.curves import horizontality_residual
-from heislusin.intervalsets import IntervalSet
+from heislusin.intervalsets import IntervalSet, rational_to_str
 
 import pytest
 
@@ -146,6 +147,21 @@ class TestCurve:
         h = curve10.curve.h
         vals = [h(t) for t in curve10.curve.breakpoints]
         assert all(a <= b for a, b in zip(vals, vals[1:]))
+
+    def test_depth8_pieces_unchanged(self):
+        # digest of the breakpoints and every piece of f, g and h, one
+        # line each as "p/q" coefficients; recorded when f and g were
+        # still built from hand-written linear pieces
+        c = build_curve(default_params(8)).curve
+        lines = [",".join(rational_to_str(t) for t in c.breakpoints)]
+        for pieces in (c.f_pieces, c.g_pieces, c.h_pieces):
+            lines += [",".join(rational_to_str(x) for x in p.coeffs)
+                      for p in pieces]
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert len(c.breakpoints) == 1257
+        assert digest == (
+            "c102e55efc897460be23623c2327a8562375177fcc71dc077cfb0d8acbf9939e"
+        )
 
     def test_outside_domain_rejected(self, curve10):
         with pytest.raises(ValueError):

@@ -1,7 +1,10 @@
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heislusin import polynomials
 from heislusin.curves import (
@@ -18,7 +21,7 @@ from heislusin.curves import (
     velocity,
 )
 from heislusin.jets import Jet, JetTriple
-from heislusin.polynomials import Polynomial
+from heislusin.polynomials import Polynomial, sup_norm
 
 
 def poly(*cs):
@@ -58,6 +61,21 @@ class TestPiecewisePolynomial:
         pp = PiecewisePolynomial([0, F(1, 2), 1], [poly(1), poly(3)])
         assert pp.integral(0, 1) == 2
         assert pp.integral(1, 0) == -2
+
+    def test_linear_through_vertices(self):
+        ts = [0, F(1, 4), F(1, 2), 1]
+        ys = [F(1, 3), F(1, 3), -2, 5]
+        pp = PiecewisePolynomial.linear(ts, ys)
+        assert pp.is_continuous()
+        assert [pp.pieces[i](t) for i, t in enumerate(ts[:-1])] == ys[:-1]
+        assert pp(1) == 5
+        assert pp.pieces[0] == poly(F(1, 3))  # flat piece is a constant
+        assert pp.pieces[1] == poly(F(8, 3), F(-28, 3))
+
+    @pytest.mark.parametrize("ts", [[0, 0, 1], [0, 1, F(1, 2)]])
+    def test_linear_rejects_unordered_ts(self, ts):
+        with pytest.raises(ValueError):
+            PiecewisePolynomial.linear(ts, [0, 1, 2])
 
     def test_continuity_check(self):
         cont = PiecewisePolynomial([0, F(1, 2), 1], [poly(0, 1), poly(0, 1)])
@@ -134,6 +152,63 @@ class TestResiduals:
         c = lifted(poly(0, 1), poly(0, 0, 1))
         for k in range(1, 5):
             assert higher_horizontality_residual(c, k) == 0
+
+
+small = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+
+
+@st.composite
+def continuous_curves(draw):
+    """Curves of 1 to 3 pieces, each component continuous, h arbitrary,
+    so the curve is in general not horizontal."""
+    bps = sorted(draw(st.sets(
+        st.fractions(min_value=-1, max_value=1, max_denominator=6),
+        min_size=2, max_size=4)))
+    comps = []
+    for _ in "fgh":
+        pieces = []
+        for lo in bps[:-1]:
+            p = Polynomial(draw(st.lists(small, min_size=1, max_size=4)))
+            if pieces:
+                p = p + (pieces[-1](lo) - p(lo))
+            pieces.append(p)
+        comps.append(tuple(pieces))
+    return PiecewiseCurve(tuple(bps), *comps)
+
+
+def binomial_residual(curve, k):
+    """Order-k residual spelled out piece by piece as the binomial sum
+    h^(k) - 2 sum_j C(k-1,j) (f^(k-j) g^(j) - g^(k-j) f^(j))."""
+    best = F(0)
+    bps = curve.breakpoints
+    for i, (f, g, h) in enumerate(
+        zip(curve.f_pieces, curve.g_pieces, curve.h_pieces)
+    ):
+        acc = Polynomial.zero()
+        for j in range(k):
+            acc = acc + math.comb(k - 1, j) * (
+                f.derivative(k - j) * g.derivative(j)
+                - g.derivative(k - j) * f.derivative(j)
+            )
+        d = h.derivative(k) - 2 * acc
+        if not d.is_zero:
+            sv = sup_norm(d, bps[i], bps[i + 1])
+            best = max(best, sv.value + sv.error)
+    return best
+
+
+class TestResidualLeibniz:
+    @given(continuous_curves(), st.integers(1, 5))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_binomial_sum(self, curve, k):
+        assert higher_horizontality_residual(curve, k) == binomial_residual(
+            curve, k
+        )
+
+    @given(continuous_curves())
+    @settings(max_examples=30, deadline=None)
+    def test_first_order_is_k1_case(self, curve):
+        assert horizontality_residual(curve) == binomial_residual(curve, 1)
 
 
 class TestAreaVelocity:
@@ -293,6 +368,18 @@ class TestHermite:
     def test_smoothstep(self):
         got = hermite_two_point(0, [0, 0], 1, [1, 0])
         assert got == poly(0, 0, 3, -2)
+
+    @given(st.integers(0, 4), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_rebuilds_polynomial_from_end_data(self, m, data):
+        ends = st.fractions(min_value=-3, max_value=3, max_denominator=9)
+        a, b = data.draw(ends), data.draw(ends)
+        if a == b:
+            b = a + 1
+        q = Polynomial(data.draw(st.lists(small, max_size=2 * m + 2)))
+        va = [q.derivative(k)(a) for k in range(m + 1)]
+        vb = [q.derivative(k)(b) for k in range(m + 1)]
+        assert hermite_two_point(a, va, b, vb) == q
 
     def test_gap_fill_matches_derivatives_at_sites(self):
         rng = random.Random(5)

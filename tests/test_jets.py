@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heislusin.jets import Jet, JetTriple, integrate_jet, vertical_jet
+from heislusin.jets import (
+    Jet,
+    JetTriple,
+    area_rate,
+    integrate_jet,
+    vertical_jet,
+)
 from heislusin.polynomials import Polynomial
 
 
@@ -212,6 +218,24 @@ class TestOdeResidual:
         H1 = Jet(2, (0,), ((0, 1, 0),))
         t = JetTriple(F1, G1, H1)
         assert t.ode_residual(0, 1) == 1 - 2 * (3 * 5 - 7 * 2)
+
+    @given(st.integers(1, 4), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_value_form_matches_area_rate(self, m, data):
+        # the jet-value binomial sum is area_rate differentiated k-1 times
+        f, g, h = (
+            Polynomial(data.draw(st.lists(small, max_size=6))) for _ in "fgh"
+        )
+        sites = sorted(data.draw(st.sets(
+            st.fractions(min_value=-2, max_value=2, max_denominator=8),
+            min_size=1, max_size=4)))
+        t = JetTriple.from_curve_samples(f, g, h, sites, m)
+        rate = area_rate(f, g)
+        for a in sites:
+            for k in range(1, m + 1):
+                assert t.ode_residual(a, k) == (
+                    h.derivative(k)(a) - rate.derivative(k - 1)(a)
+                )
 
     def test_k0_rejected(self):
         t = JetTriple.from_curve_samples(
