@@ -17,6 +17,7 @@ from heislusin import (
     default_params,
     extendability_report,
     lift,
+    straddle_jets,
 )
 from heislusin.jets import Jet, JetTriple
 
@@ -46,17 +47,8 @@ def main():
 
     # The counterexample straddle jets: zero horizontal data, but the
     # vertical component must jump by the exact component increment.
-    C = build_curve(default_params(9))
     n = 7
-    iv = C.I_levels[n].intervals[0]
-    ctr = (iv.lo + iv.hi) / 2
-    x, y = ctr - F(1, 2 ** (n + 1)), ctr + F(1, 2 ** (n + 1))
-    zeros = ((0, 0, 0), (0, 0, 0))
-    h = C.curve.h
-    straddle = JetTriple(
-        Jet(2, (x, y), zeros), Jet(2, (x, y), zeros),
-        Jet(2, (x, y), ((h(iv.lo), 0, 0), (h(iv.hi), 0, 0))),
-    )
+    straddle = straddle_jets(build_curve(default_params(9)), n)
     show("counterexample straddle jets (n = %d)" % n,
          extendability_report(straddle))
 

@@ -40,6 +40,7 @@ from .counterexample import (
     component_increments,
     measure_report,
     good_pair_search,
+    straddle_jets,
     straddle_ratio,
 )
 from .diffanalysis import (

@@ -338,26 +338,27 @@ def good_pair_search(E: IntervalSet, C: CounterexampleCurve,
     return None
 
 
-def straddle_ratio(C: CounterexampleCurve, n: int) -> Fraction:
-    """Area-discrepancy to velocity ratio of the zero-horizontal jet pair
-    straddling the first level-(n+1) component: exactly 4 (4^n h_{n+1})^2
-    with the default scales.
-
-    The pair sits symmetric about the component center at distance
-    2^-(n+1); the vertical jet records the h-increment across the
-    component and the horizontal jets are identically zero, so the
-    discrepancy is the full increment 4 h_{n+1}^2 while the velocity
-    normalizer is just the gap to the fourth power.
-    """
+def straddle_jets(C: CounterexampleCurve, n: int) -> JetTriple:
+    """The order-2 jet triple straddling the first level-(n+1) component:
+    sites symmetric about its center at distance 2^-(n+1), zero
+    horizontal jets, and a vertical jet that records h at the
+    component's ends, so the full increment 4 h_{n+1}^2 comes with no
+    horizontal motion."""
     _check_level(C, n)
     iv = C.I_levels[n].intervals[0]
     c = (iv.lo + iv.hi) / 2
     half = Fraction(1, 2 ** (n + 1))
-    x, y = c - half, c + half
+    sites = (c - half, c + half)
     h = C.curve.h
-    zeros = ((0, 0, 0), (0, 0, 0))
-    F = Jet(2, (x, y), zeros)
-    G = Jet(2, (x, y), zeros)
-    H = Jet(2, (x, y), ((h(iv.lo), 0, 0), (h(iv.hi), 0, 0)))
-    triple = JetTriple(F, G, H)
+    zeros = Jet(2, sites, ((0, 0, 0), (0, 0, 0)))
+    H = Jet(2, sites, ((h(iv.lo), 0, 0), (h(iv.hi), 0, 0)))
+    return JetTriple(zeros, zeros, H)
+
+
+def straddle_ratio(C: CounterexampleCurve, n: int) -> Fraction:
+    """Area-discrepancy to velocity ratio of `straddle_jets(C, n)`: the
+    full increment 4 h_{n+1}^2 over the gap to the fourth power, exactly
+    4 (4^n h_{n+1})^2 with the default scales."""
+    triple = straddle_jets(C, n)
+    x, y = triple.sites
     return area_discrepancy(triple, x, y) / velocity(triple, x, y)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .curves import PiecewisePolynomial
 from .intervalsets import Interval, IntervalSet, _q, rational_to_str
-from .jets import DEFAULT_LADDER, ladder_maxima
+from .jets import DEFAULT_LADDER, _jet_modulus, _remainder_sweep
 from .polynomials import (
     DEFAULT_TOL,
     Polynomial,
@@ -235,11 +235,12 @@ def whitney_sieve(
     The epsilon budget is reported, not enforced: `defects` lists the
     newly excluded measure at each stage against eps/2^n.
 
-    The modulus follows the definition of `Jet.whitney_modulus`, in
-    floats: at each ladder scale, the largest |remainder of order k| /
-    gap^(m-k) over the orders k and both directions of every pair of
-    kept points at most that scale apart, and 0.0 at a scale with no
-    such pair.
+    The modulus is `Jet.modulus_profile`'s kernel (`jets._jet_modulus`)
+    run on the kept points in floats: at each ladder scale, the largest
+    |remainder of order k| / gap^(m-k) over the orders k and both
+    directions of every pair of kept points at most that scale apart,
+    and 0.0 at a scale with no such pair. The stage tests read the
+    order-0 remainders of the same sweep.
     """
     eps = _q(eps)
     if eps <= 0:
@@ -315,34 +316,6 @@ def whitney_sieve(
     )
 
 
-def _remainder_sweep(xs: np.ndarray, U: np.ndarray, orders, reach: float):
-    """Taylor remainders of a sampled jet over the pairs of sorted points.
-
-    U holds the k-th derivatives at the points xs, k = 0..m. Lag by lag,
-    while some gap d = xs[i + lag] - xs[i] is at most `reach`, yields
-    (lag, d, rems) where rems lists for each order k in `orders` the
-    absolute order-k remainders forward, at x_(i+lag) expanded at x_i,
-    and backward, at x_i expanded at x_(i+lag).
-    """
-    m = len(U) - 1
-    fact = [math.factorial(ell) for ell in range(m + 1)]
-    coef = {k: [U[k + ell] / fact[ell] for ell in range(m - k + 1)]
-            for k in orders}
-    for lag in range(1, len(xs)):
-        d = xs[lag:] - xs[:-lag]
-        if not np.any(d <= reach):
-            return
-        rems = []
-        for k in orders:
-            c = coef[k]
-            fwd, back = c[-1][:-lag], c[-1][lag:]
-            for ell in range(m - k - 1, -1, -1):  # Horner's rule
-                fwd = fwd * d + c[ell][:-lag]
-                back = back * -d + c[ell][lag:]
-            rems.append((np.abs(U[k][lag:] - fwd), np.abs(U[k][:-lag] - back)))
-        yield lag, d, rems
-
-
 def _first_bad_counts(xs, U, is_center, radii, n_max) -> np.ndarray:
     """counts[s, r, x]: grid cells y with |u(y) - P_x(y)| > (1/n)|y - x|^m
     first at stage n = s + 1 and with radii[r] the smallest radius
@@ -363,21 +336,3 @@ def _first_bad_counts(xs, U, is_center, radii, n_max) -> np.ndarray:
             is_center[:-lag]
         )
     return counts
-
-
-def _jet_modulus(xs: np.ndarray, U: np.ndarray, scales) -> list:
-    """Whitney modulus profile of the sampled jet at the sorted points xs."""
-    m = len(U) - 1
-    bins = np.unique([float(s) for s in scales])
-    best = np.zeros(len(bins) + 1)  # the last slot: gaps beyond every scale
-    reach = max(bins, default=-1.0)
-    for lag, d, rems in _remainder_sweep(xs, U, range(m + 1), reach):
-        # coincident points (an extra point on a centre) are no pair
-        gap = np.where(d > 0, d, np.inf)
-        worst = np.zeros(len(d))
-        for k, (fwd, back) in enumerate(rems):
-            norm = gap ** (m - k)
-            worst = np.maximum(worst, np.maximum(fwd / norm, back / norm))
-        np.maximum.at(best, np.searchsorted(bins, d), worst)
-    pairs = [(float(g), float(v)) for g, v in zip(bins, best)]
-    return ladder_maxima(pairs, [float(s) for s in scales], 0.0)

@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .intervalsets import _q, rational_to_str
 from .polynomials import Polynomial, truncate_shifted
 
@@ -32,6 +34,58 @@ def ladder_maxima(pairs, ladder, empty=None) -> list:
         n = bisect.bisect_right(gaps, d)
         out.append(running[n - 1] if n else empty)
     return out
+
+
+def _remainder_sweep(xs: np.ndarray, U: np.ndarray, orders, reach):
+    """Taylor remainders of a sampled jet over the pairs of sorted points.
+
+    U holds the k-th derivatives at the points xs, k = 0..m, as floats or
+    as `Fraction` objects; the arithmetic is that of the entries. Lag by
+    lag, while some gap d = xs[i + lag] - xs[i] is at most `reach`,
+    yields (lag, d, rems) where rems lists for each order k in `orders`
+    the absolute order-k remainders forward, at x_(i+lag) expanded at
+    x_i, and backward, at x_i expanded at x_(i+lag).
+    """
+    m = len(U) - 1
+    fact = [math.factorial(ell) for ell in range(m + 1)]
+    coef = {k: [U[k + ell] / fact[ell] for ell in range(m - k + 1)]
+            for k in orders}
+    for lag in range(1, len(xs)):
+        d = xs[lag:] - xs[:-lag]
+        if not np.any(d <= reach):
+            return
+        rems = []
+        for k in orders:
+            c = coef[k]
+            fwd, back = c[-1][:-lag], c[-1][lag:]
+            for ell in range(m - k - 1, -1, -1):  # Horner's rule
+                fwd = fwd * d + c[ell][:-lag]
+                back = back * -d + c[ell][lag:]
+            rems.append((np.abs(U[k][lag:] - fwd), np.abs(U[k][:-lag] - back)))
+        yield lag, d, rems
+
+
+def _jet_modulus(xs: np.ndarray, U: np.ndarray, scales, empty=0.0) -> list:
+    """Whitney modulus profile of the sampled jet at the sorted points xs.
+
+    At each scale, the largest |remainder of order k| / gap^(m-k) over
+    the orders k and both directions of every pair at most that scale
+    apart, and `empty` at a scale with no such pair. The number type is
+    that of `empty`: 0.0 for float arrays, `Fraction(0)` for object
+    arrays of `Fraction`s, which keeps every value exact.
+    """
+    m = len(U) - 1
+    num = type(empty)
+    bins = sorted({num(s) for s in scales})
+    best = np.full(len(bins) + 1, empty)  # the last slot: gaps beyond every scale
+    reach = bins[-1] if bins else -1
+    for lag, d, rems in _remainder_sweep(xs, U, range(m + 1), reach):
+        # coincident points (an extra point on a centre) are no pair
+        gap = np.where(d > 0, d, np.inf)
+        worst = np.max([r / gap ** (m - k)
+                        for k, pair in enumerate(rems) for r in pair], axis=0)
+        np.maximum.at(best, np.searchsorted(bins, d), worst)
+    return ladder_maxima(zip(bins, best.tolist()), map(num, scales), empty)
 
 
 @dataclass(frozen=True)
@@ -103,35 +157,16 @@ class Jet:
     def modulus_profile(self, ladder=DEFAULT_LADDER) -> list:
         """(delta, whitney_modulus(delta)) for every delta of the ladder.
 
-        Each unordered site pair is visited once, in both directions and
-        at every order k, for its worst normalized remainder; every scale
-        is then a prefix maximum over the pairs sorted by gap.
+        The Whitney sieve's kernel `_jet_modulus` run on object arrays of
+        the `Fraction` sites and values, so every value is exact.
         """
         ladder = tuple(ladder)
         scales = [_q(d) for d in ladder]
         if any(d <= 0 for d in scales):
             raise ValueError("delta must be positive")
-        m, sites, values = self.m, self.sites, self.values
-        inv_fact = [Fraction(1, math.factorial(ell)) for ell in range(m + 1)]
-        pairs = []
-        for ia, a in enumerate(sites):
-            va = values[ia]
-            for ib in range(ia + 1, len(sites)):
-                vb = values[ib]
-                gap = sites[ib] - a
-                ahead = [gap**ell * inv_fact[ell] for ell in range(m + 1)]
-                behind = [-c if ell & 1 else c for ell, c in enumerate(ahead)]
-                worst = Fraction(0)
-                for k in range(m + 1):
-                    # remainders of order k at b from a, and at a from b
-                    fwd, back = vb[k], va[k]
-                    for ell in range(m - k + 1):
-                        fwd -= va[k + ell] * ahead[ell]
-                        back -= vb[k + ell] * behind[ell]
-                    # |remainder| / gap^(m-k) = |remainder| gap^k / gap^m
-                    worst = max(worst, max(abs(fwd), abs(back)) * gap**k)
-                pairs.append((gap, worst / gap**m))
-        return list(zip(ladder, ladder_maxima(pairs, scales, Fraction(0))))
+        xs = np.array(self.sites, dtype=object)
+        U = np.array(self.values, dtype=object).reshape(-1, self.m + 1).T
+        return list(zip(ladder, _jet_modulus(xs, U, scales, Fraction(0))))
 
     def to_json_obj(self) -> dict:
         return {

@@ -8,7 +8,6 @@ error bound.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
@@ -266,12 +265,18 @@ def simplest_between(a: Fraction, b: Fraction) -> Fraction:
         return Fraction(0)
     if b < 0:
         return -simplest_between(-b, -a)
-    ca = math.ceil(a)
-    if ca <= b:
-        return Fraction(ca)
-    # a and b share the same integer part
-    fa = math.floor(a)
-    return fa + 1 / simplest_between(1 / (b - fa), 1 / (a - fa))
+    # While [a, b] holds no integer, a and b share the integer part fa and
+    # the answer is fa + 1/(the answer for [1/(b - fa), 1/(a - fa)]); h/k
+    # is the convergent of these partial quotients. Every pair is coprime.
+    pa, qa, pb, qb = a.numerator, a.denominator, b.numerator, b.denominator
+    h, h_prev, k, k_prev = 1, 0, 0, 1
+    while True:
+        ca = -(-pa // qa)
+        if ca * qb <= pb:
+            return Fraction(ca * h + h_prev, ca * k + k_prev)
+        fa = ca - 1
+        h, h_prev, k, k_prev = fa * h + h_prev, h, fa * k + k_prev, k
+        pa, qa, pb, qb = qb, pb - fa * qb, qa, pa - fa * qa
 
 
 @dataclass

@@ -12,6 +12,7 @@ from heislusin.counterexample import (
     default_params,
     good_pair_search,
     measure_report,
+    straddle_jets,
     straddle_ratio,
 )
 from heislusin.curves import horizontality_residual
@@ -285,6 +286,21 @@ class TestStraddle:
     def test_negative_level_rejected(self, curve10):
         with pytest.raises(ValueError):
             straddle_ratio(curve10, -1)
+        with pytest.raises(ValueError):
+            straddle_jets(curve10, -1)
+
+    def test_straddle_jets(self, curve10):
+        p = curve10.params
+        for n in (0, 3, 7):
+            t = straddle_jets(curve10, n)
+            iv = curve10.I_levels[n].intervals[0]
+            x, y = t.sites
+            assert t.m == 2 and x + y == iv.lo + iv.hi
+            assert y - x == F(1, 2**n)
+            assert t.F.values == t.G.values == ((0, 0, 0), (0, 0, 0))
+            (h0, *dh0), (h1, *dh1) = t.H.values
+            assert dh0 == dh1 == [0, 0]
+            assert h1 - h0 == 4 * p.h(n + 1) ** 2
 
     def test_strictly_increasing(self, curve10):
         vals = [straddle_ratio(curve10, n) for n in range(1, 10)]

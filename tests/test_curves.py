@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import random
 from fractions import Fraction as F
@@ -20,6 +22,7 @@ from heislusin.curves import (
     lift,
     velocity,
 )
+from heislusin.intervalsets import rational_to_str
 from heislusin.jets import Jet, JetTriple
 from heislusin.polynomials import Polynomial, sup_norm
 
@@ -281,6 +284,42 @@ class TestExtendabilityReport:
         assert set(obj["conditions"]) == {
             "whitney_fields", "ode_constraints", "ratio_vanishes"
         }
+
+
+def pinned_triple(m, perturb):
+    """Jets of a horizontal polynomial curve at non-uniform sites, with
+    h' raised by `perturb` at the site 2/5."""
+    c = lifted(poly(0, 1, 0, F(1, 3)), poly(F(1, 2), F(-1, 4), 1))
+    sites = (0, F(1, 7), F(1, 4), F(2, 5), F(1, 2), F(5, 8), F(3, 4),
+             F(9, 10), 1)
+    t = sample(c, sites, m)
+    rows = [list(r) for r in t.H.values]
+    rows[3][1] += perturb
+    return JetTriple(t.F, t.G, Jet(m, sites, tuple(map(tuple, rows))))
+
+
+@pytest.mark.parametrize("m, perturb, report_digest, profile_digest", [
+    (2, 0,
+     "857a0c2d0619658f23a22c56335abc949794ec7f54b7621914c1aac31f83e948",
+     "6d1c7acc15f4ea9acd6b1d8f75c27e6acdba9e5cf038022c8024c0d89099de23"),
+    (3, F(1, 100),
+     "588e69085a1e64837f7c24f05e788208ecfa69d7b7f691fabac7e7cbc1a036a7",
+     "f6c4a3e90f8eefb4caf2d755d71b97bc2578ecf91e6cb6a7a7a3617e018263a0"),
+])
+def test_report_is_pinned(m, perturb, report_digest, profile_digest):
+    """sha256 of the sorted-key JSON of `jets check`'s report and of the
+    exact Whitney profiles, recorded from the implementation that summed
+    each site pair's remainders in a Python loop over `Fraction`s."""
+    t = pinned_triple(m, perturb)
+    text = json.dumps(extendability_report(t).to_json_obj(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == report_digest
+    profiles = {}
+    for name, jet in (("F", t.F), ("G", t.G), ("H", t.H)):
+        values = [v for _, v in jet.modulus_profile()]
+        assert all(type(v) is F for v in values)
+        profiles[name] = [rational_to_str(v) for v in values]
+    text = json.dumps(profiles, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == profile_digest
 
 
 def random_triple(rng, m, sites):

@@ -12,13 +12,12 @@ from hypothesis import strategies as st
 from heislusin.counterexample import build_curve, default_params
 from heislusin.curves import PiecewisePolynomial
 from heislusin.diffanalysis import (
-    _jet_modulus,
     approx_density,
     lp_remainder_ladder,
     whitney_sieve,
 )
 from heislusin.intervalsets import Interval, IntervalSet
-from heislusin.jets import DEFAULT_LADDER, Jet
+from heislusin.jets import DEFAULT_LADDER, Jet, _jet_modulus
 from heislusin.polynomials import Polynomial
 
 

@@ -89,11 +89,62 @@ class TestTruncateShifted:
         assert lhs == truncate_shifted(p, x, m) + truncate_shifted(q, x, m)
 
 
+def simplest_between_reference(a, b):
+    """The recursive continued-fraction walk through `Fraction`
+    reciprocals that `simplest_between` must agree with."""
+    if a > b:
+        raise ValueError("empty interval")
+    if a == b:
+        return a
+    if a <= 0 <= b:
+        return F(0)
+    if b < 0:
+        return -simplest_between_reference(-b, -a)
+    ca = math.ceil(a)
+    if ca <= b:
+        return F(ca)
+    fa = math.floor(a)
+    return fa + 1 / simplest_between_reference(1 / (b - fa), 1 / (a - fa))
+
+
+@st.composite
+def brackets(draw):
+    den = draw(st.sampled_from([
+        2 ** draw(st.integers(0, 60)), 3 ** draw(st.integers(0, 30)),
+        10 ** draw(st.integers(0, 15)), draw(st.integers(1, 10**12))]))
+    a = F(draw(st.integers(-4 * den, 4 * den)), den)
+    width = draw(st.fractions(min_value=0, max_value=1,
+                              max_denominator=10**9))
+    return a, a + width
+
+
 class TestRoots:
     def test_simplest_between(self):
         assert simplest_between(F(31, 100), F(35, 100)) == F(1, 3)
         assert simplest_between(F(-1, 2), F(1, 2)) == 0
         assert simplest_between(F(5, 2), F(7, 2)) == 3
+
+    @given(brackets())
+    @settings(max_examples=400, deadline=None)
+    def test_simplest_between_matches_recursive_form(self, bracket):
+        a, b = bracket
+        got = simplest_between(a, b)
+        assert type(got) is F
+        assert got == simplest_between_reference(a, b)
+        assert a <= got <= b
+
+    @pytest.mark.parametrize("a, b", [
+        (F(-7, 3), F(-9, 4)),  # negative
+        (F(-1, 3), F(1, 7)),  # contains 0
+        (F(-3, 2), F(-1, 2)),  # contains the integer -1
+        (F(5, 3), F(9, 4)),  # contains the integer 2
+        (F(13, 8), F(13, 8)),  # a single point
+        (F(-355, 113), F(-333, 106)),  # negative, no integer inside
+    ])
+    def test_simplest_between_edge_brackets(self, a, b):
+        assert simplest_between(a, b) == simplest_between_reference(a, b)
+        with pytest.raises(ValueError):
+            simplest_between(b + 1, a)
 
     def test_rational_roots_found_exactly(self):
         p = Polynomial.from_roots(1, [F(1, 3), F(1, 2), 2])
