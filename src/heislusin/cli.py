@@ -146,12 +146,11 @@ def read_curve_csv(path):
     )
 
 
-def curve_to_csv(ts, f, g, h, fmt) -> str:
+def curve_to_csv(ts, curve, fmt) -> str:
+    """Rows t,f,g,h of `curve` at each t, one piece lookup per row."""
     lines = ["t,f,g,h"]
     for t in ts:
-        lines.append(
-            "%s,%s,%s,%s" % (fmt(t), fmt(f(t)), fmt(g(t)), fmt(h(t)))
-        )
+        lines.append("%s,%s,%s,%s" % (fmt(t), *(fmt(v) for v in curve(t))))
     return "\n".join(lines) + "\n"
 
 
@@ -176,7 +175,7 @@ def _cmd_ce_build(args, fmt) -> int:
         ts = [Fraction(i, args.samples) for i in range(args.samples + 1)]
     _write(
         os.path.join(outdir, "curve.csv"),
-        curve_to_csv(ts, C.curve.f, C.curve.g, C.curve.h, fmt),
+        curve_to_csv(ts, C.curve, fmt),
     )
     _write_meta(outdir, args)
     print("wrote intervals.json and curve.csv to %s" % outdir)
@@ -228,12 +227,14 @@ def _cmd_ce_verify(args, fmt) -> int:
 
 
 def _cmd_ce_straddle(args, fmt) -> int:
-    params = default_params(args.depth)
     if not 0 <= args.n < args.depth:
         print("error: need 0 <= n and n + 1 <= depth", file=sys.stderr)
         return 2
-    C = build_curve(params)
-    ratio = straddle_ratio(C, args.n)
+    # levels 1..n+1 are built the same way at every depth, so the first
+    # level-(n+1) component, its f and g pieces and the h increment across
+    # it are those of the depth-`--depth` curve: build only that far
+    params = default_params(args.n + 1)
+    ratio = straddle_ratio(build_curve(params), args.n)
     growth = Fraction(4) ** args.n * params.h(args.n + 1)
     closed_form = 4 * growth**2
     print("n: %d" % args.n)
@@ -267,7 +268,7 @@ def _cmd_curve_lift(args, fmt) -> int:
     f, g, _h = read_curve_csv(args.input)
     curve = lift(f, g, args.h0)
     ts = curve.breakpoints
-    _write(args.out, curve_to_csv(ts, curve.f, curve.g, curve.h, fmt))
+    _write(args.out, curve_to_csv(ts, curve, fmt))
     return 0
 
 

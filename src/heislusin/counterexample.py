@@ -140,21 +140,31 @@ def check_params(params: CounterexampleParams, p_max: int = 4,
     h_over_lam = [params.h(n) / params.lam(n) for n in ns]
     four_pow_h = [Fraction(4**n) * params.h(n) for n in ns]
 
-    def tail(n, term):
-        return sum(
-            (Fraction(2) ** (k - n) * term(k)
-             for k in range(n + 1, n + 1 + tail_terms)),
+    def tails(term):
+        """T(n) = sum_{k=n+1}^{n+L} 2^(k-n) term(k) for n = 1..N, L =
+        tail_terms, sliding by 2 T(n+1) = T(n) - 2 term(n+1) +
+        2^(L+1) term(n+L+1): each term(k), k = 2..N+L, is evaluated once."""
+        L = tail_terms
+        terms = {k: term(k) for k in range(2, N + L + 1)}
+        T = sum(
+            (Fraction(2) ** (k - 1) * terms[k] for k in range(2, L + 2)),
             Fraction(0),
         )
+        out = [T]
+        for n in range(1, N):
+            T = (T - 2 * terms[n + 1] + 2 ** (L + 1) * terms[n + L + 1]) / 2
+            out.append(T)
+        return out
 
     h_tail_ratio = [
-        tail(n, lambda k: params.h(k) ** 2) / params.lam(n + 1) ** 2 for n in ns
+        T / params.lam(n + 1) ** 2
+        for n, T in zip(ns, tails(lambda k: params.h(k) ** 2))
     ]
     w_tail_ratios = {
         p: [
-            tail(n, lambda k: params.w(k) * params.h(k) ** p)
-            / params.lam(n + 1) ** (2 * p + 1)
-            for n in ns
+            T / params.lam(n + 1) ** (2 * p + 1)
+            for n, T in zip(
+                ns, tails(lambda k: params.w(k) * params.h(k) ** p))
         ]
         for p in range(1, p_max + 1)
     }

@@ -203,7 +203,12 @@ def lift(f: PiecewisePolynomial, g: PiecewisePolynomial, h0=0) -> PiecewiseCurve
     h_pieces = []
     acc = _q(h0)
     for i, (fp, gp) in enumerate(zip(fr.pieces, gr.pieces)):
-        A = area_rate(fp, gp).antiderivative()
+        rate = area_rate(fp, gp)
+        if rate.is_zero:
+            # no area swept: h stays at acc across the piece
+            h_pieces.append(Polynomial((acc,)))
+            continue
+        A = rate.antiderivative()
         h_pieces.append(A + (acc - A(bps[i])))
         acc = h_pieces[-1](bps[i + 1])
     try:

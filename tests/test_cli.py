@@ -1,12 +1,18 @@
+import hashlib
 import json
 import time
 from fractions import Fraction as F
 
 import pytest
 
+from heislusin import cli
 from heislusin.cli import (
     MAX_DEPTH, MAX_GRID, MAX_NMAX, read_curve_csv, run,
 )
+from heislusin.counterexample import (
+    build_curve, default_params, straddle_jets, straddle_ratio,
+)
+from heislusin.intervalsets import rational_to_str
 from heislusin.jets import Jet, JetTriple
 
 
@@ -76,6 +82,66 @@ class TestStraddle:
         )
         assert status == 2
         assert out == "" and "0 <= n" in err
+
+
+@pytest.fixture(scope="module")
+def curve8():
+    return build_curve(default_params(8))
+
+
+def straddle_text(n, ratio, params):
+    """`counterexample straddle` output for a ratio and the closed form."""
+    growth = 4**n * params.h(n + 1)
+    return (
+        "n: %d\nratio: %s\nclosed form 4(4^n h_(n+1))^2: %s\n"
+        "4^n h_(n+1): %s\nexceeds 2: %s\n" % (
+            n, rational_to_str(ratio), rational_to_str(4 * growth**2),
+            rational_to_str(growth), "true" if growth >= 2 else "false")
+    )
+
+
+class TestStraddleTruncatedBuild:
+    """`straddle` builds levels 1..n+1 only; what it reads of that curve
+    is what the full depth-D curve gives."""
+
+    @pytest.mark.parametrize("n", range(8))
+    def test_prints_full_curve_ratio(self, capsys, curve8, n):
+        status, out, _ = invoke(
+            capsys, "counterexample", "straddle", "--n", str(n),
+            "--depth", "8",
+        )
+        params = curve8.params
+        ratio = straddle_ratio(curve8, n)
+        assert ratio == 4 * (4**n * params.h(n + 1)) ** 2
+        assert status == 0
+        assert out == straddle_text(n, ratio, params)
+
+    @pytest.mark.parametrize("n", range(8))
+    def test_jets_match_full_curve(self, curve8, n):
+        full = straddle_jets(curve8, n)
+        cut = straddle_jets(build_curve(default_params(n + 1)), n)
+        assert cut.sites == full.sites
+        (h0, *_), (h1, *_) = full.H.values
+        (c0, *_), (c1, *_) = cut.H.values
+        assert c1 - c0 == h1 - h0 == 4 * curve8.params.h(n + 1) ** 2
+        assert cut.F.values == full.F.values and cut.G.values == full.G.values
+
+    def test_cost_follows_n_not_depth(self, capsys, monkeypatch):
+        # a depth-14 build has about 80k pieces; levels 1..3 have 7 components
+        depths = []
+
+        def recording_build(params):
+            depths.append(params.depth)
+            return build_curve(params)
+
+        monkeypatch.setattr(cli, "build_curve", recording_build)
+        status, out, _ = invoke(
+            capsys, "counterexample", "straddle", "--n", "2", "--depth", "14"
+        )
+        assert status == 0
+        assert depths == [3]
+        assert out == straddle_text(2, 4 * (4**2 * F(1, 27)) ** 2,
+                                    default_params(3))
 
 
 class TestDepthBound:
@@ -172,6 +238,18 @@ class TestBuild:
         assert f(0) == 0 and f(1) == 0
         assert h(1) == F(4, 9) + 2 * F(4, 81) + 4 * F(4, 729)
 
+    def test_depth6_curve_csv_is_pinned(self, capsys, tmp_path):
+        # recorded when curve_to_csv still evaluated f, g and h separately
+        status, _, _ = invoke(
+            capsys, "counterexample", "build", "--depth", "6",
+            "--out", str(tmp_path),
+        )
+        assert status == 0
+        text = (tmp_path / "curve.csv").read_bytes()
+        assert hashlib.sha256(text).hexdigest() == (
+            "70156940afb38803ff8a6ba3f5e77af59782cfcd881b78f3742479bbed64372a"
+        )
+
     def test_intervals_json_shape(self, capsys, tmp_path):
         invoke(capsys, "counterexample", "build", "--depth", "2",
                "--out", str(tmp_path))
@@ -222,6 +300,24 @@ class TestCurveLift:
         assert status == 0
         _, _, h = read_curve_csv(dst)
         assert h(F(1, 4)) == 0 and h(1) == 0
+
+    def test_output_is_pinned(self, capsys, tmp_path):
+        # zero, one-sided and two-sided area pieces; recorded when
+        # curve_to_csv still evaluated f, g and h separately
+        src = tmp_path / "in.csv"
+        src.write_text(
+            "t,f,g,h\n0,0,0,0\n1/5,1,0,0\n1/3,1,3/2,0\n1/2,-2/3,1/4,0\n"
+            "2/3,0,1/7,0\n4/5,0,0,0\n1,0,0,0\n"
+        )
+        dst = tmp_path / "out.csv"
+        status, _, _ = invoke(
+            capsys, "curve", "lift", "--input", str(src), "--h0", "1/3",
+            "--out", str(dst),
+        )
+        assert status == 0
+        assert hashlib.sha256(dst.read_bytes()).hexdigest() == (
+            "1d1f1311c0b828b7d375c06f85b9db219e03899996ae8e58fc2f35839d9a141b"
+        )
 
     def test_h0_offset(self, capsys, tmp_path):
         src = tmp_path / "in.csv"

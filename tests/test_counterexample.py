@@ -88,6 +88,58 @@ class TestCheckParams:
             assert rep["w_tail_ratios"][p]["decreasing_from"] is not None
 
 
+def direct_tail_ratios(params, depth, p_max, tail_terms):
+    """The tail ratios by the direct double sum over n and k, and their
+    `decreasing_from`: {"h": (values, index), p: (values, index)}."""
+    def tail(n, term):
+        return sum(
+            (F(2) ** (k - n) * term(k)
+             for k in range(n + 1, n + 1 + tail_terms)),
+            F(0),
+        )
+
+    def decreasing_from(vals):
+        i = len(vals) - 1
+        while i > 0 and vals[i - 1] > vals[i]:
+            i -= 1
+        return i if vals else None
+
+    ns = range(1, depth + 1)
+    out = {"h": [tail(n, lambda k: params.h(k) ** 2) / params.lam(n + 1) ** 2
+                 for n in ns]}
+    for p in range(1, p_max + 1):
+        out[p] = [tail(n, lambda k: params.w(k) * params.h(k) ** p)
+                  / params.lam(n + 1) ** (2 * p + 1) for n in ns]
+    return {key: (vals, decreasing_from(vals)) for key, vals in out.items()}
+
+
+def slow_params(depth):
+    return CounterexampleParams(
+        h_seq=lambda n: F(1, n + 1), lambda_seq=lambda n: F(1, 2 * n + 1),
+        w_seq=lambda n: F(1, n * 2 ** (6 * n)), depth=depth,
+    )
+
+
+class TestCheckParamsSlidingTails:
+    """check_params slides its tail sums; the values are those of the
+    direct double sum, Fraction for Fraction."""
+
+    @pytest.mark.parametrize("make", [default_params, slow_params])
+    @pytest.mark.parametrize("tail_terms", [0, 1, 2, 5, 30])
+    def test_matches_direct_double_sum(self, make, tail_terms):
+        for depth in range(1, 13):
+            params = make(depth)
+            ref = direct_tail_ratios(params, depth, 4, tail_terms)
+            for p_max in range(1, 5):
+                rep = check_params(params, p_max=p_max, tail_terms=tail_terms)
+                got = rep["h_tail_ratio"]
+                assert (got["values"], got["decreasing_from"]) == ref["h"]
+                w = rep["w_tail_ratios"]
+                assert sorted(w) == list(range(1, p_max + 1))
+                for p, entry in w.items():
+                    assert (entry["values"], entry["decreasing_from"]) == ref[p]
+
+
 class TestIntervals:
     def test_first_level(self):
         p = default_params(3)

@@ -200,6 +200,48 @@ def binomial_residual(curve, k):
     return best
 
 
+nonzero = small.filter(lambda x: x != 0)
+
+
+@st.composite
+def zero_gapped_linear_pairs(draw):
+    """Piecewise-linear f and g on shared breakpoints, with h0; f or g is
+    zero on one piece whose neighbouring pieces are not zero."""
+    n = draw(st.integers(3, 7))
+    ts = sorted(draw(st.sets(
+        st.fractions(min_value=0, max_value=1, max_denominator=24),
+        min_size=n + 1, max_size=n + 1)))
+    values = st.lists(st.one_of(st.just(F(0)), small),
+                      min_size=n + 1, max_size=n + 1)
+    fs, gs = draw(values), draw(values)
+    j = draw(st.integers(1, n - 2))
+    zs = fs if draw(st.booleans()) else gs
+    zs[j - 1], zs[j], zs[j + 1], zs[j + 2] = (
+        draw(nonzero), F(0), F(0), draw(nonzero))
+    return (PiecewisePolynomial.linear(ts, fs),
+            PiecewisePolynomial.linear(ts, gs), draw(small))
+
+
+class TestLiftZeroArea:
+    @given(zero_gapped_linear_pairs())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_antiderivative_and_shift(self, pair):
+        # reference: every piece integrates 2(f'g - g'f) and is shifted to
+        # start at the end value of the piece before, zero rate or not
+        f, g, h0 = pair
+        bps = f.breakpoints
+        ref, acc = [], h0
+        for i, (fp, gp) in enumerate(zip(f.pieces, g.pieces)):
+            rate = 2 * (fp.derivative() * gp - gp.derivative() * fp)
+            A = rate.antiderivative()
+            ref.append(A + (acc - A(bps[i])))
+            acc = ref[-1](bps[i + 1])
+        c = lift(f, g, h0)
+        assert c.h_pieces == tuple(ref)
+        assert c.f_pieces == f.pieces and c.g_pieces == g.pieces
+        assert c.h(bps[-1]) == acc
+
+
 class TestResidualLeibniz:
     @given(continuous_curves(), st.integers(1, 5))
     @settings(max_examples=80, deadline=None)
