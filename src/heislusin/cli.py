@@ -85,6 +85,15 @@ MAX_DEPTH = 14
 # grid^2 and its bad-cell counts like nmax * grid
 MAX_GRID = 2**14
 MAX_NMAX = 32
+# largest order m and exponent p of the L^p, density and sieve commands:
+# the work grows with (piece - q)^p, (y - x)^m and m + 1 derivative
+# sweeps, and m p <= 64 keeps every default-ladder value a finite float
+MAX_M = 8
+MAX_P = 8
+# largest `verify --p-max`, `build --samples` and `--decimal` digit count
+MAX_P_MAX = 8
+MAX_SAMPLES = 2**16
+MAX_DECIMAL = 100
 
 
 def _int_in(name, lo, hi):
@@ -104,6 +113,7 @@ def _int_in(name, lo, hi):
 
 
 _depth = _int_in("depth", 1, MAX_DEPTH)
+_m = _int_in("m", 0, MAX_M)
 
 
 def _rat(s) -> Fraction:
@@ -111,6 +121,13 @@ def _rat(s) -> Fraction:
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError("bad rational %r" % s) from exc
+
+
+def _rats(s) -> tuple:
+    """argparse type for a nonempty comma-separated list of rationals."""
+    if not s:
+        raise argparse.ArgumentTypeError("empty list")
+    return tuple(_rat(c) for c in s.split(","))
 
 
 # ---------------------------------------------------------------------------
@@ -254,9 +271,7 @@ def _cmd_jets_check(args, fmt) -> int:
             file=sys.stderr,
         )
         return 2
-    ladder = DEFAULT_LADDER
-    if args.ladder:
-        ladder = tuple(_rat(s) for s in args.ladder.split(","))
+    ladder = args.ladder or DEFAULT_LADDER
     rep = extendability_report(triple, ladder, tolerance=args.tolerance)
     obj = rep.to_json_obj()
     text = json.dumps(obj, indent=2) + "\n"
@@ -279,19 +294,16 @@ def _component(args):
 
 def _cmd_diff_lp(args, fmt) -> int:
     u = _component(args)
-    ladder = None
-    if args.scales:
-        ladder = tuple(_rat(s) for s in args.scales.split(","))
-    P = Polynomial(tuple(_rat(c) for c in args.poly.split(",")))
-    rep = lp_remainder_ladder(u, P, args.x, args.m, args.p, ladder)
+    rep = lp_remainder_ladder(u, Polynomial(args.poly), args.x, args.m, args.p,
+                              args.scales)
     _write(args.out, rep.to_csv())
     return 0
 
 
 def _cmd_diff_density(args, fmt) -> int:
     u = _component(args)
-    P = Polynomial(tuple(_rat(c) for c in args.poly.split(",")))
-    d = approx_density(u, P, args.x, args.m, args.eps, args.radius)
+    d = approx_density(u, Polynomial(args.poly), args.x, args.m, args.eps,
+                       args.radius)
     print("density: %s" % fmt(d))
     return 0
 
@@ -313,7 +325,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact tools for horizontal curves in the Heisenberg group",
     )
     ap.add_argument(
-        "--decimal", type=int, default=None, metavar="K",
+        "--decimal", type=_int_in("decimal", 1, MAX_DECIMAL), default=None,
+        metavar="K",
         help="print rationals as K-digit decimals instead of p/q",
     )
     sub = ap.add_subparsers(dest="cmd")
@@ -322,12 +335,14 @@ def _build_parser() -> argparse.ArgumentParser:
     b = ce.add_parser("build")
     b.add_argument("--depth", type=_depth, default=10)
     b.add_argument("--out", required=True)
-    b.add_argument("--samples", type=int, default=0,
+    b.add_argument("--samples", type=_int_in("samples", 0, MAX_SAMPLES),
+                   default=0,
                    help="uniform sample count instead of breakpoints")
     b.set_defaults(_run=_cmd_ce_build, _command="counterexample build")
     v = ce.add_parser("verify")
     v.add_argument("--depth", type=_depth, default=10)
-    v.add_argument("--p-max", dest="p_max", type=int, default=4)
+    v.add_argument("--p-max", dest="p_max",
+                   type=_int_in("p-max", 1, MAX_P_MAX), default=4)
     v.set_defaults(_run=_cmd_ce_verify, _command="counterexample verify")
     s = ce.add_parser("straddle")
     s.add_argument("--n", type=int, required=True)
@@ -338,7 +353,7 @@ def _build_parser() -> argparse.ArgumentParser:
     jc = jets.add_parser("check")
     jc.add_argument("--input", required=True)
     jc.add_argument("--m", type=int, default=None, help="expected jet order")
-    jc.add_argument("--ladder", default=None)
+    jc.add_argument("--ladder", type=_rats, default=None)
     jc.add_argument("--tolerance", type=_rat, default=Fraction(1, 10**6))
     jc.add_argument("--out", default="-")
     jc.set_defaults(_run=_cmd_jets_check, _command="jets check")
@@ -354,19 +369,20 @@ def _build_parser() -> argparse.ArgumentParser:
     lp = diff.add_parser("lp")
     lp.add_argument("--input", required=True)
     lp.add_argument("--component", choices="fgh", default="f")
-    lp.add_argument("--poly", default="0", help="comma-separated coefficients")
+    lp.add_argument("--poly", type=_rats, default="0",
+                    help="comma-separated coefficients")
     lp.add_argument("--x", type=_rat, required=True)
-    lp.add_argument("--m", type=int, required=True)
-    lp.add_argument("--p", type=int, default=1)
-    lp.add_argument("--scales", default=None)
+    lp.add_argument("--m", type=_m, required=True)
+    lp.add_argument("--p", type=_int_in("p", 1, MAX_P), default=1)
+    lp.add_argument("--scales", type=_rats, default=None)
     lp.add_argument("--out", default="-")
     lp.set_defaults(_run=_cmd_diff_lp, _command="diff lp")
     dd = diff.add_parser("density")
     dd.add_argument("--input", required=True)
     dd.add_argument("--component", choices="fgh", default="f")
-    dd.add_argument("--poly", default="0")
+    dd.add_argument("--poly", type=_rats, default="0")
     dd.add_argument("--x", type=_rat, required=True)
-    dd.add_argument("--m", type=int, required=True)
+    dd.add_argument("--m", type=_m, required=True)
     dd.add_argument("--eps", type=_rat, required=True)
     dd.add_argument("--radius", type=_rat, required=True)
     dd.set_defaults(_run=_cmd_diff_density, _command="diff density")
@@ -374,7 +390,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sv = sub.add_parser("sieve")
     sv.add_argument("--input", required=True)
     sv.add_argument("--component", choices="fgh", default="f")
-    sv.add_argument("--m", type=int, required=True)
+    sv.add_argument("--m", type=_m, required=True)
     sv.add_argument("--eps", type=_rat, default=Fraction(5, 100))
     sv.add_argument("--grid", type=_int_in("grid", 8, MAX_GRID),
                     default=MAX_GRID)

@@ -86,6 +86,8 @@ def lp_remainder_ladder(
     ladder = tuple(_q(s) for s in ladder)
     if any(a <= b for a, b in zip(ladder, ladder[1:])):
         raise ValueError("ladder scales must be strictly decreasing")
+    if not ladder or ladder[-1] <= 0:
+        raise ValueError("ladder scales must be positive, and at least one")
     if x - ladder[0] < lo or x + ladder[0] > hi:
         raise ValueError("x too close to the boundary for the largest scale")
 

@@ -3,6 +3,16 @@
 Endpoint open/closed flags are tracked exactly: measure does not care,
 but membership tests do, and the interval families used by the
 counterexample construction mix open and closed pieces.
+
+Every flag rule is settled by one encoding, which turns each endpoint
+into a comparable key (x, t). A point x sits at (x, 1); a closed start
+is (x, 0) and an open start (x, 2); a closed stop is (x, 2) and an open
+stop (x, 0). An interval is then the half-open key range [start, stop):
+it is empty when start >= stop, holds x when start <= (x, 1) < stop,
+meets another in (max of the starts, min of the stops), and merges with
+a sorted neighbour whose start is at or before its stop. A set keeps
+its normalized ranges as one strictly increasing key list, start, stop,
+start, stop, ..., and its algebra compares keys and nothing else.
 """
 
 from __future__ import annotations
@@ -10,6 +20,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 
@@ -38,40 +49,20 @@ class Interval:
 
     @property
     def empty(self) -> bool:
-        if self.lo > self.hi:
-            return True
-        return self.lo == self.hi and not (self.lo_closed and self.hi_closed)
+        start, stop = _encode(self)
+        return start >= stop
 
     @property
     def length(self) -> Fraction:
         return Fraction(0) if self.empty else self.hi - self.lo
 
     def contains(self, x) -> bool:
-        x = _q(x)
-        if self.empty:
-            return False
-        if x < self.lo or x > self.hi:
-            return False
-        if x == self.lo and not self.lo_closed:
-            return False
-        if x == self.hi and not self.hi_closed:
-            return False
-        return True
+        start, stop = _encode(self)
+        return start <= (_q(x), 1) < stop
 
     def intersect(self, other: "Interval") -> "Interval":
-        if self.lo > other.lo or (self.lo == other.lo and other.lo_closed):
-            lo, lo_closed = self.lo, self.lo_closed
-        else:
-            lo, lo_closed = other.lo, other.lo_closed
-        if self.lo == other.lo:
-            lo_closed = self.lo_closed and other.lo_closed
-        if self.hi < other.hi or (self.hi == other.hi and other.hi_closed):
-            hi, hi_closed = self.hi, self.hi_closed
-        else:
-            hi, hi_closed = other.hi, other.hi_closed
-        if self.hi == other.hi:
-            hi_closed = self.hi_closed and other.hi_closed
-        return Interval(lo, hi, lo_closed, hi_closed)
+        (a, b), (c, d) = _encode(self), _encode(other)
+        return _decode(max(a, c), min(b, d))
 
     def to_json_obj(self) -> dict:
         return {
@@ -91,40 +82,48 @@ class Interval:
         )
 
 
-def _mergeable(a: Interval, b: Interval) -> bool:
-    # b starts at or before the end of a (sorted order assumed)
-    if b.lo < a.hi:
-        return True
-    if b.lo == a.hi:
-        return a.hi_closed or b.lo_closed
-    return False
+def _encode(iv: Interval) -> tuple:
+    """The key range [start, stop) of an interval."""
+    return (iv.lo, 0 if iv.lo_closed else 2), (iv.hi, 2 if iv.hi_closed else 0)
+
+
+def _decode(start, stop) -> Interval:
+    """The interval whose key range is [start, stop)."""
+    return Interval(start[0], stop[0], start[1] == 0, stop[1] == 2)
+
+
+_UNIT_START, _UNIT_STOP = (0, 0), (1, 2)  # the key range of [0, 1]
 
 
 class IntervalSet:
-    """Normalized finite disjoint union of intervals, immutable."""
+    """Normalized finite disjoint union of intervals, immutable.
 
-    __slots__ = ("intervals", "_los")
+    `_keys` lists the key ranges of `intervals` in order, flattened to
+    start, stop, start, stop, ...; it is strictly increasing.
+    """
+
+    __slots__ = ("intervals", "_keys")
 
     def __init__(self, intervals: Iterable[Interval] = ()):
-        items = sorted(
-            (iv for iv in intervals if not iv.empty),
-            key=lambda iv: (iv.lo, not iv.lo_closed, iv.hi),
-        )
-        merged: list[Interval] = []
-        for iv in items:
-            if merged and _mergeable(merged[-1], iv):
-                last = merged[-1]
-                if iv.hi > last.hi:
-                    hi, hi_closed = iv.hi, iv.hi_closed
-                elif iv.hi == last.hi:
-                    hi, hi_closed = last.hi, last.hi_closed or iv.hi_closed
-                else:
-                    hi, hi_closed = last.hi, last.hi_closed
-                merged[-1] = Interval(last.lo, hi, last.lo_closed, hi_closed)
+        runs = []
+        for iv in intervals:
+            start, stop = _encode(iv)
+            if start < stop:
+                runs.append((start, stop, iv))
+        runs.sort(key=itemgetter(0))
+        keys, kept = [], []  # kept: the input interval while it is unwidened
+        for start, stop, iv in runs:
+            if keys and start <= keys[-1]:
+                if stop > keys[-1]:
+                    keys[-1], kept[-1] = stop, None
             else:
-                merged.append(iv)
-        self.intervals: tuple[Interval, ...] = tuple(merged)
-        self._los = [iv.lo for iv in self.intervals]
+                keys += start, stop
+                kept.append(iv)
+        self._keys = keys
+        self.intervals: tuple[Interval, ...] = tuple(
+            _decode(keys[2 * i], keys[2 * i + 1]) if iv is None else iv
+            for i, iv in enumerate(kept)
+        )
 
     # -- constructors ---------------------------------------------------
 
@@ -162,30 +161,20 @@ class IntervalSet:
         return hash(self.intervals)
 
     def __repr__(self):
-        parts = []
-        for iv in self.intervals:
-            parts.append(
-                "%s%s, %s%s"
-                % (
-                    "[" if iv.lo_closed else "(",
-                    iv.lo,
-                    iv.hi,
-                    "]" if iv.hi_closed else ")",
-                )
-            )
-        return "IntervalSet{%s}" % " u ".join(parts)
+        K = self._keys
+        return "IntervalSet{%s}" % " u ".join(
+            "%s%s, %s%s" % ("[("[start[1] // 2], start[0], stop[0],
+                            ")]"[stop[1] // 2])
+            for start, stop in zip(K[::2], K[1::2])
+        )
 
     def measure(self) -> Fraction:
         # a normalized set holds no empty interval
         return sum((iv.hi - iv.lo for iv in self.intervals), Fraction(0))
 
     def contains(self, x) -> bool:
-        x = _q(x)
-        i = bisect.bisect_right(self._los, x)
-        for j in (i - 1, i):
-            if 0 <= j < len(self.intervals) and self.intervals[j].contains(x):
-                return True
-        return False
+        """x is in the set iff an odd number of keys lie below (x, 1)."""
+        return bisect.bisect(self._keys, (_q(x), 1)) % 2 == 1
 
     def intersects(self, other: "IntervalSet") -> bool:
         return bool(self.intersect(other))
@@ -195,14 +184,7 @@ class IntervalSet:
         if not self.intervals:
             raise ValueError("distance to empty set is undefined")
         x = _q(x)
-        best = None
-        for iv in self.intervals:
-            if iv.lo <= x <= iv.hi:
-                return Fraction(0)
-            d = iv.lo - x if x < iv.lo else x - iv.hi
-            if best is None or d < best:
-                best = d
-        return best
+        return min(max(iv.lo - x, x - iv.hi, Fraction(0)) for iv in self.intervals)
 
     # -- set algebra ----------------------------------------------------
 
@@ -210,56 +192,48 @@ class IntervalSet:
         return IntervalSet(self.intervals + other.intervals)
 
     def intersect(self, other: "IntervalSet") -> "IntervalSet":
-        """One sweep over both sorted lists, O(N + M)."""
-        A, B = self.intervals, other.intervals
+        """Two pointers over both key lists, O(N + M)."""
+        A, B = self._keys, other._keys
         out = []
         i = j = 0
         while i < len(A) and j < len(B):
-            a, b = A[i], B[j]
-            iv = a.intersect(b)
-            if not iv.empty:
-                out.append(iv)
-            # drop whichever ends first; on a tie the next piece of either
-            # set starts after the shared end or at it, open
-            if a.hi <= b.hi:
-                i += 1
-            if b.hi <= a.hi:
-                j += 1
+            start = max(A[i], B[j])
+            # drop whichever range stops first
+            if A[i + 1] <= B[j + 1]:
+                stop = A[i + 1]
+                i += 2
+            else:
+                stop = B[j + 1]
+                j += 2
+            if start < stop:
+                out.append(_decode(start, stop))
         return IntervalSet(out)
 
     def subtract(self, other: "IntervalSet") -> "IntervalSet":
-        """One sweep over both sorted lists, O(N + M).
+        """A cut loop over both key lists, O(N + M).
 
-        Each interval a of self is cut left to right by the intervals of
-        other that meet it; (lo, lo_closed) is the start of what is left
-        of a. Intervals of other that end before a starts are passed for
-        good, since the later intervals of self start later still.
+        Each range [start, stop) of self is cut left to right by the
+        ranges of other that meet it: what lies before a cut's start is
+        kept, and the rest starts at the cut's stop. Ranges of other that
+        stop before a range of self starts are passed for good, since the
+        later ranges of self start later still.
         """
-        B = other.intervals
+        A, B = self._keys, other._keys
         out = []
         j = 0
-        for a in self.intervals:
-            while j < len(B) and B[j].hi < a.lo:
-                j += 1
-            lo, lo_closed = a.lo, a.lo_closed
+        for i in range(0, len(A), 2):
+            start, stop = A[i], A[i + 1]
+            while j < len(B) and B[j + 1] <= start:
+                j += 2
             k = j
-            while k < len(B):
-                b = B[k]
-                if b.lo > a.hi or (
-                    b.lo == a.hi and not (b.lo_closed and a.hi_closed)
-                ):
-                    break
-                left = Interval(lo, b.lo, lo_closed, not b.lo_closed)
-                if not left.empty:
-                    out.append(left)
-                if b.hi > lo:
-                    lo, lo_closed = b.hi, not b.hi_closed
-                elif b.hi == lo:
-                    lo_closed = lo_closed and not b.hi_closed
-                k += 1
-            rest = Interval(lo, a.hi, lo_closed, a.hi_closed)
-            if not rest.empty:
-                out.append(rest)
+            if k < len(B) and B[k] <= start:  # a cut over the start moves it
+                start = B[k + 1]
+                k += 2
+            while k < len(B) and B[k] < stop:
+                out.append(_decode(start, B[k]))
+                start = B[k + 1]
+                k += 2
+            out.append(_decode(start, stop))  # dropped by __init__ if empty
         return IntervalSet(out)
 
     def dilate(self, lam) -> "IntervalSet":
@@ -267,16 +241,12 @@ class IntervalSet:
         lam = _q(lam)
         if lam < 0:
             raise ValueError("dilation radius must be nonnegative")
+        K = self._keys
         out = []
-        for iv in self.intervals:
-            lo, hi = iv.lo - lam, iv.hi + lam
-            lo_closed = iv.lo_closed if lam == 0 else False
-            hi_closed = iv.hi_closed if lam == 0 else False
-            if lo < 0:
-                lo, lo_closed = Fraction(0), True
-            if hi > 1:
-                hi, hi_closed = Fraction(1), True
-            out.append(Interval(lo, hi, lo_closed, hi_closed))
+        for start, stop in zip(K[::2], K[1::2]):
+            if lam:
+                start, stop = (start[0] - lam, 2), (stop[0] + lam, 0)
+            out.append(_decode(max(start, _UNIT_START), min(stop, _UNIT_STOP)))
         return IntervalSet(out)
 
     def clip(self, a, b) -> "IntervalSet":
@@ -284,23 +254,22 @@ class IntervalSet:
 
     def first_piece(self, a, b) -> Optional[Interval]:
         """First interval of self.clip(a, b), or None; O(log N) by bisection."""
-        window = Interval(a, b)
-        j = max(bisect.bisect_left(self._los, window.lo) - 1, 0)
-        for iv in self.intervals[j:j + 2]:
-            piece = iv.intersect(window)
-            if not piece.empty:
-                return piece
-        return None
+        lo, hi = (_q(a), 0), (_q(b), 2)
+        # the first range that stops after the window starts
+        return self._piece(bisect.bisect(self._keys, lo) // 2, lo, hi)
 
     def last_piece(self, a, b) -> Optional[Interval]:
         """Last interval of self.clip(a, b), or None; O(log N) by bisection."""
-        window = Interval(a, b)
-        j = bisect.bisect_right(self._los, window.hi)
-        for iv in self.intervals[max(j - 2, 0):j][::-1]:
-            piece = iv.intersect(window)
-            if not piece.empty:
-                return piece
-        return None
+        lo, hi = (_q(a), 0), (_q(b), 2)
+        # the last range that starts before the window stops
+        return self._piece((bisect.bisect_left(self._keys, hi) - 1) // 2, lo, hi)
+
+    def _piece(self, i, lo, hi) -> Optional[Interval]:
+        """Range i of self clipped to the key range [lo, hi), or None."""
+        if not 0 <= i < len(self.intervals):
+            return None
+        start, stop = max(self._keys[2 * i], lo), min(self._keys[2 * i + 1], hi)
+        return _decode(start, stop) if start < stop else None
 
     # -- serialization --------------------------------------------------
 

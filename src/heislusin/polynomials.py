@@ -532,19 +532,25 @@ def intmax_ratio(p: Polynomial, a, b, tol: Fraction = DEFAULT_TOL) -> CertifiedV
         raise ValueError("ratio undefined for the zero polynomial")
     if a >= b:
         raise ValueError("require a < b")
-    num = abs_integral(p, a, b, tol=tol * (b - a) / 4)
-    den = sup_norm(p, a, b, tol=tol / 4)
-    mean = num.value / (b - a)
-    ratio = mean / den.value
-    exact = num.exact and den.exact
-    if exact:
-        err = Fraction(0)
-    else:
-        den_lo = den.value - den.error
-        if den_lo <= 0:
-            den_lo = den.value / 2
-        err = (num.error / (b - a)) / den_lo + mean * den.error / (den_lo * den.value)
-    return CertifiedValue(ratio, exact, err)
+    integral = abs_integral(p, a, b, tol=tol * (b - a) / 4)
+    mean = CertifiedValue(
+        integral.value / (b - a), integral.exact, integral.error / (b - a)
+    )
+    return _quotient(mean, sup_norm(p, a, b, tol=tol / 4))
+
+
+def _quotient(num: CertifiedValue, den: CertifiedValue) -> CertifiedValue:
+    """num / den for den > 0, with the error bound propagated from both:
+    |n/d - n'/d'| <= e_n / d_lo + n e_d / (d_lo d), d_lo = d - e_d (or
+    d / 2 when that is not positive)."""
+    ratio = num.value / den.value
+    if num.exact and den.exact:
+        return CertifiedValue(ratio, True, Fraction(0))
+    den_lo = den.value - den.error
+    if den_lo <= 0:
+        den_lo = den.value / 2
+    error = num.error / den_lo + num.value * den.error / (den_lo * den.value)
+    return CertifiedValue(ratio, False, error)
 
 
 def truncate_shifted(p: Polynomial, x, m: int) -> Polynomial:
@@ -589,10 +595,5 @@ def degiorgi_ratio(
     if total == 0:
         raise ValueError("integral of |p| over E vanishes")
     num = r ** (1 + k) * abs(p.derivative(k)(x))
-    ratio = num / total
-    if exact:
-        return CertifiedValue(ratio, True, Fraction(0))
-    lo = total - error
-    if lo <= 0:
-        lo = total / 2
-    return CertifiedValue(ratio, False, num * error / (lo * total))
+    return _quotient(CertifiedValue(num, True, Fraction(0)),
+                     CertifiedValue(total, exact, error))

@@ -7,7 +7,8 @@ import pytest
 
 from heislusin import cli
 from heislusin.cli import (
-    MAX_DEPTH, MAX_GRID, MAX_NMAX, read_curve_csv, run,
+    MAX_DECIMAL, MAX_DEPTH, MAX_GRID, MAX_M, MAX_NMAX, MAX_P, MAX_P_MAX,
+    MAX_SAMPLES, read_curve_csv, run,
 )
 from heislusin.counterexample import (
     build_curve, default_params, straddle_jets, straddle_ratio,
@@ -204,6 +205,124 @@ class TestSieveBounds:
             )
             assert status == 0
 
+# commands that read a curve CSV, with their required flags
+LP = ("diff", "lp", "--x", "1/2", "--m", "1")
+DENSITY = ("diff", "density", "--x", "1/2", "--m", "1", "--eps", "1",
+           "--radius", "1/4")
+SIEVE = ("sieve", "--m", "1")
+
+
+class TestListFlags:
+    """--poly, --scales and --ladder are comma lists of rationals parsed
+    by argparse: a bad entry or an empty list exits 2 before the input
+    is read."""
+
+    @pytest.mark.parametrize("argv, flag, bad", [
+        (LP, "--poly", "1,x"),
+        (DENSITY, "--poly", "1/0"),
+        (LP, "--scales", "1/4,abc"),
+        (("jets", "check"), "--ladder", "1/2,zz"),
+        (LP, "--poly", ""),
+        (DENSITY, "--poly", ""),
+        (LP, "--scales", ""),
+        (("jets", "check"), "--ladder", ""),
+        (LP, "--scales", "1/4,"),
+    ])
+    def test_bad_list_is_usage_error(self, capsys, tmp_path, argv, flag, bad):
+        missing = tmp_path / "never-read"
+        status, out, err = invoke(capsys, *argv, "--input", str(missing),
+                                  flag + "=" + bad)
+        assert status == 2
+        assert out == "" and "argument %s" % flag in err
+        assert "No such file" not in err and "Traceback" not in err
+
+    def test_lists_are_parsed(self, capsys, tmp_path):
+        src = tmp_path / "in.csv"
+        src.write_text("t,f,g,h\n0,0,0,0\n1/2,1/2,0,0\n1,0,0,0\n")
+        status, out, _ = invoke(capsys, *LP, "--input", str(src),
+                                "--poly", "0,1", "--scales", "1/4,1/8")
+        assert status == 0
+        # P = y: u - P vanishes left of 1/2 and is 1 - 2y right of it, so
+        # the average of |u - P| over B(1/2, rho) is rho/2, over rho^1
+        assert out.splitlines() == ["rho,value", "1/4,0.5", "1/8,0.5"]
+
+    @pytest.mark.parametrize("scales", ["0", "1/4,-1/8", "1/4,0"])
+    def test_non_positive_scale_is_usage_error(self, capsys, tmp_path,
+                                               scales):
+        src = tmp_path / "in.csv"
+        src.write_text("t,f,g,h\n0,0,0,0\n1/2,1/2,0,0\n1,0,0,0\n")
+        status, out, err = invoke(capsys, *LP, "--input", str(src),
+                                  "--scales", scales)
+        assert status == 2
+        assert out == "" and "positive" in err
+
+
+class TestIntegerBounds:
+    """Every integer flag has a range; a value outside it exits 2 before
+    any input is read or anything is built."""
+
+    @pytest.mark.parametrize("argv, flag, value, bounds", [
+        (("counterexample", "straddle", "--n", "1"), "--decimal", "-1",
+         "decimal must be in 1..%d" % MAX_DECIMAL),
+        (("counterexample", "straddle", "--n", "1"), "--decimal", "0",
+         "decimal must be in 1..%d" % MAX_DECIMAL),
+        (("counterexample", "straddle", "--n", "1"), "--decimal",
+         str(MAX_DECIMAL + 1), "decimal must be in 1..%d" % MAX_DECIMAL),
+        (("counterexample", "build", "--out", "{out}"), "--samples", "-1",
+         "samples must be in 0..%d" % MAX_SAMPLES),
+        (("counterexample", "build", "--out", "{out}"), "--samples",
+         str(MAX_SAMPLES + 1), "samples must be in 0..%d" % MAX_SAMPLES),
+        (("counterexample", "verify"), "--p-max", "0",
+         "p-max must be in 1..%d" % MAX_P_MAX),
+        (("counterexample", "verify"), "--p-max", str(MAX_P_MAX + 1),
+         "p-max must be in 1..%d" % MAX_P_MAX),
+        (LP, "--m", "-1", "m must be in 0..%d" % MAX_M),
+        (LP, "--m", str(MAX_M + 1), "m must be in 0..%d" % MAX_M),
+        (DENSITY, "--m", str(MAX_M + 1), "m must be in 0..%d" % MAX_M),
+        (SIEVE, "--m", "-1", "m must be in 0..%d" % MAX_M),
+        (SIEVE, "--m", str(10**9), "m must be in 0..%d" % MAX_M),
+        (LP, "--p", "0", "p must be in 1..%d" % MAX_P),
+        (LP, "--p", str(MAX_P + 1), "p must be in 1..%d" % MAX_P),
+    ])
+    def test_out_of_range_is_usage_error(self, capsys, tmp_path, argv, flag,
+                                         value, bounds):
+        outdir = tmp_path / "out"
+        argv = [a.format(out=outdir) for a in argv]
+        if argv[0] in ("diff", "sieve"):
+            argv += ["--input", str(tmp_path / "never-read.csv")]
+        # --decimal belongs to the top-level parser
+        flags = [flag + "=" + value]
+        argv = flags + argv if flag == "--decimal" else argv + flags
+        start = time.perf_counter()
+        status, out, err = invoke(capsys, *argv)
+        assert status == 2
+        assert time.perf_counter() - start < 0.5
+        assert out == "" and bounds in err
+        assert "No such file" not in err and "Traceback" not in err
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ("--decimal", "1", "counterexample", "verify", "--p-max", "1",
+         "--help"),
+        ("--decimal", str(MAX_DECIMAL), "counterexample", "verify",
+         "--p-max", str(MAX_P_MAX), "--help"),
+        ("counterexample", "build", "--out", "x", "--samples", "0", "--help"),
+        ("counterexample", "build", "--out", "x", "--samples",
+         str(MAX_SAMPLES), "--help"),
+        ("diff", "lp", "--input", "x", "--x", "0", "--m", "0", "--p", "1",
+         "--help"),
+        ("diff", "lp", "--input", "x", "--x", "0", "--m", str(MAX_M), "--p",
+         str(MAX_P), "--help"),
+        ("diff", "density", "--input", "x", "--x", "0", "--m", str(MAX_M),
+         "--eps", "1", "--radius", "1", "--help"),
+        ("sieve", "--input", "x", "--m", str(MAX_M), "--help"),
+    ])
+    def test_bounds_are_accepted(self, capsys, argv):
+        # each flag is converted before --help stops the parse
+        status, _, _ = invoke(capsys, *argv)
+        assert status == 0
+
+
 class TestVerify:
     def test_passes_at_depth_six(self, capsys):
         status, out, _ = invoke(
@@ -257,6 +376,16 @@ class TestBuild:
         assert obj["depth"] == 2
         assert len(obj["levels"]) == 2
         assert obj["levels"][0][0]["lo"] == "63/128"
+
+    def test_depth8_intervals_json_is_pinned(self, capsys, tmp_path):
+        # recorded when interval algebra still ran on open/closed flags
+        status, _, _ = invoke(capsys, "counterexample", "build", "--depth",
+                              "8", "--out", str(tmp_path))
+        assert status == 0
+        text = (tmp_path / "intervals.json").read_bytes()
+        assert hashlib.sha256(text).hexdigest() == (
+            "4dfa103b01adcde8c619616036687311135498365d7897770170bd2b81ae6437"
+        )
 
 
 class TestJetsCheck:

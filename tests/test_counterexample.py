@@ -1,4 +1,5 @@
 import hashlib
+import json
 from fractions import Fraction as F
 
 import pytest
@@ -256,6 +257,19 @@ class TestMeasureReport:
             # shells live off I by construction
             assert not shell["set"].intersects(curve10.I_union)
 
+    def test_depth8_shells_are_pinned(self):
+        # sorted-key JSON of every shell's set and exact measure;
+        # recorded when interval algebra still ran on open/closed flags
+        shells = [
+            {"n": s["n"], "set": s["set"].to_json_obj(),
+             "measure": rational_to_str(s["measure"])}
+            for s in measure_report(build_curve(default_params(8)))["shells"]
+        ]
+        text = json.dumps(shells, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "6e8c297f6fa5c8136be6b87c34e5540f91de8e4a4f3dfc6d7e0568232f6accbc"
+        )
+
 
 class TestGoodPair:
     def test_unit_interval_level_one(self, curve10):
@@ -277,6 +291,19 @@ class TestGoodPair:
                 x <= iv.lo and y >= iv.hi
                 for iv in curve10.I_levels[n].intervals
             )
+
+    def test_depth8_pairs_are_pinned(self):
+        # every level's pair as "p/q" strings; recorded when interval
+        # algebra still ran on open/closed flags
+        C = build_curve(default_params(8))
+        pairs = [
+            [rational_to_str(x) for x in good_pair_search(IntervalSet.unit(),
+                                                          C, n)]
+            for n in range(8)
+        ]
+        assert hashlib.sha256(json.dumps(pairs).encode()).hexdigest() == (
+            "6e5842b8ff419d6eda9ea08522222c7000fefac2753779881548a6f9101a9794"
+        )
 
     def test_exhausted(self, curve10):
         E = IntervalSet.unit()

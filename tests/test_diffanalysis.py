@@ -70,6 +70,14 @@ class TestLpLadder:
             lp_remainder_ladder(u, Polynomial.zero(), F(1, 10), 2, 1,
                                 ladder=[F(1, 2)])
 
+    @pytest.mark.parametrize("ladder", [
+        [F(0)], [F(1, 4), F(-1, 8)], [F(1, 4), F(0)], [],
+    ])
+    def test_non_positive_or_no_scale_rejected(self, ladder):
+        u = single(CUBE, -1, 1)
+        with pytest.raises(ValueError, match="positive"):
+            lp_remainder_ladder(u, Polynomial.zero(), 0, 2, 1, ladder)
+
     def test_counterexample_f_decays_at_one_third(self, curve10):
         lam = curve10.params.lam
         scales = [lam(n) for n in (6, 7, 8)]

@@ -27,6 +27,33 @@ def interval_sets(draw, max_components=4):
     return IntervalSet(ivs)
 
 
+# endpoints anywhere in [-1, 2], in either order, so that raw pieces can
+# be empty, unsorted, overlapping or outside [0, 1]
+raw_intervals = st.lists(
+    st.builds(
+        Interval,
+        st.fractions(min_value=-1, max_value=2, max_denominator=8),
+        st.fractions(min_value=-1, max_value=2, max_denominator=8),
+        st.booleans(),
+        st.booleans(),
+    ),
+    max_size=6,
+)
+radii = st.fractions(min_value=0, max_value=F(1, 4), max_denominator=32)
+
+
+def assert_canonical(s):
+    """Sorted, no empty piece, and no two neighbours mergeable under the
+    flag rule: b merges into the piece a before it when b starts before
+    a ends, or at a's end with either of those two ends closed."""
+    for iv in s.intervals:
+        assert iv.lo < iv.hi or (iv.lo == iv.hi and iv.lo_closed
+                                 and iv.hi_closed)
+    for a, b in zip(s.intervals, s.intervals[1:]):
+        assert not (b.lo < a.hi or (b.lo == a.hi
+                                    and (a.hi_closed or b.lo_closed)))
+
+
 class TestMeasure:
     def test_empty(self):
         assert IntervalSet.empty().measure() == 0
@@ -99,19 +126,44 @@ class TestAlgebra:
             for k in range(16)
         )
 
-    @given(interval_sets(), interval_sets())
+    @given(interval_sets(), interval_sets(), radii)
     @settings(max_examples=300, deadline=None)
-    def test_membership_oracle(self, s, t):
-        """subtract and intersect agree with pointwise set logic at every
-        endpoint and at every midpoint between consecutive endpoints."""
-        ends = sorted(
-            {x for iv in s.intervals + t.intervals for x in (iv.lo, iv.hi)}
-        )
+    def test_membership_oracle(self, s, t, lam):
+        """union, subtract, intersect and dilate agree with pointwise set
+        logic at every endpoint, every endpoint moved by +-lam, 0 and 1,
+        and at every midpoint between consecutive such points."""
+        ends = {x for iv in s.intervals + t.intervals for x in (iv.lo, iv.hi)}
+        ends = sorted(ends | {x + d for x in ends for d in (lam, -lam)}
+                      | {F(0), F(1)})
         points = ends + [(a + b) / 2 for a, b in zip(ends, ends[1:])]
-        diff, meet = s.subtract(t), s.intersect(t)
+        join, diff, meet = s.union(t), s.subtract(t), s.intersect(t)
+        grown = s.dilate(lam)
+
+        def near(x):
+            # the open lam-neighbourhood; lam = 0 leaves the set itself
+            if lam == 0:
+                return s.contains(x)
+            return any(max(iv.lo - x, x - iv.hi) < lam for iv in s.intervals)
+
         for x in points:
+            assert join.contains(x) == (s.contains(x) or t.contains(x))
             assert diff.contains(x) == (s.contains(x) and not t.contains(x))
             assert meet.contains(x) == (s.contains(x) and t.contains(x))
+            assert grown.contains(x) == (0 <= x <= 1 and near(x))
+
+    @given(raw_intervals, raw_intervals, radii,
+           st.fractions(min_value=-1, max_value=2, max_denominator=8),
+           st.fractions(min_value=-1, max_value=2, max_denominator=8))
+    @settings(max_examples=300, deadline=None)
+    def test_every_output_is_canonical(self, raw_s, raw_t, lam, a, b):
+        s, t = IntervalSet(raw_s), IntervalSet(raw_t)
+        for out in (s, t, s.union(t), s.intersect(t), s.subtract(t),
+                    t.subtract(s), s.dilate(lam), s.clip(a, b),
+                    IntervalSet(raw_s + raw_t),
+                    IntervalSet.from_json_obj(s.to_json_obj())):
+            assert_canonical(out)
+        for piece in (s.first_piece(a, b), s.last_piece(a, b)):
+            assert piece is None or not piece.empty
 
     def test_pieces_beside_a_missing_point(self):
         s = IntervalSet([Interval(0, F(1, 2), True, False),

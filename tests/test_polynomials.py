@@ -4,11 +4,12 @@ from fractions import Fraction as F
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from heislusin.intervalsets import IntervalSet
 from heislusin.polynomials import (
+    CertifiedValue,
     Polynomial,
     RootEnclosure,
     abs_integral,
@@ -20,6 +21,7 @@ from heislusin.polynomials import (
     simplest_between,
     sup_norm,
     truncate_shifted,
+    _quotient,
 )
 
 coeffs = st.lists(
@@ -375,6 +377,41 @@ class TestIntmax:
             n_eff = max(p.degree, 1)
             assert v.value + v.error >= F(1, 8 * n_eff**2)
             assert v.value - v.error <= 1
+
+
+class TestCertifiedQuotient:
+    """`_quotient`, the one error propagation behind `intmax_ratio` and
+    `degiorgi_ratio`."""
+
+    @given(st.fractions(min_value=0, max_value=10, max_denominator=50),
+           st.fractions(min_value=0, max_value=1, max_denominator=50),
+           st.fractions(min_value=F(1, 10), max_value=10, max_denominator=50),
+           st.fractions(min_value=0, max_value=1, max_denominator=50))
+    @settings(max_examples=300, deadline=None)
+    def test_error_covers_the_box(self, n, en, d, ed):
+        assume(ed < d)
+        q = _quotient(CertifiedValue(n, en == 0, en),
+                      CertifiedValue(d, ed == 0, ed))
+        assert q.value == n / d
+        assert q.exact == (en == 0 and ed == 0)
+        # n/d is monotone in each argument: its extremes are at corners
+        for nn in (n - en, n + en):
+            for dd in (d - ed, d + ed):
+                assert abs(nn / dd - q.value) <= q.error
+
+    def test_irrational_crossing_is_certified(self):
+        # y^2 - 2 changes sign at sqrt 2: the integral of |p| over [0, 2]
+        # is 8 sqrt2/3 - 4/3, the sup norm is exactly 2
+        p = P(-2, 0, 1)
+        with mpmath.workdps(50):
+            integral = 8 * mpmath.sqrt(2) / 3 - mp(F(4, 3))
+            for got, want in (
+                (intmax_ratio(p, 0, 2), integral / 4),
+                (degiorgi_ratio(p, 1, 1, IntervalSet.closed(0, 2), 0),
+                 1 / integral),
+            ):
+                assert not got.exact and 0 < got.error < F(1, 10**6)
+                assert abs(mp(got.value) - want) <= mp(got.error)
 
 
 class TestDeGiorgi:
