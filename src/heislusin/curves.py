@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .intervalsets import _q, rational_to_str
 from .jets import DEFAULT_LADDER, Jet, JetTriple, area_rate, ladder_maxima
@@ -29,6 +29,7 @@ from .polynomials import (
 )
 
 
+@dataclass(frozen=True, slots=True)
 class PiecewisePolynomial:
     """One real-valued piecewise polynomial on [breakpoints[0], breakpoints[-1]].
 
@@ -36,16 +37,18 @@ class PiecewisePolynomial:
     is the caller's business (checked by `is_continuous`).
     """
 
-    __slots__ = ("breakpoints", "pieces")
+    breakpoints: tuple
+    pieces: tuple
 
-    def __init__(self, breakpoints: Sequence, pieces: Sequence[Polynomial]):
-        bps = tuple(_q(t) for t in breakpoints)
+    def __post_init__(self):
+        bps = tuple(_q(t) for t in self.breakpoints)
         if len(bps) < 2 or any(a >= b for a, b in zip(bps, bps[1:])):
             raise ValueError("breakpoints must be strictly increasing, >= 2")
+        pieces = tuple(self.pieces)
         if len(pieces) != len(bps) - 1:
             raise ValueError("need exactly one piece per breakpoint gap")
-        self.breakpoints = bps
-        self.pieces = tuple(pieces)
+        object.__setattr__(self, "breakpoints", bps)
+        object.__setattr__(self, "pieces", pieces)
 
     @property
     def domain(self):
@@ -62,6 +65,22 @@ class PiecewisePolynomial:
     def __call__(self, t) -> Fraction:
         return self.pieces[self.piece_index(t)](t)
 
+    def spans(self, a, b):
+        """Yield (lo, hi, piece) for each piece that meets (a, b), in order,
+        with its interval clipped to (a, b).
+
+        The first such piece is found by bisection. Ends outside the
+        domain are clipped to it, and a >= b yields nothing.
+        """
+        a, b = _q(a), _q(b)
+        if a >= b:
+            return
+        bps = self.breakpoints
+        i = max(bisect.bisect_right(bps, a) - 1, 0)
+        while i < len(self.pieces) and bps[i] < b:
+            yield max(a, bps[i]), min(b, bps[i + 1]), self.pieces[i]
+            i += 1
+
     def is_continuous(self) -> bool:
         for i, t in enumerate(self.breakpoints[1:-1], start=1):
             if self.pieces[i - 1](t) != self.pieces[i](t):
@@ -77,29 +96,20 @@ class PiecewisePolynomial:
         a, b = _q(a), _q(b)
         if a > b:
             return -self.integral(b, a)
-        total = Fraction(0)
-        for i, p in enumerate(self.pieces):
-            lo = max(a, self.breakpoints[i])
-            hi = min(b, self.breakpoints[i + 1])
-            if lo < hi:
-                total += p.integral(lo, hi)
-        return total
+        return sum(
+            (p.integral(lo, hi) for lo, hi, p in self.spans(a, b)), Fraction(0)
+        )
 
     def abs_power_integral(self, q: Polynomial, a, b, p: int,
                            tol: Fraction = DEFAULT_TOL) -> CertifiedValue:
         """integral over [a,b] of |self - q|^p, p a positive integer."""
-        a, b = _q(a), _q(b)
         if p < 1:
             raise ValueError("p must be a positive integer")
         total = Fraction(0)
         exact = True
         error = Fraction(0)
         n = len(self.pieces)
-        for i, piece in enumerate(self.pieces):
-            lo = max(a, self.breakpoints[i])
-            hi = min(b, self.breakpoints[i + 1])
-            if lo >= hi:
-                continue
+        for lo, hi, piece in self.spans(a, b):
             d = (piece - q) ** p
             if p % 2 == 0:
                 total += d.integral(lo, hi)
@@ -125,81 +135,60 @@ class PiecewisePolynomial:
                 raise ValueError("ts must be strictly increasing")
         return PiecewisePolynomial(ts, pieces)
 
-    def refine_to(self, breakpoints) -> "PiecewisePolynomial":
-        """Re-express on a finer breakpoint grid covering the same domain."""
-        bps = tuple(_q(t) for t in breakpoints)
-        if bps[0] != self.breakpoints[0] or bps[-1] != self.breakpoints[-1]:
-            raise ValueError("refinement must preserve the domain")
-        pieces = []
-        for lo, hi in zip(bps, bps[1:]):
-            mid = (lo + hi) / 2
-            pieces.append(self.pieces[self.piece_index(mid)])
-        return PiecewisePolynomial(bps, pieces)
-
-
-def _merged_breakpoints(u: PiecewisePolynomial, v: PiecewisePolynomial):
-    if u.domain != v.domain:
-        raise ValueError("domains differ")
-    return tuple(sorted(set(u.breakpoints) | set(v.breakpoints)))
-
 
 @dataclass(frozen=True)
 class PiecewiseCurve:
-    """Curve (f, g, h) with shared breakpoints and polynomial pieces.
+    """Curve (f, g, h): three continuous `PiecewisePolynomial`s on shared
+    breakpoints.
 
-    The components f, g and h are built, and checked for continuity,
-    once, when the curve is made.
+    The components are checked once, when the curve is made; the piece
+    tuples and breakpoints are read from them.
     """
 
-    breakpoints: tuple
-    f_pieces: tuple
-    g_pieces: tuple
-    h_pieces: tuple
-    f: PiecewisePolynomial = field(init=False, repr=False, compare=False)
-    g: PiecewisePolynomial = field(init=False, repr=False, compare=False)
-    h: PiecewisePolynomial = field(init=False, repr=False, compare=False)
+    f: PiecewisePolynomial
+    g: PiecewisePolynomial
+    h: PiecewisePolynomial
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "breakpoints", tuple(_q(t) for t in self.breakpoints)
-        )
-        n = len(self.breakpoints) - 1
         for name in "fgh":
-            pieces = tuple(getattr(self, name + "_pieces"))
-            if len(pieces) != n:
-                raise ValueError("component piece counts must match breakpoints")
-            comp = PiecewisePolynomial(self.breakpoints, pieces)
+            comp = getattr(self, name)
+            if comp.breakpoints != self.f.breakpoints:
+                raise ValueError("curve components must share their breakpoints")
             if not comp.is_continuous():
                 raise ValueError("curve component %s must be continuous" % name)
-            object.__setattr__(self, name + "_pieces", pieces)
-            object.__setattr__(self, name, comp)
 
-    @property
-    def domain(self):
-        return self.breakpoints[0], self.breakpoints[-1]
+    breakpoints = property(lambda self: self.f.breakpoints)
+    domain = property(lambda self: self.f.domain)
+    f_pieces = property(lambda self: self.f.pieces)
+    g_pieces = property(lambda self: self.g.pieces)
+    h_pieces = property(lambda self: self.h.pieces)
 
     def __call__(self, t):
         i = self.f.piece_index(t)
         t = _q(t)
-        return (
-            self.f_pieces[i](t),
-            self.g_pieces[i](t),
-            self.h_pieces[i](t),
-        )
+        return tuple(c.pieces[i](t) for c in (self.f, self.g, self.h))
 
 
 def lift(f: PiecewisePolynomial, g: PiecewisePolynomial, h0=0) -> PiecewiseCurve:
     """Horizontal lift: h' = 2 (f'g - g'f) with h(t0) = h0, exactly.
 
     When f and g share their breakpoints (as the staircase, CSV curves and
-    the Hermite fill do) they are used as they are, without merging and
-    refining. Continuity of f and g is checked once, by the curve.
+    the Hermite fill do) they are used as they are; otherwise both are
+    re-expressed on the union of their breakpoints. Continuity of f and g
+    is checked once, by the curve.
     """
     if f.breakpoints == g.breakpoints:
         bps, fr, gr = f.breakpoints, f, g
+    elif f.domain != g.domain:
+        raise ValueError("domains differ")
     else:
-        bps = _merged_breakpoints(f, g)
-        fr, gr = f.refine_to(bps), g.refine_to(bps)
+        bps = tuple(sorted(set(f.breakpoints) | set(g.breakpoints)))
+        fr, gr = (
+            PiecewisePolynomial(
+                bps, [u.pieces[u.piece_index(lo)] for lo in bps[:-1]]
+            )
+            for u in (f, g)
+        )
     h_pieces = []
     acc = _q(h0)
     for i, (fp, gp) in enumerate(zip(fr.pieces, gr.pieces)):
@@ -212,7 +201,7 @@ def lift(f: PiecewisePolynomial, g: PiecewisePolynomial, h0=0) -> PiecewiseCurve
         h_pieces.append(A + (acc - A(bps[i])))
         acc = h_pieces[-1](bps[i + 1])
     try:
-        return PiecewiseCurve(bps, fr.pieces, gr.pieces, tuple(h_pieces))
+        return PiecewiseCurve(fr, gr, PiecewisePolynomial(bps, h_pieces))
     except ValueError as exc:
         raise ValueError(
             "lift requires continuous horizontal components"
@@ -348,8 +337,9 @@ def extendability_report(
 ) -> ExtendabilityReport:
     """Check the three jet conditions for extension to a C^m horizontal curve.
 
-    Condition profiles are evaluated over a geometric delta-ladder; the
-    uniform-vanishing condition on A/V passes when the ratio at the
+    Condition profiles are evaluated over a geometric delta-ladder, in the
+    ladder's order; the pass rules read them from the largest scale down.
+    The uniform-vanishing condition on A/V passes when the ratio at the
     smallest populated scale is below `tolerance` and the profile is
     non-increasing over its last three populated steps.
     """
@@ -375,7 +365,8 @@ def extendability_report(
         )
     ratio_profile = ladder_maxima(pairs, ladder)
 
-    populated = [v for v in ratio_profile if v is not None]
+    down = sorted(range(len(ladder)), key=ladder.__getitem__, reverse=True)
+    populated = [ratio_profile[i] for i in down if ratio_profile[i] is not None]
     if populated:
         tail = populated[-3:]
         ratio_pass = populated[-1] <= tolerance and all(
@@ -384,7 +375,7 @@ def extendability_report(
     else:
         ratio_pass = True
     whitney_pass = all(
-        profile[-1] <= tolerance for profile in profiles.values()
+        profile[down[-1]] <= tolerance for profile in profiles.values()
     )
     ode_pass = ode_max <= tolerance
     return ExtendabilityReport(

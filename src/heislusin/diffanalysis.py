@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -41,16 +41,7 @@ class LadderReport:
 
     scales: tuple
     values: list  # floats
-    power_values: Optional[list] = None  # Fractions, exact path only
-
-    def to_json_obj(self) -> dict:
-        out = {
-            "scales": [rational_to_str(s) for s in self.scales],
-            "values": [repr(v) for v in self.values],
-        }
-        if self.power_values is not None:
-            out["power_values"] = [rational_to_str(v) for v in self.power_values]
-        return out
+    power_values: list  # Fractions
 
     def to_csv(self) -> str:
         lines = ["rho,value"]
@@ -96,8 +87,22 @@ def lp_remainder_ladder(
         integ = u.abs_power_integral(P, x - rho, x + rho, p, tol)
         power = (integ.value / (2 * rho)) / rho ** (m * p)
         powers.append(power)
-        values.append(float(power) ** (1.0 / p))
+        values.append(_pth_root(power, p))
     return LadderReport(ladder, values, power_values=powers)
+
+
+def _pth_root(power: Fraction, p: int) -> float:
+    """power^(1/p) as a float, also when power is past the float range;
+    inf only when the root itself is."""
+    try:
+        return float(power) ** (1.0 / p)
+    except OverflowError:
+        # math.log takes ints of any size
+        log = math.log(power.numerator) - math.log(power.denominator)
+        try:
+            return math.exp(log / p)
+        except OverflowError:
+            return math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -129,11 +134,7 @@ def approx_density(
         raise ValueError("ball does not meet the domain")
     shift = Polynomial((-x, 1))  # y - x
     total = Fraction(0)
-    for i, piece in enumerate(u.pieces):
-        plo = max(a, u.breakpoints[i])
-        phi = min(b, u.breakpoints[i + 1])
-        if plo >= phi:
-            continue
+    for plo, phi, piece in u.spans(a, b):
         d = piece - P
         for lo, hi, sgn in (
             (plo, min(phi, x), (-1) ** m),

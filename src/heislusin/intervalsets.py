@@ -52,10 +52,6 @@ class Interval:
         start, stop = _encode(self)
         return start >= stop
 
-    @property
-    def length(self) -> Fraction:
-        return Fraction(0) if self.empty else self.hi - self.lo
-
     def contains(self, x) -> bool:
         start, stop = _encode(self)
         return start <= (_q(x), 1) < stop

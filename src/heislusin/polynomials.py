@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .intervalsets import IntervalSet, _q, rational_to_str
+from .intervalsets import IntervalSet, _q
 
 DEFAULT_TOL = Fraction(1, 10**12)
 
@@ -44,10 +44,6 @@ class Polynomial:
     @staticmethod
     def constant(c) -> "Polynomial":
         return Polynomial((c,))
-
-    @staticmethod
-    def identity() -> "Polynomial":
-        return Polynomial((0, 1))
 
     @staticmethod
     def from_roots(leading, roots) -> "Polynomial":
@@ -203,15 +199,6 @@ class Polynomial:
 
     def __mod__(self, other):
         return self.divmod(other)[1]
-
-    # -- serialization --------------------------------------------------
-
-    def to_json_obj(self) -> list:
-        return [rational_to_str(c) for c in self.coeffs]
-
-    @staticmethod
-    def from_json_obj(obj) -> "Polynomial":
-        return Polynomial(Fraction(c) for c in obj)
 
 
 # ---------------------------------------------------------------------------
@@ -425,13 +412,6 @@ class CertifiedValue:
     def __float__(self):
         return float(self.value)
 
-    def to_json_obj(self) -> dict:
-        return {
-            "value": rational_to_str(self.value),
-            "exact": self.exact,
-            "error_bound": rational_to_str(self.error),
-        }
-
 
 def abs_integral(p: Polynomial, a, b, tol: Fraction = DEFAULT_TOL) -> CertifiedValue:
     """Integral of |p| over [a, b].
@@ -525,7 +505,7 @@ def intmax_ratio(p: Polynomial, a, b, tol: Fraction = DEFAULT_TOL) -> CertifiedV
     """Ratio of the average of |p| on [a, b] to its sup norm there.
 
     For p of degree n the ratio lies in [1/(8 n^2), 1]; constants have
-    ratio exactly 1.
+    ratio exactly 1. ValueError when the sup norm is not certified > 0.
     """
     a, b = _q(a), _q(b)
     if p.is_zero:
@@ -541,14 +521,14 @@ def intmax_ratio(p: Polynomial, a, b, tol: Fraction = DEFAULT_TOL) -> CertifiedV
 
 def _quotient(num: CertifiedValue, den: CertifiedValue) -> CertifiedValue:
     """num / den for den > 0, with the error bound propagated from both:
-    |n/d - n'/d'| <= e_n / d_lo + n e_d / (d_lo d), d_lo = d - e_d (or
-    d / 2 when that is not positive)."""
+    |n/d - n'/d'| <= e_n / d_lo + n e_d / (d_lo d), d_lo = d - e_d;
+    ValueError when d_lo <= 0, as den is then not certified positive."""
     ratio = num.value / den.value
     if num.exact and den.exact:
         return CertifiedValue(ratio, True, Fraction(0))
     den_lo = den.value - den.error
     if den_lo <= 0:
-        den_lo = den.value / 2
+        raise ValueError("denominator not certified positive")
     error = num.error / den_lo + num.value * den.error / (den_lo * den.value)
     return CertifiedValue(ratio, False, error)
 
@@ -573,7 +553,8 @@ def degiorgi_ratio(
     Boundedness of this quantity over polynomials of fixed degree, for
     subsets E of [x-r, x+r] of measure at least A*r, is the content of
     the one-dimensional De Giorgi inequality. The constant itself is not
-    asserted; callers record empirical maxima.
+    asserted; callers record empirical maxima. ValueError when the
+    integral over E is not certified positive.
     """
     x, r = _q(x), _q(r)
     if r <= 0:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import time
 from fractions import Fraction as F
 
@@ -11,10 +12,12 @@ from heislusin.cli import (
     MAX_SAMPLES, read_curve_csv, run,
 )
 from heislusin.counterexample import (
-    build_curve, default_params, straddle_jets, straddle_ratio,
+    CounterexampleParams, build_curve, default_params, straddle_jets,
+    straddle_ratio,
 )
 from heislusin.intervalsets import rational_to_str
 from heislusin.jets import Jet, JetTriple
+from heislusin.polynomials import Polynomial
 
 
 def invoke(capsys, *argv):
@@ -332,6 +335,35 @@ class TestVerify:
         assert "FAIL" not in out
         assert "component increments equal 4 h_n^2 (63 components)" in out
 
+    def test_w_ratio_rising_at_the_last_step_fails(self, capsys, monkeypatch):
+        # w_n past the depth only enters the tail sums, and large enough
+        # there it makes every w tail ratio rise at n = depth
+        def rising(depth):
+            d = default_params(depth)
+            return CounterexampleParams(
+                d.h_seq, d.lambda_seq,
+                lambda n: d.w_seq(n) if n <= depth else F(1, 2 ** (6 * n)),
+                depth,
+            )
+
+        monkeypatch.setattr(cli, "default_params", rising)
+        status, out, _ = invoke(
+            capsys, "counterexample", "verify", "--depth", "4"
+        )
+        assert status == 1
+        fails = [line for line in out.splitlines() if line.startswith("FAIL")]
+        assert fails == [
+            "FAIL w tail ratio (p=%d) eventually decreasing" % p
+            for p in range(1, 5)
+        ]
+
+    def test_one_ratio_shows_no_decrease(self, capsys):
+        status, out, _ = invoke(
+            capsys, "counterexample", "verify", "--depth", "1"
+        )
+        assert status == 1
+        assert "FAIL w tail ratio (p=1) eventually decreasing" in out
+
 
 class TestBuild:
     def test_deterministic_artifacts(self, capsys, tmp_path):
@@ -407,6 +439,23 @@ class TestJetsCheck:
         assert status == 1
         assert json.loads(out)["verdict"] == "fail"
 
+    def test_verdict_ignores_ladder_order(self, capsys, tmp_path):
+        # F has a large modulus at scale 1 and none at 1/32: the verdict
+        # reads the smallest scale, whichever end of the ladder it is
+        sites = (0, F(1, 64), F(1, 2), F(33, 64))
+        cubic = Jet.from_polynomial(Polynomial((0, 1, 0, 1)), sites, 3)
+        square = Jet.from_polynomial(Polynomial((1, 0, 2)), sites, 3)
+        f = Jet(3, sites, cubic.values[:2] + square.values[2:])
+        z = Jet(3, sites, tuple((0,) * 4 for _ in sites))
+        p = tmp_path / "triple.json"
+        p.write_text(json.dumps(JetTriple(f, z, z).to_json_obj()))
+        for ladder in ("1,1/32", "1/32,1"):
+            status, out, _ = invoke(
+                capsys, "jets", "check", "--input", str(p), "--ladder", ladder
+            )
+            assert status == 0, ladder
+            assert json.loads(out)["verdict"] == "pass"
+
     def test_order_mismatch(self, capsys, tmp_path):
         p = tmp_path / "zero.json"
         write_zero_triple(p, m=2)
@@ -470,6 +519,55 @@ class TestDiffAndSieve:
         lines = out.splitlines()
         assert lines[0] == "rho,value"
         assert len(lines) == 3
+
+    @pytest.mark.parametrize("p, scales", [
+        ("2", "1/8,1/%d" % 2**600), ("1", "1/%d" % 2**1100),
+    ], ids=["p2", "p1"])
+    def test_lp_past_the_float_range(self, capsys, tmp_path, p, scales):
+        # u(1/2) = 1/6, so the p-th power at the last scale is near
+        # 6^-p rho^-p, past the float range; its square root (p = 2) is
+        # 2^600/6, its first root (p = 1) is too large and prints inf
+        src = tmp_path / "in.csv"
+        src.write_text("t,f,g,h\n0,1/3,0,0\n1/3,0,0,0\n1,2/3,0,0\n")
+        status, out, err = invoke(
+            capsys, "diff", "lp", "--input", str(src), "--x", "1/2",
+            "--m", "1", "--p", p, "--scales", scales,
+        )
+        assert status == 0, err
+        value = float(out.splitlines()[-1].split(",")[1])
+        assert value == math.inf if p == "1" else math.isclose(
+            value, 2**600 / 6)
+
+    # u = |t - 53/128| sampled at t = i/32 and at the kink, compared with
+    # the quadratic (t - 53/128)^2 + 1/16, which it crosses at irrational
+    # points; stdout recorded before the piece loops became one span walk
+    KINK = F(53, 128)
+    KINK_POLY = "--poly=%s,%s,1" % (KINK * KINK + F(1, 16), -2 * KINK)
+
+    @pytest.fixture
+    def kink_csv(self, tmp_path):
+        ts = sorted({F(i, 32) for i in range(33)} | {self.KINK})
+        src = tmp_path / "kink.csv"
+        src.write_text("t,f,g,h\n" + "".join(
+            "%s,%s,0,0\n" % (t, abs(t - self.KINK)) for t in ts))
+        return str(src)
+
+    @pytest.mark.parametrize("argv, digest", [
+        (("diff", "lp", "--x", "53/128", "--m", "1", "--p", "1",
+          "--scales", "1/4,1/8,1/16,1/32"),
+         "a087d4ab5fa760a349eb2dfc815ef3c3e0c3a747eba87a769fb4f8f4845db28b"),
+        (("diff", "lp", "--x", "53/128", "--m", "1", "--p", "3",
+          "--scales", "1/4,1/8,1/16,1/32"),
+         "2be2588de8875d404fe8f0cb80573926e2e10b3bf4a550533ce8fb303c56bad3"),
+        (("diff", "density", "--x", "57/128", "--m", "1", "--eps", "1/2",
+          "--radius", "1/8"),
+         "89f31eeea5458c147ff69a3574ff32714882ff01a0bc092613218414698ba44d"),
+    ])
+    def test_kink_output_is_pinned(self, capsys, kink_csv, argv, digest):
+        status, out, _ = invoke(
+            capsys, *argv, "--input", kink_csv, self.KINK_POLY)
+        assert status == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_density(self, capsys, tmp_path):
         src = tmp_path / "in.csv"

@@ -85,6 +85,49 @@ class TestPiecewisePolynomial:
         jump = PiecewisePolynomial([0, F(1, 2), 1], [poly(0), poly(1)])
         assert cont.is_continuous() and not jump.is_continuous()
 
+    def test_equal_by_value(self):
+        a = PiecewisePolynomial([0, F(1, 2), 1], [poly(0, 1), poly(0, 1)])
+        b = PiecewisePolynomial((0, F(1, 2), 1), (poly(0, 1), poly(0, 1)))
+        assert a == b and hash(a) == hash(b)
+        assert a != PiecewisePolynomial([0, F(1, 3), 1], a.pieces)
+
+
+ends = st.fractions(min_value=-1, max_value=2, max_denominator=6)
+
+
+@st.composite
+def pieces_and_ends(draw):
+    """A piecewise polynomial on [0, 1] and two ends that may lie outside
+    the domain, coincide, come in either order or sit on breakpoints."""
+    bps = sorted(draw(st.sets(
+        st.fractions(min_value=0, max_value=1, max_denominator=6),
+        min_size=2, max_size=6)) | {F(0), F(1)})
+    pp = PiecewisePolynomial(
+        bps, [poly(i) for i in range(len(bps) - 1)])
+    at = st.sampled_from(bps) | ends
+    return pp, draw(at), draw(at)
+
+
+class TestSpans:
+    @given(pieces_and_ends())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_full_scan(self, case):
+        pp, a, b = case
+        ref = []
+        for i, piece in enumerate(pp.pieces):
+            lo = max(a, pp.breakpoints[i])
+            hi = min(b, pp.breakpoints[i + 1])
+            if lo < hi:
+                ref.append((lo, hi, piece))
+        assert list(pp.spans(a, b)) == ref
+
+    def test_clipped_to_domain(self):
+        pp = PiecewisePolynomial([0, F(1, 2), 1], [poly(1), poly(3)])
+        assert list(pp.spans(-1, 2)) == [
+            (0, F(1, 2), poly(1)), (F(1, 2), 1, poly(3))]
+        assert list(pp.spans(F(1, 2), 1)) == [(F(1, 2), 1, poly(3))]
+        assert list(pp.spans(1, 0)) == [] == list(pp.spans(2, 3))
+
 
 class TestLift:
     def test_diagonal_gives_constant(self):
@@ -122,18 +165,31 @@ class TestLift:
         assert c.f is c.f and c.g is c.g and c.h is c.h
         assert c.h.pieces == c.h_pieces
 
+    def test_separate_builds_compare_equal(self):
+        def build():
+            f = PiecewisePolynomial.linear([0, F(1, 3), 1], [0, 1, F(1, 2)])
+            g = PiecewisePolynomial.linear([0, F(1, 3), 1], [1, 0, 2])
+            return lift(f, g, F(1, 7))
+
+        c1, c2 = build(), build()
+        assert c1 is not c2 and c1 == c2
+        assert c1 != lift(c1.f, c1.g, 0)
+
 
 class TestPiecewiseCurve:
     def test_discontinuous_h_rejected(self):
         bps = [0, F(1, 2), 1]
-        zero = Polynomial.zero()
+        zero = PiecewisePolynomial(bps, (Polynomial.zero(),) * 2)
         with pytest.raises(ValueError, match="component h"):
-            PiecewiseCurve(bps, (zero, zero), (zero, zero), (poly(0), poly(1)))
+            PiecewiseCurve(zero, zero, PiecewisePolynomial(bps, (poly(0), poly(1))))
 
     def test_piece_count_mismatch_rejected(self):
         zero = Polynomial.zero()
-        with pytest.raises(ValueError, match="piece counts"):
-            PiecewiseCurve([0, 1], (zero,), (zero,), (zero, zero))
+        with pytest.raises(ValueError, match="share their breakpoints"):
+            PiecewiseCurve(single(zero), single(zero),
+                           PiecewisePolynomial([0, F(1, 2), 1], (zero, zero)))
+        with pytest.raises(ValueError, match="one piece per breakpoint gap"):
+            PiecewisePolynomial([0, 1], (zero, zero))
 
 
 class TestResiduals:
@@ -143,12 +199,12 @@ class TestResiduals:
 
     def test_diagonal_line_curve(self):
         t = poly(0, 1)
-        c = PiecewiseCurve((0, 1), (t,), (t,), (t,))
+        c = PiecewiseCurve(single(t), single(t), single(t))
         assert horizontality_residual(c) == 1
         assert higher_horizontality_residual(c, 1) == 1
 
     def test_flat_f_and_constant_h(self):
-        c = PiecewiseCurve((0, 1), (poly(0),), (poly(2, -1),), (poly(3),))
+        c = PiecewiseCurve(single(poly(0)), single(poly(2, -1)), single(poly(3)))
         assert horizontality_residual(c) == 0
 
     def test_higher_orders_vanish_on_lift(self):
@@ -176,7 +232,7 @@ def continuous_curves(draw):
                 p = p + (pieces[-1](lo) - p(lo))
             pieces.append(p)
         comps.append(tuple(pieces))
-    return PiecewiseCurve(tuple(bps), *comps)
+    return PiecewiseCurve(*(PiecewisePolynomial(bps, c) for c in comps))
 
 
 def binomial_residual(curve, k):
@@ -317,6 +373,34 @@ class TestExtendabilityReport:
         rep = extendability_report(bad)
         assert not rep.ode_pass and not rep.verdict
         assert rep.max_ode_residual == F(1, 100)
+
+    def test_verdict_ignores_ladder_order(self):
+        # F has a large modulus at scale 1 and none at 1/32; G = H = 0
+        sites = (0, F(1, 64), F(1, 2), F(33, 64))
+        cubic = Jet.from_polynomial(poly(0, 1, 0, 1), sites, 3)
+        square = Jet.from_polynomial(poly(1, 0, 2), sites, 3)
+        f = Jet(3, sites, cubic.values[:2] + square.values[2:])
+        z = Jet(3, sites, tuple((0,) * 4 for _ in sites))
+        t = JetTriple(f, z, z)
+        down = extendability_report(t, (1, F(1, 32)))
+        up = extendability_report(t, (F(1, 32), 1))
+        assert down.whitney_profiles["F"] == up.whitney_profiles["F"][::-1]
+        assert down.whitney_profiles["F"][0] > 0
+        for rep in (down, up):
+            assert (rep.whitney_pass, rep.ode_pass, rep.ratio_pass) == (
+                True, True, True)
+
+    def test_ratio_rule_reads_scales_downward(self):
+        # F = G = 0 and H steps by 1 between the two site clusters: A/V
+        # vanishes for the pairs 1/64 apart and not for the pairs across
+        sites = (0, F(1, 64), F(1, 2), F(33, 64))
+        z = Jet(2, sites, tuple((0, 0, 0) for _ in sites))
+        H = Jet(2, sites, ((0, 0, 0),) * 2 + ((1, 0, 0),) * 2)
+        t = JetTriple(z, z, H)
+        for ladder in ((1, F(1, 32)), (F(1, 32), 1)):
+            rep = extendability_report(t, ladder)
+            assert max(rep.ratio_profile) > 0 == min(rep.ratio_profile)
+            assert rep.ratio_pass and rep.verdict
 
     def test_report_serializes(self):
         c = lifted(poly(0, 1), poly(0, 1))

@@ -86,6 +86,24 @@ class TestLpLadder:
         vals = rep.power_values
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
+    @pytest.mark.parametrize("p, rho", [(2, F(1, 2**600)), (3, F(1, 2**400))])
+    def test_root_of_a_power_past_the_float_range(self, p, rho):
+        # the kink is 1/6 at x = 1/2, so the power is near 6^-p rho^-p
+        u = kink(F(1, 3))
+        rep = lp_remainder_ladder(u, Polynomial.zero(), F(1, 2), 1, p,
+                                  ladder=[F(1, 8), rho])
+        with pytest.raises(OverflowError):
+            float(rep.power_values[1])
+        assert math.isclose(rep.values[1], 1 / (6 * float(rho)))
+        assert rep.values[0] == float(rep.power_values[0]) ** (1.0 / p)
+
+    def test_root_past_the_float_range_is_inf(self):
+        u = kink(F(1, 3))
+        rep = lp_remainder_ladder(u, Polynomial.zero(), F(1, 2), 1, 1,
+                                  ladder=[F(1, 2**1100)])
+        assert rep.values == [math.inf]
+        assert rep.power_values[0] > 2**1090
+
     def test_csv_shape(self):
         u = single(CUBE, -1, 1)
         rep = lp_remainder_ladder(u, Polynomial.zero(), 0, 2, 1,

@@ -399,6 +399,16 @@ class TestCertifiedQuotient:
             for dd in (d - ed, d + ed):
                 assert abs(nn / dd - q.value) <= q.error
 
+    def test_uncertified_denominator_rejected(self):
+        # 1 +- 2 holds 1/10, where the quotient is 10: no finite bound
+        # around 1 is certified
+        with pytest.raises(ValueError, match="not certified positive"):
+            _quotient(CertifiedValue(F(1), True, F(0)),
+                      CertifiedValue(F(1), False, F(2)))
+        with pytest.raises(ValueError, match="not certified positive"):
+            _quotient(CertifiedValue(F(1), True, F(0)),
+                      CertifiedValue(F(1), False, F(1)))
+
     def test_irrational_crossing_is_certified(self):
         # y^2 - 2 changes sign at sqrt 2: the integral of |p| over [0, 2]
         # is 8 sqrt2/3 - 4/3, the sup norm is exactly 2
