@@ -225,15 +225,18 @@ def _cmd_ce_verify(args, fmt) -> int:
     )
     prep = check_params(params, p_max=args.p_max)
     check("sum 2^k lambda_k <= 4", prep["lambda_partial_sums"]["bounded_by_4"])
+    stepped = params.depth >= 2  # one value alone shows no monotone step
     check(
-        "h_n / lambda_n decreasing", prep["h_over_lambda"]["decreasing_from"] == 0
+        "h_n / lambda_n decreasing",
+        stepped and prep["h_over_lambda"]["decreasing_from"] == 0,
     )
     check(
-        "4^n h_n increasing", prep["four_pow_times_h"]["increasing_from"] == 0
+        "4^n h_n increasing",
+        stepped and prep["four_pow_times_h"]["increasing_from"] == 0,
     )
     check(
         "tail ratio sum 2^(k-n) h_k^2 / lambda_(n+1)^2 decreasing",
-        prep["h_tail_ratio"]["decreasing_from"] == 0,
+        stepped and prep["h_tail_ratio"]["decreasing_from"] == 0,
     )
     for p, entry in sorted(prep["w_tail_ratios"].items()):
         # one ratio alone, or a rise at the last step, shows no decrease

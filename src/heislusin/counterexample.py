@@ -15,10 +15,10 @@ obstruction.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
+from itertools import accumulate
 from typing import Callable, Optional
 
 from .curves import (
@@ -28,7 +28,7 @@ from .curves import (
     lift,
     velocity,
 )
-from .intervalsets import Interval, IntervalSet, _q, rational_to_str
+from .intervalsets import IntervalSet, _q, rational_to_str
 from .jets import Jet, JetTriple
 
 
@@ -95,7 +95,7 @@ class CounterexampleCurve:
     @cached_property
     def I_union(self) -> IntervalSet:
         """Union of all levels, computed on first use and kept."""
-        return IntervalSet(iv for lev in self.I_levels for iv in lev.intervals)
+        return reduce(IntervalSet.union, self.I_levels, IntervalSet.empty())
 
     def __call__(self, t):
         return self.curve(t)
@@ -204,29 +204,18 @@ def check_params(params: CounterexampleParams, p_max: int = 4,
 
 
 def build_intervals(params: CounterexampleParams) -> list:
-    """I_1..I_depth: level n+1 keeps the open interval of radius w_{n+1}
-    around each dyadic center k/2^{n+1} that misses all earlier levels."""
-    levels = []
-    # chosen components so far, kept sorted as (lo, hi) pairs
-    chosen = [(Fraction(1, 2) - params.w(1), Fraction(1, 2) + params.w(1))]
-    levels.append(IntervalSet([Interval(*chosen[0], False, False)]))
-    for n in range(2, params.depth + 1):
+    """I_1..I_depth: level n keeps the open interval of radius w_n around
+    each dyadic center k/2^n that misses all earlier levels."""
+    levels, earlier = [], IntervalSet.empty()
+    for n in range(1, params.depth + 1):
         w = params.w(n)
-        kept = []
-        for k in range(1, 2**n):
-            c = Fraction(k, 2**n)
-            lo, hi = c - w, c + w
-            i = bisect.bisect_left(chosen, (lo, lo))
-            # open intervals overlap iff lo < other.hi and hi > other.lo
-            if i < len(chosen) and hi > chosen[i][0]:
-                continue
-            if i > 0 and chosen[i - 1][1] > lo:
-                continue
-            kept.append((lo, hi))
-        levels.append(
-            IntervalSet(Interval(lo, hi, False, False) for lo, hi in kept)
-        )
-        chosen = sorted(chosen + kept)
+        # an open interval misses the earlier open ones exactly when the
+        # closed interval with the same ends does
+        centers = (Fraction(k, 2**n) for k in range(1, 2**n))
+        ends = [(c - w, c + w) for c in centers]
+        levels.append(IntervalSet.from_pairs(
+            [e for e in ends if earlier.first_piece(*e) is None], False, False))
+        earlier = earlier.union(levels[-1])
     return levels
 
 
@@ -293,9 +282,7 @@ def measure_report(C: CounterexampleCurve) -> dict:
         (Fraction(2) ** n * params.w(n) for n in range(1, N + 1)), Fraction(0)
     )
     shells = []
-    partial = IntervalSet.empty()
-    for n in range(1, N + 1):
-        partial = partial.union(C.I_levels[n - 1])
+    for n, partial in enumerate(accumulate(C.I_levels, IntervalSet.union), 1):
         lam = params.lam(n)
         A_n = partial.dilate(lam).subtract(I_all)
         bound = 2 * lam * Fraction(2**n - 1)

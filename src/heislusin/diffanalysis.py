@@ -13,6 +13,7 @@ Whitney field.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -34,9 +35,13 @@ from .polynomials import (
 class LadderReport:
     """Normalized remainder values over a decreasing ladder of scales.
 
-    `power_values` carries the exact p-th powers of the values (the
-    values themselves are p-th roots, generally irrational); exact
-    cross-scale and cross-exponent comparisons should use the powers.
+    `power_values` carries the p-th powers of the values (the values
+    themselves are p-th roots, generally irrational); cross-scale and
+    cross-exponent comparisons should use the powers. They are exact for
+    even p and whenever u - P changes sign only at rational points;
+    for odd p with irrational crossings each is certified only to within
+    tol / (2 rho^(1+mp)) of the true power, tol that of
+    `lp_remainder_ladder`.
     """
 
     scales: tuple
@@ -62,7 +67,9 @@ def lp_remainder_ladder(
     """[avg over B(x,rho) of |u - P|^p]^(1/p) / rho^m per ladder scale.
 
     Exact path: u piecewise polynomial, integer p. The report stores the
-    exact normalized p-th powers alongside float values.
+    normalized p-th powers alongside float values: exact, except for odd
+    p when u - P changes sign at irrational points, where the integral
+    is certified to `tol` and so each power to tol / (2 rho^(1+mp)).
     """
     if p < 1:
         raise ValueError("p must be a positive integer")
@@ -92,17 +99,21 @@ def lp_remainder_ladder(
 
 
 def _pth_root(power: Fraction, p: int) -> float:
-    """power^(1/p) as a float, also when power is past the float range;
-    inf only when the root itself is."""
+    """power^(1/p) as a float, also when power is past the float range
+    on either side; inf only when the root itself is."""
     try:
-        return float(power) ** (1.0 / p)
+        value = float(power)
     except OverflowError:
-        # math.log takes ints of any size
-        log = math.log(power.numerator) - math.log(power.denominator)
-        try:
-            return math.exp(log / p)
-        except OverflowError:
-            return math.inf
+        value = math.inf
+    if power == 0 or sys.float_info.min <= value < math.inf:
+        return value ** (1.0 / p)
+    # power = r 2^(p k) exactly, with r within a factor 2^(p+1) of 1, so
+    # float(r) keeps every bit and the root is r^(1/p) 2^k
+    k = (power.numerator.bit_length() - power.denominator.bit_length()) // p
+    try:
+        return math.ldexp(float(power / Fraction(2) ** (p * k)) ** (1.0 / p), k)
+    except OverflowError:
+        return math.inf
 
 
 # ---------------------------------------------------------------------------

@@ -10,17 +10,17 @@ is (x, 0) and an open start (x, 2); a closed stop is (x, 2) and an open
 stop (x, 0). An interval is then the half-open key range [start, stop):
 it is empty when start >= stop, holds x when start <= (x, 1) < stop,
 meets another in (max of the starts, min of the stops), and merges with
-a sorted neighbour whose start is at or before its stop. A set keeps
-its normalized ranges as one strictly increasing key list, start, stop,
+a sorted neighbour whose start is at or before its stop. A set is its
+normalized ranges as one strictly increasing key list, start, stop,
 start, stop, ..., and its algebra compares keys and nothing else.
 """
 
 from __future__ import annotations
 
 import bisect
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 
@@ -56,10 +56,6 @@ class Interval:
         start, stop = _encode(self)
         return start <= (_q(x), 1) < stop
 
-    def intersect(self, other: "Interval") -> "Interval":
-        (a, b), (c, d) = _encode(self), _encode(other)
-        return _decode(max(a, c), min(b, d))
-
     def to_json_obj(self) -> dict:
         return {
             "lo": rational_to_str(self.lo),
@@ -91,35 +87,44 @@ def _decode(start, stop) -> Interval:
 _UNIT_START, _UNIT_STOP = (0, 0), (1, 2)  # the key range of [0, 1]
 
 
+def _ranges(keys) -> Iterable[tuple]:  # the (start, stop) pairs of keys
+    return zip(keys[::2], keys[1::2])
+
+
+def _merge(ranges) -> list:
+    """The normalized key list of key ranges sorted by start: empty
+    ranges drop out, and a range that starts at or before the last stop
+    widens it."""
+    keys = []
+    for start, stop in ranges:
+        if not keys or start > keys[-1]:
+            if start < stop:
+                keys += start, stop
+        elif stop > keys[-1]:
+            keys[-1] = stop
+    return keys
+
+
 class IntervalSet:
-    """Normalized finite disjoint union of intervals, immutable.
+    """Normalized finite disjoint union of intervals, immutable: it is its
+    strictly increasing key list `_keys`. Only input from outside the
+    class is normalized; every set operation builds its keys in order."""
 
-    `_keys` lists the key ranges of `intervals` in order, flattened to
-    start, stop, start, stop, ...; it is strictly increasing.
-    """
-
-    __slots__ = ("intervals", "_keys")
+    __slots__ = ("_keys",)
 
     def __init__(self, intervals: Iterable[Interval] = ()):
-        runs = []
-        for iv in intervals:
-            start, stop = _encode(iv)
-            if start < stop:
-                runs.append((start, stop, iv))
-        runs.sort(key=itemgetter(0))
-        keys, kept = [], []  # kept: the input interval while it is unwidened
-        for start, stop, iv in runs:
-            if keys and start <= keys[-1]:
-                if stop > keys[-1]:
-                    keys[-1], kept[-1] = stop, None
-            else:
-                keys += start, stop
-                kept.append(iv)
-        self._keys = keys
-        self.intervals: tuple[Interval, ...] = tuple(
-            _decode(keys[2 * i], keys[2 * i + 1]) if iv is None else iv
-            for i, iv in enumerate(kept)
-        )
+        self._keys = _merge(sorted(map(_encode, intervals)))
+
+    @staticmethod
+    def _of(keys: list) -> "IntervalSet":
+        """The set whose normalized key list is `keys`, taken as is."""
+        s = IntervalSet.__new__(IntervalSet)
+        s._keys = keys
+        return s
+
+    @property
+    def intervals(self) -> tuple[Interval, ...]:
+        return tuple(_decode(start, stop) for start, stop in _ranges(self._keys))
 
     # -- constructors ---------------------------------------------------
 
@@ -148,25 +153,25 @@ class IntervalSet:
     # -- basic queries --------------------------------------------------
 
     def __bool__(self) -> bool:
-        return bool(self.intervals)
+        return bool(self._keys)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, IntervalSet) and self.intervals == other.intervals
+        return isinstance(other, IntervalSet) and self._keys == other._keys
 
     def __hash__(self):
-        return hash(self.intervals)
+        return hash(tuple(self._keys))
 
     def __repr__(self):
-        K = self._keys
         return "IntervalSet{%s}" % " u ".join(
             "%s%s, %s%s" % ("[("[start[1] // 2], start[0], stop[0],
                             ")]"[stop[1] // 2])
-            for start, stop in zip(K[::2], K[1::2])
+            for start, stop in _ranges(self._keys)
         )
 
     def measure(self) -> Fraction:
-        # a normalized set holds no empty interval
-        return sum((iv.hi - iv.lo for iv in self.intervals), Fraction(0))
+        # a normalized set holds no empty range
+        return sum((stop[0] - start[0] for start, stop in _ranges(self._keys)),
+                   Fraction(0))
 
     def contains(self, x) -> bool:
         """x is in the set iff an odd number of keys lie below (x, 1)."""
@@ -177,7 +182,7 @@ class IntervalSet:
 
     def distance(self, x) -> Fraction:
         """Infimum distance from x to the set (error on empty set)."""
-        if not self.intervals:
+        if not self._keys:
             raise ValueError("distance to empty set is undefined")
         x = _q(x)
         return min(max(iv.lo - x, x - iv.hi, Fraction(0)) for iv in self.intervals)
@@ -185,7 +190,9 @@ class IntervalSet:
     # -- set algebra ----------------------------------------------------
 
     def union(self, other: "IntervalSet") -> "IntervalSet":
-        return IntervalSet(self.intervals + other.intervals)
+        """One merge of both key lists by start, O(N + M)."""
+        return IntervalSet._of(_merge(heapq.merge(
+            _ranges(self._keys), _ranges(other._keys))))
 
     def intersect(self, other: "IntervalSet") -> "IntervalSet":
         """Two pointers over both key lists, O(N + M)."""
@@ -202,8 +209,8 @@ class IntervalSet:
                 stop = B[j + 1]
                 j += 2
             if start < stop:
-                out.append(_decode(start, stop))
-        return IntervalSet(out)
+                out += start, stop
+        return IntervalSet._of(out)
 
     def subtract(self, other: "IntervalSet") -> "IntervalSet":
         """A cut loop over both key lists, O(N + M).
@@ -212,7 +219,8 @@ class IntervalSet:
         ranges of other that meet it: what lies before a cut's start is
         kept, and the rest starts at the cut's stop. Ranges of other that
         stop before a range of self starts are passed for good, since the
-        later ranges of self start later still.
+        later ranges of self start later still. Only the rest after the
+        last cut can be empty.
         """
         A, B = self._keys, other._keys
         out = []
@@ -226,24 +234,26 @@ class IntervalSet:
                 start = B[k + 1]
                 k += 2
             while k < len(B) and B[k] < stop:
-                out.append(_decode(start, B[k]))
+                out += start, B[k]
                 start = B[k + 1]
                 k += 2
-            out.append(_decode(start, stop))  # dropped by __init__ if empty
-        return IntervalSet(out)
+            if start < stop:
+                out += start, stop
+        return IntervalSet._of(out)
 
     def dilate(self, lam) -> "IntervalSet":
         """Open lam-neighborhood of the set, clipped to [0,1]."""
         lam = _q(lam)
         if lam < 0:
             raise ValueError("dilation radius must be nonnegative")
-        K = self._keys
-        out = []
-        for start, stop in zip(K[::2], K[1::2]):
-            if lam:
-                start, stop = (start[0] - lam, 2), (stop[0] + lam, 0)
-            out.append(_decode(max(start, _UNIT_START), min(stop, _UNIT_STOP)))
-        return IntervalSet(out)
+        ranges = _ranges(self._keys)
+        if lam:
+            ranges = (((start[0] - lam, 2), (stop[0] + lam, 0))
+                      for start, stop in ranges)
+        # dilation and the clip keep the ranges sorted by start
+        return IntervalSet._of(_merge(
+            (max(start, _UNIT_START), min(stop, _UNIT_STOP))
+            for start, stop in ranges))
 
     def clip(self, a, b) -> "IntervalSet":
         return self.intersect(IntervalSet.closed(a, b))
@@ -262,7 +272,7 @@ class IntervalSet:
 
     def _piece(self, i, lo, hi) -> Optional[Interval]:
         """Range i of self clipped to the key range [lo, hi), or None."""
-        if not 0 <= i < len(self.intervals):
+        if not 0 <= 2 * i < len(self._keys):
             return None
         start, stop = max(self._keys[2 * i], lo), min(self._keys[2 * i + 1], hi)
         return _decode(start, stop) if start < stop else None

@@ -182,12 +182,26 @@ class Jet:
 
     @staticmethod
     def from_json_obj(obj: dict, key: str = "F") -> "Jet":
-        m = int(obj["m"])
-        sites, values = [], []
-        for rec in obj["sites"]:
-            sites.append(Fraction(rec["x"]))
-            values.append(tuple(Fraction(v) for v in rec[key]))
-        return Jet(m, tuple(sites), tuple(values))
+        """The `key` jet of a JSON object; ValueError on a malformed shape."""
+        m = obj.get("m") if isinstance(obj, dict) else None
+        if type(m) is not int or m < 0:  # a bool is not an int here
+            raise ValueError("jet JSON needs an object with an integer m >= 0")
+        recs = obj.get("sites")
+        if not isinstance(recs, list) or not all(
+            isinstance(rec, dict) and "x" in rec and isinstance(rec.get(key), list)
+            for rec in recs
+        ):
+            raise ValueError(
+                'jet JSON "sites" must be a list of objects with "x" and a '
+                'list "%s"' % key
+            )
+        try:
+            sites = tuple(Fraction(rec["x"]) for rec in recs)
+            values = tuple(tuple(Fraction(v) for v in rec[key]) for rec in recs)
+        except (TypeError, OverflowError):  # null, a list, an infinity
+            raise ValueError("jet JSON values must be finite numbers or "
+                             "rational strings") from None
+        return Jet(m, sites, values)
 
 
 @dataclass(frozen=True)

@@ -364,6 +364,15 @@ class TestVerify:
         assert status == 1
         assert "FAIL w tail ratio (p=1) eventually decreasing" in out
 
+    def test_one_value_shows_no_monotone_step(self, capsys):
+        _, out, _ = invoke(capsys, "counterexample", "verify", "--depth", "1")
+        for label in (
+            "h_n / lambda_n decreasing",
+            "4^n h_n increasing",
+            "tail ratio sum 2^(k-n) h_k^2 / lambda_(n+1)^2 decreasing",
+        ):
+            assert "FAIL " + label in out.splitlines()
+
 
 class TestBuild:
     def test_deterministic_artifacts(self, capsys, tmp_path):
@@ -463,6 +472,28 @@ class TestJetsCheck:
             capsys, "jets", "check", "--input", str(p), "--m", "3"
         )
         assert status == 2
+
+    @pytest.mark.parametrize("edit", [
+        lambda obj: [obj],
+        lambda obj: dict(obj, sites="ab"),
+        lambda obj: dict(obj, m=1.5),
+        lambda obj: dict(obj, m=True),
+        lambda obj: dict(obj, m=-1),
+        lambda obj: dict(obj, sites=[dict(obj["sites"][0], x=None)]
+                         + obj["sites"][1:]),
+        lambda obj: dict(obj, sites=[dict(obj["sites"][0], F=[0, math.inf])]
+                         + obj["sites"][1:]),
+    ], ids=["top-level list", "sites string", "m float", "m bool",
+            "m negative", "x null", "F infinite"])
+    def test_malformed_json_is_a_usage_error(self, capsys, tmp_path, edit):
+        # exit 1 means "failed check", so a malformed file must not reach it
+        p = tmp_path / "zero.json"
+        write_zero_triple(p, m=1)
+        p.write_text(json.dumps(edit(json.loads(p.read_text()))))
+        status, out, err = invoke(capsys, "jets", "check", "--input", str(p))
+        assert status == 2
+        assert out == "" and err.startswith("error: ")
+        assert "Traceback" not in err
 
 
 class TestCurveLift:

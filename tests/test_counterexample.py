@@ -161,6 +161,31 @@ class TestIntervals:
         for n, lev in enumerate(levels[:6], start=1):
             assert len(lev.intervals) == 2 ** (n - 1)
 
+    @pytest.mark.parametrize("w_seq", [
+        lambda n: F(1, 2 ** (n * (n + 6))),  # the default
+        lambda n: F(1, 2 ** (6 * n)),  # the widest the params accept
+    ], ids=["default", "widest"])
+    def test_levels_match_pairwise_overlap_oracle(self, w_seq):
+        # open (a, b) and (c, d) meet iff a < d and c < b; every earlier
+        # component is compared with every centre, no interval algebra
+        d = default_params(7)
+        p = CounterexampleParams(d.h_seq, d.lambda_seq, w_seq, 7)
+        chosen, rejected = [], 0
+        for n, lev in enumerate(build_intervals(p), start=1):
+            w = p.w(n)
+            kept = []
+            for k in range(1, 2**n):
+                lo, hi = F(k, 2**n) - w, F(k, 2**n) + w
+                if all(not (lo < b and a < hi) for a, b in chosen):
+                    kept.append((lo, hi))
+                elif k % 2:
+                    rejected += 1
+            assert [(iv.lo, iv.hi, iv.lo_closed, iv.hi_closed)
+                    for iv in lev.intervals] == [
+                        (lo, hi, False, False) for lo, hi in kept]
+            chosen += kept
+        assert rejected > 0  # some odd centres meet an earlier component
+
     def test_levels_pairwise_disjoint(self):
         levels = build_intervals(default_params(8))
         union = IntervalSet.empty()

@@ -4,6 +4,7 @@ import json
 import math
 from fractions import Fraction as F
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from heislusin.counterexample import build_curve, default_params
 from heislusin.curves import PiecewisePolynomial
 from heislusin.diffanalysis import (
+    _pth_root,
     approx_density,
     lp_remainder_ladder,
     whitney_sieve,
@@ -96,6 +98,27 @@ class TestLpLadder:
             float(rep.power_values[1])
         assert math.isclose(rep.values[1], 1 / (6 * float(rho)))
         assert rep.values[0] == float(rep.power_values[0]) ** (1.0 / p)
+
+    @pytest.mark.parametrize("power, p", [
+        (F(1, 10**400), 2), (F(10**400, 3), 2), (F(1, 3**900), 7),
+    ])
+    def test_root_of_a_power_below_or_above_the_float_range(self, power, p):
+        with mpmath.workdps(50):
+            root = mpmath.root(mpmath.mpf(power.numerator) / power.denominator,
+                               p)
+            assert abs(_pth_root(power, p) - root) <= 1e-15 * root
+
+    def test_root_of_a_power_below_the_float_range(self):
+        # y^3 on (-rho, rho): the 8th power averages to rho^24 / 25, far
+        # below the float range, and its 8th root is about 2^-600
+        u = single(CUBE, -1, 1)
+        rho = F(1, 2**200)
+        rep = lp_remainder_ladder(u, Polynomial.zero(), 0, 0, 8, [rho])
+        assert rep.power_values == [rho**24 / 25]
+        assert float(rep.power_values[0]) == 0.0
+        with mpmath.workdps(50):
+            root = mpmath.root(mpmath.mpf(2) ** -4800 / 25, 8)
+            assert abs(rep.values[0] - root) <= 1e-15 * root
 
     def test_root_past_the_float_range_is_inf(self):
         u = kink(F(1, 3))

@@ -138,6 +138,11 @@ class TestAlgebra:
         points = ends + [(a + b) / 2 for a, b in zip(ends, ends[1:])]
         join, diff, meet = s.union(t), s.subtract(t), s.intersect(t)
         grown = s.dilate(lam)
+        for out in (join, diff, meet, grown):
+            # built in order: re-normalizing the output changes nothing
+            assert all(a < b for a, b in zip(out._keys, out._keys[1:]))
+            again = IntervalSet(out.intervals)
+            assert again == out and again.intervals == out.intervals
 
         def near(x):
             # the open lam-neighbourhood; lam = 0 leaves the set itself
@@ -162,6 +167,7 @@ class TestAlgebra:
                     IntervalSet(raw_s + raw_t),
                     IntervalSet.from_json_obj(s.to_json_obj())):
             assert_canonical(out)
+            assert all(k < l for k, l in zip(out._keys, out._keys[1:]))
         for piece in (s.first_piece(a, b), s.last_piece(a, b)):
             assert piece is None or not piece.empty
 
