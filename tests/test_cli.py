@@ -590,6 +590,9 @@ class TestDiffAndSieve:
         (("diff", "lp", "--x", "53/128", "--m", "1", "--p", "3",
           "--scales", "1/4,1/8,1/16,1/32"),
          "2be2588de8875d404fe8f0cb80573926e2e10b3bf4a550533ce8fb303c56bad3"),
+        (("diff", "lp", "--x", "53/128", "--m", "1", "--p", "2",
+          "--scales", "1/4,1/8,1/16,1/32"),
+         "a8ade5fda58acc9e41c13a96476f74a2c6f9f3fa6a06e9c0ecdf88213d86e246"),
         (("diff", "density", "--x", "57/128", "--m", "1", "--eps", "1/2",
           "--radius", "1/8"),
          "89f31eeea5458c147ff69a3574ff32714882ff01a0bc092613218414698ba44d"),

@@ -91,6 +91,29 @@ class TestPiecewisePolynomial:
         assert a == b and hash(a) == hash(b)
         assert a != PiecewisePolynomial([0, F(1, 3), 1], a.pieces)
 
+    # |u - q|^p where u - q crosses zero at irrational points; recorded
+    # while abs_power_integral still added values and errors by hand
+    @pytest.mark.parametrize("p, digest", [
+        (1, "757f88d6b066865b94d09dc361de5ec831c7e13014aeb3fd3d6f4feb4c455671"),
+        (2, "064f17ca1a1442cdfb0527446764afea5c9ebd7bc28a9b31210a0eaa153d4a34"),
+        (3, "808adeb2b9b1708ee354af2f800b1d15a425f2cff3067491c781418bc29d176d"),
+        (4, "1583be67ebd58a2f9255f675ae67c9cf829da45e09ddf19a192e4125cb2e9bc2"),
+        (5, "33ae9201ea58faefb3a15cd24ed1ab129346264bc63f9fb31b37a83310cfdf5f"),
+    ])
+    def test_abs_power_integral_is_pinned(self, p, digest):
+        cases = [
+            (PiecewisePolynomial.linear((0, 1, 2), (0, 1, 0)),
+             poly(F(1, 8), 0, 1), 0, 2),
+            (PiecewisePolynomial.linear(
+                (0, F(1, 3), F(1, 2), 1), (F(1, 3), 1, F(-1, 2), 0)),
+             poly(F(-1, 2), 0, 2), F(1, 5), F(9, 10)),
+        ]
+        values = [u.abs_power_integral(q, a, b, p) for u, q, a, b in cases]
+        assert [v.exact for v in values] == [p % 2 == 0] * 2
+        text = "".join("%s %s %s\n" % (v.value, v.exact, v.error)
+                       for v in values)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
 
 ends = st.fractions(min_value=-1, max_value=2, max_denominator=6)
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction as F
@@ -422,6 +423,56 @@ class TestCertifiedQuotient:
             ):
                 assert not got.exact and 0 < got.error < F(1, 10**6)
                 assert abs(mp(got.value) - want) <= mp(got.error)
+
+
+def triples_digest(values):
+    """sha256 of the exact (value, exact, error) triples, one per line."""
+    text = "".join("%s %s %s\n" % (v.value, v.exact, v.error) for v in values)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+SQ2, CUBIC = P(-2, 0, 1), P(1, -3, 0, 1)  # roots +-sqrt 2; 2 cos(2 pi k/9)
+
+
+class TestCertifiedPins:
+    """Certified values on polynomials with irrational roots, pinned to
+    the exact Fractions and flags recorded while `intmax_ratio`,
+    `degiorgi_ratio` and `prefix_abs_integrals` still added and divided
+    errors by hand."""
+
+    @pytest.mark.parametrize("values, digest", [
+        (lambda: [intmax_ratio(SQ2, 0, 2)],
+         "85b4f5c1dbbfe703d804eee92a5635dcf06c771d188683863136b46bf17b3b93"),
+        (lambda: [intmax_ratio(SQ2, F(-3, 2), 2)],
+         "b32bd32385b674653dc12ccd158adbf3c63d03ecf95661a4e08582fd0e575a16"),
+        (lambda: [intmax_ratio(SQ2, 1, 2)],
+         "285d8c8ca8db2643bc01f09fb3e8d8ab95c450d13aa9917e2cfd86262e259842"),
+        (lambda: [intmax_ratio(CUBIC, -2, 2)],
+         "63b7187d420cdfdcea79799950454b5eff0f7576be1bc46e3ebdbdb8cd023317"),
+        (lambda: [intmax_ratio(CUBIC, 0, 1)],
+         "e8dd55cfe6fa11a53bce50d7111eda0099667d1b22f9cd2c295c8ec538d8f9f8"),
+        (lambda: [degiorgi_ratio(SQ2, 1, 1, IntervalSet.closed(0, 2), 0)],
+         "d6639fd7a744ce3deb7bb3ecd41386746c63e54ccbcfbec83a966e4ce12d1be7"),
+        (lambda: [degiorgi_ratio(
+            CUBIC, 0, 2, IntervalSet.closed(-2, -1).union(
+                IntervalSet.closed(0, 2)), 1)],
+         "5a8ce3c4f5d4f472d7a39bea6968b3d1c48c8bfb0b384f2a3c6a5366f234db44"),
+        (lambda: [degiorgi_ratio(
+            CUBIC, 0, 2, IntervalSet.closed(-2, -1).union(
+                IntervalSet.closed(F(-1, 2), 0)), 0)],
+         "aa200c2a3e835a2aaebf0eaceea821ed9ee40882c956d744c01a50f7846a44ff"),
+        (lambda: prefix_abs_integrals(CUBIC, -2, (-1, 0, F(1, 2), 1, 2)),
+         "b40eb4b3feb7a9c960650072dc7f5527b42ffc64996c4a18875cb911caa1f513"),
+        (lambda: prefix_abs_integrals(SQ2, 0, (1, F(3, 2), 2)),
+         "5dcae1e75f85ce0ee329fc82ce058660393bb622b7776f9e236417c7984b2fc3"),
+    ], ids=["intmax sq2 0..2", "intmax sq2 -3/2..2", "intmax sq2 1..2",
+            "intmax cubic -2..2", "intmax cubic 0..1", "degiorgi sq2",
+            "degiorgi cubic k1", "degiorgi cubic mixed parts",
+            "prefix cubic", "prefix sq2"])
+    def test_triples_are_pinned(self, values, digest):
+        values = values()
+        assert any(not v.exact for v in values)
+        assert triples_digest(values) == digest
 
 
 class TestDeGiorgi:
