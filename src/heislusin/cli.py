@@ -148,7 +148,11 @@ def read_curve_csv(path):
             line = line.strip()
             if not line:
                 continue
-            t, f, g, h = (Fraction(c) for c in line.split(","))
+            try:
+                t, f, g, h = (Fraction(c) for c in line.split(","))
+            except ZeroDivisionError:
+                raise ValueError("zero denominator in curve CSV row %r"
+                                 % line) from None
             rows.append((t, f, g, h))
     if len(rows) < 2:
         raise ValueError("need at least two sample rows")

@@ -105,20 +105,13 @@ class PiecewisePolynomial:
         """integral over [a,b] of |self - q|^p, p a positive integer."""
         if p < 1:
             raise ValueError("p must be a positive integer")
-        total = Fraction(0)
-        exact = True
-        error = Fraction(0)
         n = len(self.pieces)
+        total = CertifiedValue(Fraction(0))
         for lo, hi, piece in self.spans(a, b):
             d = (piece - q) ** p
-            if p % 2 == 0:
-                total += d.integral(lo, hi)
-            else:
-                part = abs_integral(d, lo, hi, tol=tol / n)
-                total += part.value
-                exact = exact and part.exact
-                error += part.error
-        return CertifiedValue(total, exact, error)
+            total += (CertifiedValue(d.integral(lo, hi)) if p % 2 == 0
+                      else abs_integral(d, lo, hi, tol=tol / n))
+        return total
 
     @staticmethod
     def linear(ts: Sequence, ys: Sequence) -> "PiecewisePolynomial":

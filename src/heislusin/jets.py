@@ -198,7 +198,8 @@ class Jet:
         try:
             sites = tuple(Fraction(rec["x"]) for rec in recs)
             values = tuple(tuple(Fraction(v) for v in rec[key]) for rec in recs)
-        except (TypeError, OverflowError):  # null, a list, an infinity
+        except (TypeError, OverflowError, ZeroDivisionError):
+            # null, a list, an infinity, "1/0"
             raise ValueError("jet JSON values must be finite numbers or "
                              "rational strings") from None
         return Jet(m, sites, values)

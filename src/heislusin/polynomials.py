@@ -403,14 +403,36 @@ def _coeff_bound(p: Polynomial, a: Fraction, b: Fraction) -> Fraction:
 
 @dataclass
 class CertifiedValue:
-    """A rational value plus an exactness flag and error bound."""
+    """A rational value plus an exactness flag and error bound;
+    `CertifiedValue(x)` is exact. `+` and `/` carry both: the result is
+    exact only when both operands are, and its bound covers theirs."""
 
     value: Fraction
-    exact: bool
-    error: Fraction
+    exact: bool = True
+    error: Fraction = Fraction(0)
 
     def __float__(self):
         return float(self.value)
+
+    def __add__(self, other: "CertifiedValue") -> "CertifiedValue":
+        return CertifiedValue(self.value + other.value,
+                              self.exact and other.exact,
+                              self.error + other.error)
+
+    def __truediv__(self, other: "CertifiedValue") -> "CertifiedValue":
+        """self / other for other > 0, with the error bound propagated
+        from both: |n/d - n'/d'| <= e_n / d_lo + n e_d / (d_lo d),
+        d_lo = d - e_d; ValueError when d_lo <= 0, as other is then not
+        certified positive."""
+        ratio = self.value / other.value
+        if self.exact and other.exact:
+            return CertifiedValue(ratio)
+        den_lo = other.value - other.error
+        if den_lo <= 0:
+            raise ValueError("denominator not certified positive")
+        error = (self.error / den_lo
+                 + self.value * other.error / (den_lo * other.value))
+        return CertifiedValue(ratio, False, error)
 
 
 def abs_integral(p: Polynomial, a, b, tol: Fraction = DEFAULT_TOL) -> CertifiedValue:
@@ -444,7 +466,7 @@ def prefix_abs_integrals(p: Polynomial, a, ends, tol: Fraction = DEFAULT_TOL) ->
         raise ValueError("require a <= b, with the ends nondecreasing")
     last = ends[-1]
     if p.is_zero or a == last:
-        return [CertifiedValue(Fraction(0), True, Fraction(0)) for _ in ends]
+        return [CertifiedValue(Fraction(0)) for _ in ends]
     roots = isolate_roots(p, a, last)
     bound = _coeff_bound(p, a, last)
     if roots:
@@ -455,8 +477,7 @@ def prefix_abs_integrals(p: Polynomial, a, ends, tol: Fraction = DEFAULT_TOL) ->
     out = []
     passed = Fraction(0)  # integral of |p| from a to the last break below b
     F_break = F(a)
-    exact = True
-    error = Fraction(0)
+    cost = CertifiedValue(Fraction(0))  # of the brackets starting below b
     n_breaks = n_costed = 0
     for b in ends:
         while n_breaks < len(roots) and roots[n_breaks].midpoint < b:
@@ -467,10 +488,10 @@ def prefix_abs_integrals(p: Polynomial, a, ends, tol: Fraction = DEFAULT_TOL) ->
         while n_costed < len(roots) and roots[n_costed].lo < b:
             enc = roots[n_costed]
             if enc.exact is None:
-                exact = False
-                error += 2 * enc.width * bound
+                cost += CertifiedValue(
+                    Fraction(0), False, 2 * enc.width * bound)
             n_costed += 1
-        out.append(CertifiedValue(passed + abs(F(b) - F_break), exact, error))
+        out.append(cost + CertifiedValue(passed + abs(F(b) - F_break)))
     return out
 
 
@@ -480,7 +501,7 @@ def sup_norm(p: Polynomial, a, b, tol: Fraction = DEFAULT_TOL) -> CertifiedValue
     if a > b:
         raise ValueError("require a <= b")
     if p.is_zero:
-        return CertifiedValue(Fraction(0), True, Fraction(0))
+        return CertifiedValue(Fraction(0))
     candidates = [abs(p(a)), abs(p(b))]
     exact = True
     error = Fraction(0)
@@ -512,25 +533,8 @@ def intmax_ratio(p: Polynomial, a, b, tol: Fraction = DEFAULT_TOL) -> CertifiedV
         raise ValueError("ratio undefined for the zero polynomial")
     if a >= b:
         raise ValueError("require a < b")
-    integral = abs_integral(p, a, b, tol=tol * (b - a) / 4)
-    mean = CertifiedValue(
-        integral.value / (b - a), integral.exact, integral.error / (b - a)
-    )
-    return _quotient(mean, sup_norm(p, a, b, tol=tol / 4))
-
-
-def _quotient(num: CertifiedValue, den: CertifiedValue) -> CertifiedValue:
-    """num / den for den > 0, with the error bound propagated from both:
-    |n/d - n'/d'| <= e_n / d_lo + n e_d / (d_lo d), d_lo = d - e_d;
-    ValueError when d_lo <= 0, as den is then not certified positive."""
-    ratio = num.value / den.value
-    if num.exact and den.exact:
-        return CertifiedValue(ratio, True, Fraction(0))
-    den_lo = den.value - den.error
-    if den_lo <= 0:
-        raise ValueError("denominator not certified positive")
-    error = num.error / den_lo + num.value * den.error / (den_lo * den.value)
-    return CertifiedValue(ratio, False, error)
+    return (abs_integral(p, a, b, tol=tol * (b - a) / 4)
+            / CertifiedValue(b - a) / sup_norm(p, a, b, tol=tol / 4))
 
 
 def truncate_shifted(p: Polynomial, x, m: int) -> Polynomial:
@@ -560,21 +564,13 @@ def degiorgi_ratio(
     if r <= 0:
         raise ValueError("require r > 0")
     ball = IntervalSet.closed(x - r, x + r)
-    if E.subtract(ball).measure() != 0:
+    if E.subtract(ball):
         raise ValueError("E must be contained in [x-r, x+r]")
     if E.measure() == 0:
         raise ValueError("E must have positive measure")
-    total = Fraction(0)
-    exact = True
-    error = Fraction(0)
-    n_parts = max(1, len(E.intervals))
-    for iv in E.intervals:
-        part = abs_integral(p, iv.lo, iv.hi, tol=tol / n_parts)
-        total += part.value
-        exact = exact and part.exact
-        error += part.error
-    if total == 0:
+    parts = E.intervals  # nonempty, as E has positive measure
+    total = sum((abs_integral(p, iv.lo, iv.hi, tol=tol / len(parts))
+                 for iv in parts), CertifiedValue(Fraction(0)))
+    if total.value == 0:
         raise ValueError("integral of |p| over E vanishes")
-    num = r ** (1 + k) * abs(p.derivative(k)(x))
-    return _quotient(CertifiedValue(num, True, Fraction(0)),
-                     CertifiedValue(total, exact, error))
+    return CertifiedValue(r ** (1 + k) * abs(p.derivative(k)(x))) / total

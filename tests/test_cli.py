@@ -483,8 +483,10 @@ class TestJetsCheck:
                          + obj["sites"][1:]),
         lambda obj: dict(obj, sites=[dict(obj["sites"][0], F=[0, math.inf])]
                          + obj["sites"][1:]),
+        lambda obj: dict(obj, sites=[dict(obj["sites"][0], F=["1/0", "0"])]
+                         + obj["sites"][1:]),
     ], ids=["top-level list", "sites string", "m float", "m bool",
-            "m negative", "x null", "F infinite"])
+            "m negative", "x null", "F infinite", "F zero denominator"])
     def test_malformed_json_is_a_usage_error(self, capsys, tmp_path, edit):
         # exit 1 means "failed check", so a malformed file must not reach it
         p = tmp_path / "zero.json"
@@ -590,12 +592,12 @@ class TestDiffAndSieve:
         (("diff", "lp", "--x", "53/128", "--m", "1", "--p", "3",
           "--scales", "1/4,1/8,1/16,1/32"),
          "2be2588de8875d404fe8f0cb80573926e2e10b3bf4a550533ce8fb303c56bad3"),
-        (("diff", "lp", "--x", "53/128", "--m", "1", "--p", "2",
-          "--scales", "1/4,1/8,1/16,1/32"),
-         "a8ade5fda58acc9e41c13a96476f74a2c6f9f3fa6a06e9c0ecdf88213d86e246"),
         (("diff", "density", "--x", "57/128", "--m", "1", "--eps", "1/2",
           "--radius", "1/8"),
          "89f31eeea5458c147ff69a3574ff32714882ff01a0bc092613218414698ba44d"),
+        (("diff", "lp", "--x", "53/128", "--m", "1", "--p", "2",
+          "--scales", "1/4,1/8,1/16,1/32"),
+         "a8ade5fda58acc9e41c13a96476f74a2c6f9f3fa6a06e9c0ecdf88213d86e246"),
     ])
     def test_kink_output_is_pinned(self, capsys, kink_csv, argv, digest):
         status, out, _ = invoke(
@@ -627,6 +629,15 @@ class TestDiffAndSieve:
 
 class TestMalformedCsv:
     REPEATED_T = "t,f,g,h\n0,0,0,0\n1/2,1,0,0\n1/2,1,0,0\n1,0,0,0\n"
+    ZERO_DENOMINATOR = "t,f,g,h\n0,0,0,0\n1/2,1/0,0,0\n1,0,0,0\n"
+    # every command that reads a curve CSV
+    READERS = pytest.mark.parametrize("argv", [
+        ("sieve", "--m", "1", "--grid", "64"),
+        ("diff", "lp", "--x", "1/2", "--m", "1"),
+        ("diff", "density", "--x", "1/2", "--m", "1", "--eps", "1",
+         "--radius", "1/4"),
+        ("curve", "lift"),
+    ])
 
     def test_reader_rejects_repeated_and_decreasing_t(self, tmp_path):
         for text in (self.REPEATED_T, "t,f,g,h\n0,0,0,0\n1,1,0,0\n1/2,0,0,0\n"):
@@ -635,13 +646,7 @@ class TestMalformedCsv:
             with pytest.raises(ValueError, match="strictly increasing"):
                 read_curve_csv(src)
 
-    @pytest.mark.parametrize("argv", [
-        ("sieve", "--m", "1", "--grid", "64"),
-        ("diff", "lp", "--x", "1/2", "--m", "1"),
-        ("diff", "density", "--x", "1/2", "--m", "1", "--eps", "1",
-         "--radius", "1/4"),
-        ("curve", "lift"),
-    ])
+    @READERS
     def test_repeated_t_is_usage_error(self, capsys, tmp_path, argv):
         src = tmp_path / "repeated-t.csv"
         src.write_text(self.REPEATED_T)
@@ -649,6 +654,17 @@ class TestMalformedCsv:
         assert status == 2
         assert out == ""
         assert "t must be strictly increasing" in err
+        assert "Traceback" not in err
+
+    @READERS
+    def test_zero_denominator_is_usage_error(self, capsys, tmp_path, argv):
+        # exit 1 means "failed check", so an unparsable value must not
+        # escape as a ZeroDivisionError
+        src = tmp_path / "zero-denominator.csv"
+        src.write_text(self.ZERO_DENOMINATOR)
+        status, out, err = invoke(capsys, *argv, "--input", str(src))
+        assert status == 2
+        assert out == "" and err.startswith("error: ")
         assert "Traceback" not in err
 
 

@@ -22,7 +22,6 @@ from heislusin.polynomials import (
     simplest_between,
     sup_norm,
     truncate_shifted,
-    _quotient,
 )
 
 coeffs = st.lists(
@@ -381,7 +380,8 @@ class TestIntmax:
 
 
 class TestCertifiedQuotient:
-    """`_quotient`, the one error propagation behind `intmax_ratio` and
+    """`CertifiedValue`'s `+` and `/`, the one rule for combining
+    certified values behind `abs_power_integral`, `intmax_ratio` and
     `degiorgi_ratio`."""
 
     @given(st.fractions(min_value=0, max_value=10, max_denominator=50),
@@ -391,24 +391,24 @@ class TestCertifiedQuotient:
     @settings(max_examples=300, deadline=None)
     def test_error_covers_the_box(self, n, en, d, ed):
         assume(ed < d)
-        q = _quotient(CertifiedValue(n, en == 0, en),
-                      CertifiedValue(d, ed == 0, ed))
-        assert q.value == n / d
-        assert q.exact == (en == 0 and ed == 0)
-        # n/d is monotone in each argument: its extremes are at corners
+        a, b = CertifiedValue(n, en == 0, en), CertifiedValue(d, ed == 0, ed)
+        q, s = a / b, a + b
+        assert (q.value, s.value) == (n / d, n + d)
+        assert q.exact == s.exact == (en == 0 and ed == 0)
+        # n/d and n + d are monotone in each argument: their extremes
+        # are at corners
         for nn in (n - en, n + en):
             for dd in (d - ed, d + ed):
                 assert abs(nn / dd - q.value) <= q.error
+                assert abs(nn + dd - s.value) <= s.error
 
     def test_uncertified_denominator_rejected(self):
         # 1 +- 2 holds 1/10, where the quotient is 10: no finite bound
         # around 1 is certified
         with pytest.raises(ValueError, match="not certified positive"):
-            _quotient(CertifiedValue(F(1), True, F(0)),
-                      CertifiedValue(F(1), False, F(2)))
+            CertifiedValue(F(1)) / CertifiedValue(F(1), False, F(2))
         with pytest.raises(ValueError, match="not certified positive"):
-            _quotient(CertifiedValue(F(1), True, F(0)),
-                      CertifiedValue(F(1), False, F(1)))
+            CertifiedValue(F(1)) / CertifiedValue(F(1), False, F(1))
 
     def test_irrational_crossing_is_certified(self):
         # y^2 - 2 changes sign at sqrt 2: the integral of |p| over [0, 2]
@@ -502,3 +502,13 @@ class TestDeGiorgi:
         E = IntervalSet.closed(F(1, 4), F(1, 2))
         with pytest.raises(ValueError):
             degiorgi_ratio(Polynomial.zero(), F(1, 2), F(1, 2), E, 0)
+
+    @pytest.mark.parametrize("E", [
+        IntervalSet.closed(F(1, 2), F(5, 4)),
+        IntervalSet.closed(F(1, 2), F(3, 4)).union(IntervalSet.closed(5, 5)),
+    ], ids=["interval sticks out", "stray point"])
+    def test_E_outside_the_ball_rejected(self, E):
+        # the ball is [0, 1]; a point outside it has measure 0 but is
+        # still outside
+        with pytest.raises(ValueError, match="E must be contained"):
+            degiorgi_ratio(P(1), F(1, 2), F(1, 2), E, 0)
