@@ -34,7 +34,7 @@ from .counterexample import (
 )
 from .curves import PiecewisePolynomial, extendability_report, lift
 from .diffanalysis import approx_density, lp_remainder_ladder, whitney_sieve
-from .intervalsets import IntervalSet, rational_to_str
+from .intervalsets import IntervalSet, parse_rational, rational_to_str
 from .jets import DEFAULT_LADDER, JetTriple
 from .polynomials import Polynomial
 
@@ -116,9 +116,17 @@ _m = _int_in("m", 0, MAX_M)
 
 def _rat(s) -> Fraction:
     try:
-        return Fraction(s)
+        return parse_rational(s)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError("bad rational %r" % s) from exc
+
+
+def _nonneg_rat(s) -> Fraction:
+    """argparse type for a rational >= 0."""
+    value = _rat(s)
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be >= 0, got %s" % s)
+    return value
 
 
 def _rats(s) -> tuple:
@@ -149,7 +157,7 @@ def read_curve_csv(path):
             if not line:
                 continue
             try:
-                t, f, g, h = (Fraction(c) for c in line.split(","))
+                t, f, g, h = map(parse_rational, line.split(","))
             except ZeroDivisionError:
                 raise ValueError("zero denominator in curve CSV row %r"
                                  % line) from None
@@ -362,7 +370,8 @@ def _build_parser() -> argparse.ArgumentParser:
     jc.add_argument("--input", required=True)
     jc.add_argument("--m", type=int, default=None, help="expected jet order")
     jc.add_argument("--ladder", type=_rats, default=None)
-    jc.add_argument("--tolerance", type=_rat, default=Fraction(1, 10**6))
+    jc.add_argument("--tolerance", type=_nonneg_rat,
+                    default=Fraction(1, 10**6))
     jc.add_argument("--out", default="-")
     jc.set_defaults(_run=_cmd_jets_check)
 

@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
-from itertools import accumulate
 from typing import Callable, Optional
 
 from .curves import (
@@ -86,16 +84,16 @@ def default_params(depth: int = 10) -> CounterexampleParams:
 
 @dataclass(frozen=True)
 class CounterexampleCurve:
-    """The built curve with its interval levels."""
+    """The built curve with its interval levels and their running unions."""
 
     params: CounterexampleParams
     I_levels: tuple  # IntervalSet per level 1..depth
+    I_unions: tuple  # I_unions[n-1] = I_1 u ... u I_n
     curve: PiecewiseCurve
 
-    @cached_property
-    def I_union(self) -> IntervalSet:
-        """Union of all levels, computed on first use and kept."""
-        return reduce(IntervalSet.union, self.I_levels, IntervalSet.empty())
+    @property
+    def I_union(self) -> IntervalSet:  # the union of all levels
+        return self.I_unions[-1]
 
     def __call__(self, t):
         return self.curve(t)
@@ -203,42 +201,42 @@ def check_params(params: CounterexampleParams, p_max: int = 4,
 # ---------------------------------------------------------------------------
 
 
-def build_intervals(params: CounterexampleParams) -> list:
-    """I_1..I_depth: level n keeps the open interval of radius w_n around
-    each dyadic center k/2^n that misses all earlier levels."""
-    levels, earlier = [], IntervalSet.empty()
+def build_intervals(params: CounterexampleParams) -> tuple:
+    """(levels, unions): level n, I_n, keeps the open interval of radius
+    w_n around each dyadic center k/2^n that misses all earlier levels,
+    and unions[n-1] = I_1 u ... u I_n is the union level n+1 must miss."""
+    levels, unions = [], [IntervalSet.empty()]
     for n in range(1, params.depth + 1):
         w = params.w(n)
         # an open interval misses the earlier open ones exactly when the
         # closed interval with the same ends does
         centers = (Fraction(k, 2**n) for k in range(1, 2**n))
         ends = [(c - w, c + w) for c in centers]
-        levels.append(IntervalSet.from_pairs(
-            [e for e in ends if earlier.first_piece(*e) is None], False, False))
-        earlier = earlier.union(levels[-1])
-    return levels
+        kept = [e for e in ends if unions[-1].first_piece(*e) is None]
+        levels.append(IntervalSet.from_pairs(kept, False, False))
+        unions.append(unions[-1].union(levels[-1]))
+    return levels, unions[1:]
 
 
 def build_curve(params: CounterexampleParams) -> CounterexampleCurve:
     """Assemble (f, g, h) on [0,1]: the four-piece square pattern of side
     h_n on every level-n component, zero in the gaps, h by exact lift."""
-    levels = build_intervals(params)
-    components = []  # (lo, hi, level)
-    for n, lev in enumerate(levels, start=1):
-        for iv in lev.intervals:
-            components.append((iv.lo, iv.hi, n))
-    components.sort()
+    levels, unions = build_intervals(params)
+    # the ranges of the last union are the components, in order; a
+    # component's width 2 w_n names its level, as w strictly decreases
+    level_of = {2 * params.w(n): n for n in range(1, params.depth + 1)}
 
     # vertices of f and g: 0 off the components; on one, the quarter
     # points after lo carry the square's corners
     bps, fs, gs = [Fraction(0)], [0], [0]
     t = Fraction(0)
-    for lo, hi, n in components:
+    for iv in unions[-1].intervals:
+        lo, hi = iv.lo, iv.hi
         if lo > t:
             bps.append(lo)
             fs.append(0)
             gs.append(0)
-        hn = params.h(n)
+        hn = params.h(level_of[hi - lo])
         quarter = (hi - lo) / 4
         bps += [lo + i * quarter for i in range(1, 5)]
         fs += [0, hn, hn, 0]
@@ -252,7 +250,7 @@ def build_curve(params: CounterexampleParams) -> CounterexampleCurve:
     f = PiecewisePolynomial.linear(bps, fs)
     g = PiecewisePolynomial.linear(bps, gs)
     curve = lift(f, g, 0)
-    return CounterexampleCurve(params, tuple(levels), curve)
+    return CounterexampleCurve(params, tuple(levels), tuple(unions), curve)
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +280,7 @@ def measure_report(C: CounterexampleCurve) -> dict:
         (Fraction(2) ** n * params.w(n) for n in range(1, N + 1)), Fraction(0)
     )
     shells = []
-    for n, partial in enumerate(accumulate(C.I_levels, IntervalSet.union), 1):
+    for n, partial in enumerate(C.I_unions, 1):
         lam = params.lam(n)
         A_n = partial.dilate(lam).subtract(I_all)
         bound = 2 * lam * Fraction(2**n - 1)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .intervalsets import _q, rational_to_str
+from .intervalsets import _pth_root, _q, rational_to_str
 from .jets import DEFAULT_LADDER, Jet, JetTriple, area_rate, ladder_maxima
 from .polynomials import (
     DEFAULT_TOL,
@@ -304,14 +304,15 @@ class ExtendabilityReport:
             return [
                 {
                     "delta": rational_to_str(d),
-                    "value": None if v is None else repr(float(v)),
+                    # a float, or inf past the float range
+                    "value": None if v is None else repr(_pth_root(v, 1)),
                 }
                 for d, v in zip(self.ladder, vals)
             ]
 
         return {
             "whitney": {k: profile(v) for k, v in self.whitney_profiles.items()},
-            "max_ode_residual": repr(float(self.max_ode_residual)),
+            "max_ode_residual": repr(_pth_root(self.max_ode_residual, 1)),
             "area_velocity_ratio": profile(self.ratio_profile),
             "conditions": {
                 "whitney_fields": self.whitney_pass,
@@ -337,6 +338,8 @@ def extendability_report(
     non-increasing over its last three populated steps.
     """
     ladder = tuple(_q(d) for d in ladder)
+    if not ladder:
+        raise ValueError("need at least one ladder scale")
     if len(triple.sites) < 2:
         raise ValueError("need at least two sites")
     profiles = {

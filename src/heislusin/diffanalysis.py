@@ -13,7 +13,6 @@ Whitney field.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -21,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .curves import PiecewisePolynomial
-from .intervalsets import Interval, IntervalSet, _q, rational_to_str
+from .intervalsets import Interval, IntervalSet, _pth_root, _q, rational_to_str
 from .jets import DEFAULT_LADDER, _jet_modulus, _remainder_sweep
 from .polynomials import (
     DEFAULT_TOL,
@@ -96,24 +95,6 @@ def lp_remainder_ladder(
         powers.append(power)
         values.append(_pth_root(power, p))
     return LadderReport(ladder, values, power_values=powers)
-
-
-def _pth_root(power: Fraction, p: int) -> float:
-    """power^(1/p) as a float, also when power is past the float range
-    on either side; inf only when the root itself is."""
-    try:
-        value = float(power)
-    except OverflowError:
-        value = math.inf
-    if power == 0 or sys.float_info.min <= value < math.inf:
-        return value ** (1.0 / p)
-    # power = r 2^(p k) exactly, with r within a factor 2^(p+1) of 1, so
-    # float(r) keeps every bit and the root is r^(1/p) 2^k
-    k = (power.numerator.bit_length() - power.denominator.bit_length()) // p
-    try:
-        return math.ldexp(float(power / Fraction(2) ** (p * k)) ** (1.0 / p), k)
-    except OverflowError:
-        return math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +258,11 @@ def whitney_sieve(
     is_center = order < grid
 
     derivs = [u.derivative(k) if k else u for k in range(m + 1)]
-    U = np.array([[float(d(t)) for t in xs_q] for d in derivs])
+    try:
+        U = np.array([[float(d(t)) for t in xs_q] for d in derivs])
+    except OverflowError:
+        raise ValueError("a sample of u or of its first m derivatives is "
+                         "past the float range") from None
 
     # radii tested: ladder values representable on the grid, up to the
     # radius 1 of the first stage

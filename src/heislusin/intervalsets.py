@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import bisect
 import heapq
+import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -29,9 +31,47 @@ def _q(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
+# largest decimal exponent of a rational read from outside the package:
+# Fraction("1e10000000") would build a ten-million-digit power of ten, and
+# 4300 is Python's default limit on the digits of an integer string
+MAX_EXPONENT = 4300
+
+
+def parse_rational(s) -> Fraction:
+    """Fraction(s) for a flag, CSV entry or JSON value; ValueError on a
+    decimal exponent above MAX_EXPONENT in magnitude."""
+    if isinstance(s, str) and ("e" in s or "E" in s):
+        try:
+            exponent = int(s.lower().rpartition("e")[2])
+        except ValueError:
+            exponent = 0  # not a decimal exponent; Fraction decides
+        if abs(exponent) > MAX_EXPONENT:
+            raise ValueError("decimal exponent of %r is above %d"
+                             % (s, MAX_EXPONENT))
+    return Fraction(s)
+
+
 def rational_to_str(x: Fraction) -> str:
     x = _q(x)
     return "%d/%d" % (x.numerator, x.denominator)
+
+
+def _pth_root(power: Fraction, p: int) -> float:
+    """power^(1/p) as a float, also when power is past the float range
+    on either side; inf only when the root itself is."""
+    try:
+        value = float(power)
+    except OverflowError:
+        value = math.inf
+    if power == 0 or sys.float_info.min <= value < math.inf:
+        return value ** (1.0 / p)
+    # power = r 2^(p k) exactly, with r within a factor 2^(p+1) of 1, so
+    # float(r) keeps every bit and the root is r^(1/p) 2^k
+    k = (power.numerator.bit_length() - power.denominator.bit_length()) // p
+    try:
+        return math.ldexp(float(power / Fraction(2) ** (p * k)) ** (1.0 / p), k)
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .intervalsets import _q, rational_to_str
+from .intervalsets import _q, parse_rational, rational_to_str
 from .polynomials import Polynomial, truncate_shifted
 
 DEFAULT_LADDER = tuple(Fraction(1, 2**j) for j in range(13))
@@ -70,10 +70,13 @@ def _jet_modulus(xs: np.ndarray, U: np.ndarray, scales, empty=0.0) -> list:
 
     At each scale, the largest |remainder of order k| / gap^(m-k) over
     the orders k and both directions of every pair at most that scale
-    apart, and `empty` at a scale with no such pair. The number type is
+    apart, and `empty` at a scale with no such pair; ValueError on a
+    scale that is not positive. The number type is
     that of `empty`: 0.0 for float arrays, `Fraction(0)` for object
     arrays of `Fraction`s, which keeps every value exact.
     """
+    if any(s <= 0 for s in scales):
+        raise ValueError("delta must be positive")
     m = len(U) - 1
     num = type(empty)
     bins = sorted({num(s) for s in scales})
@@ -162,8 +165,6 @@ class Jet:
         """
         ladder = tuple(ladder)
         scales = [_q(d) for d in ladder]
-        if any(d <= 0 for d in scales):
-            raise ValueError("delta must be positive")
         xs = np.array(self.sites, dtype=object)
         U = np.array(self.values, dtype=object).reshape(-1, self.m + 1).T
         return list(zip(ladder, _jet_modulus(xs, U, scales, Fraction(0))))
@@ -196,8 +197,8 @@ class Jet:
                 'list "%s"' % key
             )
         try:
-            sites = tuple(Fraction(rec["x"]) for rec in recs)
-            values = tuple(tuple(Fraction(v) for v in rec[key]) for rec in recs)
+            sites = tuple(parse_rational(rec["x"]) for rec in recs)
+            values = tuple(tuple(map(parse_rational, rec[key])) for rec in recs)
         except (TypeError, OverflowError, ZeroDivisionError):
             # null, a list, an infinity, "1/0"
             raise ValueError("jet JSON values must be finite numbers or "

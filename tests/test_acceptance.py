@@ -75,7 +75,7 @@ def test_criterion_02_measure_bound(capsys):
     p = default_params(12)
     partial = F(0)
     ok = True
-    levels = build_intervals(p)
+    levels, _ = build_intervals(p)
     union = IntervalSet.empty()
     for n in range(1, 13):
         partial += 2**n * p.w(n)

@@ -230,6 +230,7 @@ class TestListFlags:
         (LP, "--scales", ""),
         (("jets", "check"), "--ladder", ""),
         (LP, "--scales", "1/4,"),
+        (LP, "--poly", "1e10000000"),
     ])
     def test_bad_list_is_usage_error(self, capsys, tmp_path, argv, flag, bad):
         missing = tmp_path / "never-read"
@@ -261,8 +262,9 @@ class TestListFlags:
 
 
 class TestIntegerBounds:
-    """Every integer flag has a range; a value outside it exits 2 before
-    any input is read or anything is built."""
+    """Every integer flag has a range, and --tolerance a lower bound; a
+    value outside it exits 2 before any input is read or anything is
+    built."""
 
     @pytest.mark.parametrize("argv, flag, value, bounds", [
         (("counterexample", "straddle", "--n", "1"), "--decimal", "-1",
@@ -286,6 +288,8 @@ class TestIntegerBounds:
         (SIEVE, "--m", str(10**9), "m must be in 0..%d" % MAX_M),
         (LP, "--p", "0", "p must be in 1..%d" % MAX_P),
         (LP, "--p", str(MAX_P + 1), "p must be in 1..%d" % MAX_P),
+        (("jets", "check", "--input", "{out}"), "--tolerance", "-1",
+         "tolerance: must be >= 0"),
     ])
     def test_out_of_range_is_usage_error(self, capsys, tmp_path, argv, flag,
                                          value, bounds):
@@ -485,17 +489,44 @@ class TestJetsCheck:
                          + obj["sites"][1:]),
         lambda obj: dict(obj, sites=[dict(obj["sites"][0], F=["1/0", "0"])]
                          + obj["sites"][1:]),
+        lambda obj: dict(obj, sites=[dict(obj["sites"][0],
+                                          F=["1e10000000", "0"])]
+                         + obj["sites"][1:]),
     ], ids=["top-level list", "sites string", "m float", "m bool",
-            "m negative", "x null", "F infinite", "F zero denominator"])
+            "m negative", "x null", "F infinite", "F zero denominator",
+            "F huge exponent"])
     def test_malformed_json_is_a_usage_error(self, capsys, tmp_path, edit):
         # exit 1 means "failed check", so a malformed file must not reach it
         p = tmp_path / "zero.json"
         write_zero_triple(p, m=1)
         p.write_text(json.dumps(edit(json.loads(p.read_text()))))
+        start = time.perf_counter()
         status, out, err = invoke(capsys, "jets", "check", "--input", str(p))
         assert status == 2
+        assert time.perf_counter() - start < 0.5
         assert out == "" and err.startswith("error: ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("ladder, status, verdict", [
+        ("1,1/4", 0, "pass"),  # the smallest scale sees only zero jets
+        ("1", 1, "fail"),
+    ])
+    def test_value_past_float_range_prints_inf(self, capsys, tmp_path,
+                                               ladder, status, verdict):
+        # F = 10^400 at the site 1 and 0 elsewhere: its modulus at scale 1
+        # is past the float range, and the verdict reads the exact value
+        sites = (0, F(1, 4), 1)
+        z = Jet(2, sites, ((0, 0, 0),) * 3)
+        obj = JetTriple(z, z, z).to_json_obj()
+        obj["sites"][2]["F"][0] = "1e400"
+        p = tmp_path / "big.json"
+        p.write_text(json.dumps(obj))
+        got, out, err = invoke(capsys, "jets", "check", "--input", str(p),
+                               "--ladder", ladder)
+        assert got == status and err == ""
+        rep = json.loads(out)
+        assert rep["verdict"] == verdict
+        assert rep["whitney"]["F"][0] == {"delta": "1/1", "value": "inf"}
 
 
 class TestCurveLift:
@@ -654,6 +685,28 @@ class TestMalformedCsv:
         assert status == 2
         assert out == ""
         assert "t must be strictly increasing" in err
+        assert "Traceback" not in err
+
+    @READERS
+    def test_huge_exponent_is_usage_error(self, capsys, tmp_path, argv):
+        # Fraction("1e10000000") alone would take seconds
+        src = tmp_path / "huge-exponent.csv"
+        src.write_text("t,f,g,h\n0,0,0,0\n1/2,1e10000000,0,0\n1,0,0,0\n")
+        start = time.perf_counter()
+        status, out, err = invoke(capsys, *argv, "--input", str(src))
+        assert status == 2
+        assert time.perf_counter() - start < 0.5
+        assert out == "" and "decimal exponent" in err
+        assert "Traceback" not in err
+
+    def test_sieve_sample_past_float_range_is_usage_error(self, capsys,
+                                                          tmp_path):
+        src = tmp_path / "big.csv"
+        src.write_text("t,f,g,h\n0,0,0,0\n1/2,1e400,0,0\n1,0,0,0\n")
+        status, out, err = invoke(capsys, "sieve", "--input", str(src),
+                                  "--m", "1", "--grid", "64")
+        assert status == 2
+        assert out == "" and "float range" in err
         assert "Traceback" not in err
 
     @READERS

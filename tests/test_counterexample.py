@@ -1,6 +1,7 @@
 import hashlib
 import json
 from fractions import Fraction as F
+from functools import reduce
 
 import pytest
 
@@ -146,18 +147,18 @@ class TestCheckParamsSlidingTails:
 class TestIntervals:
     def test_first_level(self):
         p = default_params(3)
-        levels = build_intervals(p)
+        levels, _ = build_intervals(p)
         iv = levels[0].intervals[0]
         assert (iv.lo, iv.hi) == (F(1, 2) - p.w(1), F(1, 2) + p.w(1))
         assert not iv.lo_closed and not iv.hi_closed
 
     def test_component_count_bound(self):
-        levels = build_intervals(default_params(10))
+        levels, _ = build_intervals(default_params(10))
         for n, lev in enumerate(levels, start=1):
             assert len(lev.intervals) <= 2 ** (n - 1)
 
     def test_all_odd_centers_accepted_through_level_six(self):
-        levels = build_intervals(default_params(10))
+        levels, _ = build_intervals(default_params(10))
         for n, lev in enumerate(levels[:6], start=1):
             assert len(lev.intervals) == 2 ** (n - 1)
 
@@ -171,7 +172,7 @@ class TestIntervals:
         d = default_params(7)
         p = CounterexampleParams(d.h_seq, d.lambda_seq, w_seq, 7)
         chosen, rejected = [], 0
-        for n, lev in enumerate(build_intervals(p), start=1):
+        for n, lev in enumerate(build_intervals(p)[0], start=1):
             w = p.w(n)
             kept = []
             for k in range(1, 2**n):
@@ -187,7 +188,7 @@ class TestIntervals:
         assert rejected > 0  # some odd centres meet an earlier component
 
     def test_levels_pairwise_disjoint(self):
-        levels = build_intervals(default_params(8))
+        levels, _ = build_intervals(default_params(8))
         union = IntervalSet.empty()
         total = F(0)
         for lev in levels:
@@ -195,6 +196,13 @@ class TestIntervals:
             union = union.union(lev)
             total += lev.measure()
         assert union.measure() == total
+
+    def test_unions_are_the_partial_unions(self, curve10):
+        assert len(curve10.I_unions) == len(curve10.I_levels) == 10
+        for n in range(1, 11):
+            assert curve10.I_unions[n - 1] == reduce(
+                IntervalSet.union, curve10.I_levels[:n])
+        assert curve10.I_union == curve10.I_unions[-1]
 
 
 class TestCurve:
@@ -283,6 +291,19 @@ class TestMeasureReport:
             )
             # shells live off I by construction
             assert not shell["set"].intersects(curve10.I_union)
+
+    @pytest.mark.parametrize("depth", [1, 4, 8])
+    def test_each_partial_union_is_built_once(self, depth, monkeypatch):
+        # the build keeps its running unions, and the shells and I read
+        # them: one union per level, none in the report or in I_union
+        calls = []
+        union = IntervalSet.union
+        monkeypatch.setattr(IntervalSet, "union",
+                            lambda a, b: calls.append(1) or union(a, b))
+        C = build_curve(default_params(depth))
+        measure_report(C)
+        C.I_union
+        assert len(calls) == depth
 
     def test_depth8_shells_are_pinned(self):
         # sorted-key JSON of every shell's set and exact measure;

@@ -425,6 +425,11 @@ class TestExtendabilityReport:
             assert max(rep.ratio_profile) > 0 == min(rep.ratio_profile)
             assert rep.ratio_pass and rep.verdict
 
+    def test_empty_ladder_is_rejected(self):
+        t = sample(lifted(poly(0, 1), poly(0, 1)), (0, 1), 2)
+        with pytest.raises(ValueError, match="ladder"):
+            extendability_report(t, ladder=())
+
     def test_report_serializes(self):
         c = lifted(poly(0, 1), poly(0, 1))
         t = sample(c, (0, 1), 2)

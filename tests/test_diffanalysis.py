@@ -191,6 +191,14 @@ class TestWhitneySieve:
         assert res.retained.measure() == 1
         assert res.modulus_profile == []
 
+    @pytest.mark.parametrize("ladder", [
+        (F(1, 2), 0, -1), (F(1, 2), F(-1, 4)),
+    ])
+    def test_non_positive_scale_is_rejected(self, ladder):
+        # the sieve and Jet.modulus_profile share the kernel's check
+        with pytest.raises(ValueError, match="delta must be positive"):
+            whitney_sieve(single(CUBE), 2, F(1, 20), grid=64, ladder=ladder)
+
     def test_jump_excludes_neighborhood(self):
         u = PiecewisePolynomial([0, F(1, 2), 1], [poly(0), poly(1)])
         res = whitney_sieve(u, 1, F(5, 100), grid=2**10)
