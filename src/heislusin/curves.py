@@ -103,15 +103,32 @@ class PiecewisePolynomial:
     def abs_power_integral(self, q: Polynomial, a, b, p: int,
                            tol: Fraction = DEFAULT_TOL) -> CertifiedValue:
         """integral over [a,b] of |self - q|^p, p a positive integer."""
+        return self.abs_power_integrals(q, ((a, b),), p, tol)[0]
+
+    def abs_power_integrals(self, q: Polynomial, intervals, p: int,
+                            tol: Fraction = DEFAULT_TOL) -> list:
+        """`abs_power_integral` over each (a, b) of `intervals`.
+
+        A piece span met by several intervals, such as a whole piece
+        inside nested balls, is integrated once; each piece span is
+        certified to tol / (number of pieces), as in a single call.
+        """
         if p < 1:
             raise ValueError("p must be a positive integer")
         n = len(self.pieces)
-        total = CertifiedValue(Fraction(0))
-        for lo, hi, piece in self.spans(a, b):
-            d = (piece - q) ** p
-            total += (CertifiedValue(d.integral(lo, hi)) if p % 2 == 0
-                      else abs_integral(d, lo, hi, tol=tol / n))
-        return total
+        spans = {}  # (lo, hi) -> integral over that clipped piece span
+        out = []
+        for a, b in intervals:
+            total = CertifiedValue(Fraction(0))
+            for lo, hi, piece in self.spans(a, b):
+                if (lo, hi) not in spans:
+                    d = (piece - q) ** p
+                    spans[lo, hi] = (
+                        CertifiedValue(d.integral(lo, hi)) if p % 2 == 0
+                        else abs_integral(d, lo, hi, tol=tol / n))
+                total += spans[lo, hi]
+            out.append(total)
+        return out
 
     @staticmethod
     def linear(ts: Sequence, ys: Sequence) -> "PiecewisePolynomial":

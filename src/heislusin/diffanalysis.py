@@ -21,7 +21,7 @@ import numpy as np
 
 from .curves import PiecewisePolynomial
 from .intervalsets import Interval, IntervalSet, _pth_root, _q, rational_to_str
-from .jets import DEFAULT_LADDER, _jet_modulus, _remainder_sweep
+from .jets import DEFAULT_LADDER, _check_scales, _jet_modulus, _remainder_sweep
 from .polynomials import (
     DEFAULT_TOL,
     Polynomial,
@@ -88,9 +88,10 @@ def lp_remainder_ladder(
     if x - ladder[0] < lo or x + ladder[0] > hi:
         raise ValueError("x too close to the boundary for the largest scale")
 
+    integrals = u.abs_power_integrals(
+        P, [(x - rho, x + rho) for rho in ladder], p, tol)
     powers, values = [], []
-    for rho in ladder:
-        integ = u.abs_power_integral(P, x - rho, x + rho, p, tol)
+    for rho, integ in zip(ladder, integrals):
         power = (integ.value / (2 * rho)) / rho ** (m * p)
         powers.append(power)
         values.append(_pth_root(power, p))
@@ -245,28 +246,31 @@ def whitney_sieve(
     dlo, dhi = u.domain
     if (dlo, dhi) != (Fraction(0), Fraction(1)):
         raise ValueError("sieve expects domain [0,1]")
+    profile_scales = tuple(_q(s) for s in ladder)
+    _check_scales(profile_scales)
 
     cell = Fraction(1, grid)
-    centers = [Fraction(2 * i + 1, 2 * grid) for i in range(grid)]
     extras = sorted(_q(t) for t in extra_points)
     if any(not Fraction(0) <= t <= Fraction(1) for t in extras):
         raise ValueError("extra points must lie in [0,1]")
-    points = centers + extras
-    order = np.argsort([float(t) for t in points], kind="stable")
-    xs_q = [points[i] for i in order]
-    xs = np.array([float(t) for t in xs_q])
+    # the centres (2i+1)/(2 grid), then the extra points
+    points = np.concatenate(((2 * np.arange(grid) + 1) / (2 * grid),
+                             [float(t) for t in extras]))
+    order = np.argsort(points, kind="stable")
+    xs = points[order]
     is_center = order < grid
 
     derivs = [u.derivative(k) if k else u for k in range(m + 1)]
     try:
-        U = np.array([[float(d(t)) for t in xs_q] for d in derivs])
+        U = np.array([_center_samples(d, grid) + [float(d(t)) for t in extras]
+                      for d in derivs])[:, order]
     except OverflowError:
         raise ValueError("a sample of u or of its first m derivatives is "
                          "past the float range") from None
 
     # radii tested: ladder values representable on the grid, up to the
     # radius 1 of the first stage
-    radii = sorted({r for r in map(_q, ladder) if 4 * cell <= r <= 1})
+    radii = sorted({r for r in profile_scales if 4 * cell <= r <= 1})
     first_bad = _first_bad_counts(xs, U, is_center, radii, n_max)
     # measure(W(x,r)) <= r/4 holds when at most this many cells are bad
     caps = [math.floor(r * grid / 4) for r in radii]
@@ -296,23 +300,51 @@ def whitney_sieve(
         if not ok:
             k = t * grid
             cell_alive[max(math.ceil(k) - 1, 0):math.floor(k) + 1] = False
+    # one closed interval per run of retained cells
+    edges = np.flatnonzero(np.diff(cell_alive, prepend=False, append=False))
     retained = IntervalSet(
-        Interval(Fraction(i, grid), Fraction(i + 1, grid), True, True)
-        for i in range(grid)
-        if cell_alive[i]
+        Interval(Fraction(a, grid), Fraction(b, grid), True, True)
+        for a, b in zip(edges[::2].tolist(), edges[1::2].tolist())
     )
 
-    cell_of = np.array(
-        list(range(grid)) + [min(int(t * grid), grid - 1) for t in extras]
-    )[order]
+    cell_of = np.concatenate((
+        np.arange(grid),
+        np.array([min(int(t * grid), grid - 1) for t in extras], dtype=int),
+    ))[order]
     keep = np.flatnonzero(alive & cell_alive[cell_of])
     if len(keep) > modulus_cap:
         keep = keep[::-(-len(keep) // modulus_cap)]
-    profile_scales = tuple(_q(s) for s in ladder)
     profile = _jet_modulus(xs[keep], U[:, keep], profile_scales)
     return SieveResult(
         retained, cell, defects, budget_ok, profile_scales, profile
     )
+
+
+def _center_samples(u: PiecewisePolynomial, grid: int) -> list:
+    """float(u(t)) at the cell centres t = (2i+1)/(2 grid), i < grid.
+
+    A centre on a breakpoint takes the right piece, as `piece_index`
+    does. Each piece runs Horner's rule in integers on s = 2i+1 over
+    its shared denominator L (2 grid)^degree, L the lcm of its
+    coefficients' denominators; int / int rounds correctly, as
+    float(Fraction) does, and raises OverflowError past the float range.
+    """
+    D = 2 * grid
+    # the first centre at or right of each inner breakpoint b: 2i+1 >= bD
+    firsts = [math.ceil((b * D - 1) / 2) for b in u.breakpoints[1:-1]]
+    out = []
+    for piece, lo, hi in zip(u.pieces, [0] + firsts, firsts + [grid]):
+        cs = piece.coeffs or (Fraction(0),)
+        deg = len(cs) - 1
+        L = math.lcm(*(c.denominator for c in cs))
+        num = [c.numerator * (L // c.denominator) * D ** (deg - k)
+               for k, c in enumerate(cs)]
+        s = np.arange(2 * lo + 1, 2 * hi, 2).astype(object)
+        acc = np.full(len(s), num[-1], dtype=object)
+        for a in num[-2::-1]:
+            acc = acc * s + a
+        out.extend((acc / (L * D**deg)).tolist())
+    return out
 
 
 def _first_bad_counts(xs, U, is_center, radii, n_max) -> np.ndarray:
@@ -323,15 +355,17 @@ def _first_bad_counts(xs, U, is_center, radii, n_max) -> np.ndarray:
     m = len(U) - 1
     rf = np.array([float(r) for r in radii])
     inv_n = np.array([1.0 / n for n in range(1, n_max + 1)])[:, None]
-    counts = np.zeros((n_max + 1, len(radii) + 1, len(xs)), dtype=np.int32)
+    shape = (n_max + 1, len(radii) + 1, len(xs))
+    counts = np.zeros(math.prod(shape), dtype=np.int32)
     reach = max(rf, default=-1.0)
-    for lag, d, [(fwd, back)] in _remainder_sweep(xs, U, (0,), reach):
+    weight = is_center.astype(np.int32)  # add.at's fast path needs one dtype
+    for i, j, d, [(fwd, back)] in _remainder_sweep(xs, U, (0,), reach):
         thr = inv_n * d**m
         gap_bin = np.searchsorted(rf, d)
-        i = np.arange(len(d))
-        # thr falls with n, so a pair stays bad from its first bad stage on
-        counts[n_max - (fwd > thr).sum(axis=0), gap_bin, i] += is_center[lag:]
-        counts[n_max - (back > thr).sum(axis=0), gap_bin, i + lag] += (
-            is_center[:-lag]
-        )
-    return counts
+        # thr falls with n, so a pair stays bad from its first bad stage on;
+        # forward rems count the cell y = j at x = i, backward ones y = i at j
+        for x, y, rem in ((i, j, fwd), (j, i, back)):
+            stage = n_max - (rem > thr).sum(axis=0)
+            flat = (stage * shape[1] + gap_bin) * shape[2] + x
+            np.add.at(counts, flat, weight[y])
+    return counts.reshape(shape)

@@ -36,33 +36,67 @@ def ladder_maxima(pairs, ladder, empty=None) -> list:
     return out
 
 
+# pairs per step of `_remainder_sweep`: a step takes whole lags, at least one
+_SWEEP_CHUNK = 2**12
+
+
+def _check_scales(scales) -> None:
+    """ValueError unless every scale of a modulus ladder is positive."""
+    if any(s <= 0 for s in scales):
+        raise ValueError("delta must be positive")
+
+
 def _remainder_sweep(xs: np.ndarray, U: np.ndarray, orders, reach):
     """Taylor remainders of a sampled jet over the pairs of sorted points.
 
     U holds the k-th derivatives at the points xs, k = 0..m, as floats or
     as `Fraction` objects; the arithmetic is that of the entries. Lag by
-    lag, while some gap d = xs[i + lag] - xs[i] is at most `reach`,
-    yields (lag, d, rems) where rems lists for each order k in `orders`
-    the absolute order-k remainders forward, at x_(i+lag) expanded at
-    x_i, and backward, at x_i expanded at x_(i+lag).
+    lag, while some gap xs[i + lag] - xs[i] is at most `reach`, yields
+    (i, j, d, rems) for a chunk of whole lags, about `_SWEEP_CHUNK` pairs
+    or one longer lag: flat index arrays with j = i + lag, the gaps
+    d = xs[j] - xs[i], and for each order k in `orders` the absolute
+    order-k remainders forward, at x_j expanded at x_i, and backward, at
+    x_i expanded at x_j.
     """
-    m = len(U) - 1
+    m, n = len(U) - 1, len(xs)
     fact = [math.factorial(ell) for ell in range(m + 1)]
     coef = {k: [U[k + ell] / fact[ell] for ell in range(m - k + 1)]
             for k in orders}
-    for lag in range(1, len(xs)):
-        d = xs[lag:] - xs[:-lag]
-        if not np.any(d <= reach):
-            return
+    # ends[lag] = number of pairs with a lag of at most `lag`
+    ends = np.concatenate(([0], np.cumsum(np.arange(n - 1, 0, -1))))
+    pos = np.arange(n)
+    lag = 1
+    while lag < n:
+        last = max(lag, int(np.searchsorted(
+            ends, ends[lag - 1] + _SWEEP_CHUNK, side="right")) - 1)
+        if last == lag:  # a lag on its own: slices, which copy nothing
+            i, j, starts = slice(0, n - lag), slice(lag, n), [0]
+        else:
+            lags = np.arange(lag, last + 1)
+            lens = n - lags
+            starts = ends[lags - 1] - ends[lag - 1]  # row starts in the chunk
+            i = np.arange(ends[last] - ends[lag - 1]) - np.repeat(starts, lens)
+            j = i + np.repeat(lags, lens)
+        d = xs[j] - xs[i]
+        # row minima rise with the lag: cut the chunk at the first row
+        # with no gap <= reach, and stop there
+        dead = np.flatnonzero(np.minimum.reduceat(d, starts) > reach)
+        if len(dead):
+            cut = starts[dead[0]]
+            if not cut:
+                return
+            i, j, d = i[:cut], j[:cut], d[:cut]
+            last = n  # no later lag has a gap <= reach either
         rems = []
         for k in orders:
             c = coef[k]
-            fwd, back = c[-1][:-lag], c[-1][lag:]
+            fwd, back = c[-1][i], c[-1][j]
             for ell in range(m - k - 1, -1, -1):  # Horner's rule
-                fwd = fwd * d + c[ell][:-lag]
-                back = back * -d + c[ell][lag:]
-            rems.append((np.abs(U[k][lag:] - fwd), np.abs(U[k][:-lag] - back)))
-        yield lag, d, rems
+                fwd = fwd * d + c[ell][i]
+                back = back * -d + c[ell][j]
+            rems.append((np.abs(U[k][j] - fwd), np.abs(U[k][i] - back)))
+        yield pos[i], pos[j], d, rems
+        lag = last + 1
 
 
 def _jet_modulus(xs: np.ndarray, U: np.ndarray, scales, empty=0.0) -> list:
@@ -75,14 +109,13 @@ def _jet_modulus(xs: np.ndarray, U: np.ndarray, scales, empty=0.0) -> list:
     that of `empty`: 0.0 for float arrays, `Fraction(0)` for object
     arrays of `Fraction`s, which keeps every value exact.
     """
-    if any(s <= 0 for s in scales):
-        raise ValueError("delta must be positive")
+    _check_scales(scales)
     m = len(U) - 1
     num = type(empty)
     bins = sorted({num(s) for s in scales})
     best = np.full(len(bins) + 1, empty)  # the last slot: gaps beyond every scale
     reach = bins[-1] if bins else -1
-    for lag, d, rems in _remainder_sweep(xs, U, range(m + 1), reach):
+    for _, _, d, rems in _remainder_sweep(xs, U, range(m + 1), reach):
         # coincident points (an extra point on a centre) are no pair
         gap = np.where(d > 0, d, np.inf)
         worst = np.max([r / gap ** (m - k)

@@ -114,6 +114,21 @@ class TestPiecewisePolynomial:
                        for v in values)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_abs_power_integrals_match_one_call_each(self, p):
+        # nested balls share whole pieces; the crossings of |u - q| with
+        # zero are irrational, so odd p gives certified values
+        u = PiecewisePolynomial.linear(
+            [F(i, 16) for i in range(17)],
+            [F((5 * i) % 7 - 3, 4) for i in range(17)])
+        q = poly(F(-1, 3), 1, F(1, 2))
+        x = F(7, 13)
+        intervals = [(x - F(1, 2**k), x + F(1, 2**k)) for k in range(1, 7)]
+        intervals += [(0, 1), (F(1, 16), F(3, 8)), (F(1, 16), F(3, 8))]
+        got = u.abs_power_integrals(q, intervals, p)
+        assert got == [u.abs_power_integral(q, a, b, p) for a, b in intervals]
+        assert all(v.exact for v in got) == (p % 2 == 0)
+
 
 ends = st.fractions(min_value=-1, max_value=2, max_denominator=6)
 

@@ -10,9 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heislusin import diffanalysis, jets
 from heislusin.counterexample import build_curve, default_params
 from heislusin.curves import PiecewisePolynomial
 from heislusin.diffanalysis import (
+    _center_samples,
+    _first_bad_counts,
     _pth_root,
     approx_density,
     lp_remainder_ladder,
@@ -199,6 +202,16 @@ class TestWhitneySieve:
         with pytest.raises(ValueError, match="delta must be positive"):
             whitney_sieve(single(CUBE), 2, F(1, 20), grid=64, ladder=ladder)
 
+    def test_non_positive_scale_is_rejected_before_any_stage(self,
+                                                             monkeypatch):
+        def fail(*args):
+            raise AssertionError("a stage test ran")
+
+        monkeypatch.setattr(diffanalysis, "_first_bad_counts", fail)
+        with pytest.raises(ValueError, match="delta must be positive"):
+            whitney_sieve(single(CUBE), 2, F(1, 20), grid=2**12,
+                          ladder=(F(1, 2), 0))
+
     def test_jump_excludes_neighborhood(self):
         u = PiecewisePolynomial([0, F(1, 2), 1], [poly(0), poly(1)])
         res = whitney_sieve(u, 1, F(5, 100), grid=2**10)
@@ -306,6 +319,79 @@ class TestSieveModulus:
             # about 1e-15 each, then divides by gap^(m-k) >= 64^-3
             assert math.isclose(value, float(exact),
                                 rel_tol=1e-9, abs_tol=1e-7)
+
+
+@st.composite
+def piecewise_on_unit(draw):
+    """A random piecewise polynomial on [0, 1] and a grid, one of whose
+    breakpoints lies on a cell centre."""
+    grid = draw(st.integers(8, 200))
+    centre = F(2 * draw(st.integers(0, grid - 1)) + 1, 2 * grid)
+    inner = draw(st.sets(st.fractions(0, 1, max_denominator=3 * grid),
+                         max_size=5))
+    bps = sorted({F(0), F(1), centre} | inner)
+    coeff = st.fractions(-50, 50, max_denominator=2**40)
+    pieces = [Polynomial(draw(st.lists(coeff, max_size=6)))
+              for _ in bps[1:]]
+    return PiecewisePolynomial(bps, pieces), grid
+
+
+class TestCenterSamples:
+    @given(piecewise_on_unit())
+    @settings(max_examples=100, deadline=None)
+    def test_equal_exact_samples_rounded(self, case):
+        u, grid = case
+        want = [float(u(F(2 * i + 1, 2 * grid))) for i in range(grid)]
+        assert _center_samples(u, grid) == want
+
+    def test_past_the_float_range_overflows(self):
+        u = PiecewisePolynomial([0, F(1, 3), 1], [poly(1), poly(0, 10**400)])
+        with pytest.raises(OverflowError):
+            _center_samples(u, 16)
+
+
+def _sweep_data():
+    """Floats on the centres of a 64-cell grid plus extra points, three
+    of them on centres (pairs at gap 0), with m = 2 derivatives."""
+    rng = np.random.default_rng(5)
+    extras = [F(1, 128), F(37, 128), F(37, 128), F(1, 3), F(1, 2), 1]
+    points = [F(2 * i + 1, 128) for i in range(64)] + extras
+    order = np.argsort([float(t) for t in points], kind="stable")
+    xs = np.array([float(points[i]) for i in order])
+    return xs, rng.normal(size=(3, len(xs))), order < 64
+
+
+class TestChunkedSweep:
+    # radii up to 1/8 reach about 9 lags of rows about 69 pairs long, so
+    # the sweep stops inside a chunk of 2^12 or 2^20 pairs
+    RADII = [F(1, 2**k) for k in range(3, 5)]
+    LADDER = [F(1, 2**k) for k in range(2, 9)]
+
+    def run(self, monkeypatch, chunk):
+        monkeypatch.setattr(jets, "_SWEEP_CHUNK", chunk)
+        xs, U, is_center = _sweep_data()
+        counts = _first_bad_counts(xs, U, is_center, self.RADII, 3)
+        return counts, _jet_modulus(xs, U, self.LADDER)
+
+    def test_float_results_do_not_depend_on_the_chunk(self, monkeypatch):
+        counts, modulus = self.run(monkeypatch, jets._SWEEP_CHUNK)
+        assert counts.sum() > 0 and modulus[-1] > 0
+        for chunk in (1, 7, 2**20):
+            other_counts, other_modulus = self.run(monkeypatch, chunk)
+            assert np.array_equal(other_counts, counts)
+            assert other_modulus == modulus
+
+    def test_exact_profile_does_not_depend_on_the_chunk(self, monkeypatch):
+        sites = [F(i, 40) + F(i * i % 7, 4000) for i in range(40)]
+        values = [tuple(F((3 * i + k) % 11 - 5, k + 1) for k in range(4))
+                  for i in range(40)]
+        jet = Jet(3, sites, values)
+        # the reach 1/9 ends the sweep inside a chunk of 2^12 pairs
+        ladder = (F(1, 9), F(1, 20), F(1, 100), F(1, 2000))
+        profile = jet.modulus_profile(ladder)
+        for chunk in (1, 7, 2**20):
+            monkeypatch.setattr(jets, "_SWEEP_CHUNK", chunk)
+            assert jet.modulus_profile(ladder) == profile
 
 
 def _cube():
