@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
+
 from .intervalsets import _pth_root, _q, rational_to_str
 from .jets import DEFAULT_LADDER, Jet, JetTriple, area_rate, ladder_maxima
 from .polynomials import (
@@ -64,6 +66,35 @@ class PiecewisePolynomial:
 
     def __call__(self, t) -> Fraction:
         return self.pieces[self.piece_index(t)](t)
+
+    def center_floats(self, grid: int) -> list:
+        """float(self(t)) at the cell centres t = (2i+1)/(2 grid), i < grid,
+        of the domain [0, 1].
+
+        A centre on a breakpoint takes the right piece, as `piece_index`
+        does. Each piece runs Horner's rule in integers on s = 2i+1 over
+        its shared denominator L (2 grid)^degree, L the lcm of its
+        coefficients' denominators; int / int rounds correctly, as
+        float(Fraction) does, and raises OverflowError past the float range.
+        """
+        if self.domain != (0, 1):
+            raise ValueError("center_floats expects domain [0,1]")
+        D = 2 * grid
+        # the first centre at or right of each inner breakpoint b: 2i+1 >= bD
+        firsts = [math.ceil((b * D - 1) / 2) for b in self.breakpoints[1:-1]]
+        out = []
+        for piece, lo, hi in zip(self.pieces, [0] + firsts, firsts + [grid]):
+            cs = piece.coeffs or (Fraction(0),)
+            deg = len(cs) - 1
+            L = math.lcm(*(c.denominator for c in cs))
+            num = [c.numerator * (L // c.denominator) * D ** (deg - k)
+                   for k, c in enumerate(cs)]
+            s = np.arange(2 * lo + 1, 2 * hi, 2).astype(object)
+            acc = np.full(len(s), num[-1], dtype=object)
+            for a in num[-2::-1]:
+                acc = acc * s + a
+            out.extend((acc / (L * D**deg)).tolist())
+        return out
 
     def spans(self, a, b):
         """Yield (lo, hi, piece) for each piece that meets (a, b), in order,

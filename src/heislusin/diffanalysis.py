@@ -262,7 +262,7 @@ def whitney_sieve(
 
     derivs = [u.derivative(k) if k else u for k in range(m + 1)]
     try:
-        U = np.array([_center_samples(d, grid) + [float(d(t)) for t in extras]
+        U = np.array([d.center_floats(grid) + [float(d(t)) for t in extras]
                       for d in derivs])[:, order]
     except OverflowError:
         raise ValueError("a sample of u or of its first m derivatives is "
@@ -318,33 +318,6 @@ def whitney_sieve(
     return SieveResult(
         retained, cell, defects, budget_ok, profile_scales, profile
     )
-
-
-def _center_samples(u: PiecewisePolynomial, grid: int) -> list:
-    """float(u(t)) at the cell centres t = (2i+1)/(2 grid), i < grid.
-
-    A centre on a breakpoint takes the right piece, as `piece_index`
-    does. Each piece runs Horner's rule in integers on s = 2i+1 over
-    its shared denominator L (2 grid)^degree, L the lcm of its
-    coefficients' denominators; int / int rounds correctly, as
-    float(Fraction) does, and raises OverflowError past the float range.
-    """
-    D = 2 * grid
-    # the first centre at or right of each inner breakpoint b: 2i+1 >= bD
-    firsts = [math.ceil((b * D - 1) / 2) for b in u.breakpoints[1:-1]]
-    out = []
-    for piece, lo, hi in zip(u.pieces, [0] + firsts, firsts + [grid]):
-        cs = piece.coeffs or (Fraction(0),)
-        deg = len(cs) - 1
-        L = math.lcm(*(c.denominator for c in cs))
-        num = [c.numerator * (L // c.denominator) * D ** (deg - k)
-               for k, c in enumerate(cs)]
-        s = np.arange(2 * lo + 1, 2 * hi, 2).astype(object)
-        acc = np.full(len(s), num[-1], dtype=object)
-        for a in num[-2::-1]:
-            acc = acc * s + a
-        out.extend((acc / (L * D**deg)).tolist())
-    return out
 
 
 def _first_bad_counts(xs, U, is_center, radii, n_max) -> np.ndarray:

@@ -60,23 +60,24 @@ def _remainder_sweep(xs: np.ndarray, U: np.ndarray, orders, reach):
     """
     m, n = len(U) - 1, len(xs)
     fact = [math.factorial(ell) for ell in range(m + 1)]
-    coef = {k: [U[k + ell] / fact[ell] for ell in range(m - k + 1)]
-            for k in orders}
+    # the Taylor coefficients U[k + ell] / ell! as rows of one array, so a
+    # chunk gathers them in one take per end; row[k] holds ell = 0, U[k]
+    row, coef = {}, []
+    for k in orders:
+        row[k] = len(coef)
+        coef.extend(U[k + ell] / fact[ell] for ell in range(m - k + 1))
+    coef = np.array(coef)
     # ends[lag] = number of pairs with a lag of at most `lag`
     ends = np.concatenate(([0], np.cumsum(np.arange(n - 1, 0, -1))))
-    pos = np.arange(n)
     lag = 1
     while lag < n:
         last = max(lag, int(np.searchsorted(
             ends, ends[lag - 1] + _SWEEP_CHUNK, side="right")) - 1)
-        if last == lag:  # a lag on its own: slices, which copy nothing
-            i, j, starts = slice(0, n - lag), slice(lag, n), [0]
-        else:
-            lags = np.arange(lag, last + 1)
-            lens = n - lags
-            starts = ends[lags - 1] - ends[lag - 1]  # row starts in the chunk
-            i = np.arange(ends[last] - ends[lag - 1]) - np.repeat(starts, lens)
-            j = i + np.repeat(lags, lens)
+        lags = np.arange(lag, last + 1)
+        lens = n - lags
+        starts = ends[lags - 1] - ends[lag - 1]  # row starts in the chunk
+        i = np.arange(ends[last] - ends[lag - 1]) - np.repeat(starts, lens)
+        j = i + np.repeat(lags, lens)
         d = xs[j] - xs[i]
         # row minima rise with the lag: cut the chunk at the first row
         # with no gap <= reach, and stop there
@@ -87,15 +88,16 @@ def _remainder_sweep(xs: np.ndarray, U: np.ndarray, orders, reach):
                 return
             i, j, d = i[:cut], j[:cut], d[:cut]
             last = n  # no later lag has a gap <= reach either
+        ci, cj = np.take(coef, i, axis=1), np.take(coef, j, axis=1)
         rems = []
         for k in orders:
-            c = coef[k]
-            fwd, back = c[-1][i], c[-1][j]
+            r = row[k]
+            fwd, back = ci[r + m - k], cj[r + m - k]
             for ell in range(m - k - 1, -1, -1):  # Horner's rule
-                fwd = fwd * d + c[ell][i]
-                back = back * -d + c[ell][j]
-            rems.append((np.abs(U[k][j] - fwd), np.abs(U[k][i] - back)))
-        yield pos[i], pos[j], d, rems
+                fwd = fwd * d + ci[r + ell]
+                back = back * -d + cj[r + ell]
+            rems.append((np.abs(cj[r] - fwd), np.abs(ci[r] - back)))
+        yield i, j, d, rems
         lag = last + 1
 
 

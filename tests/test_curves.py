@@ -167,6 +167,40 @@ class TestSpans:
         assert list(pp.spans(1, 0)) == [] == list(pp.spans(2, 3))
 
 
+@st.composite
+def piecewise_on_unit(draw):
+    """A random piecewise polynomial on [0, 1] and a grid, one of whose
+    breakpoints lies on a cell centre."""
+    grid = draw(st.integers(8, 200))
+    centre = F(2 * draw(st.integers(0, grid - 1)) + 1, 2 * grid)
+    inner = draw(st.sets(st.fractions(0, 1, max_denominator=3 * grid),
+                         max_size=5))
+    bps = sorted({F(0), F(1), centre} | inner)
+    coeff = st.fractions(-50, 50, max_denominator=2**40)
+    pieces = [Polynomial(draw(st.lists(coeff, max_size=6)))
+              for _ in bps[1:]]
+    return PiecewisePolynomial(bps, pieces), grid
+
+
+class TestCenterSamples:
+    @given(piecewise_on_unit())
+    @settings(max_examples=100, deadline=None)
+    def test_equal_exact_samples_rounded(self, case):
+        u, grid = case
+        want = [float(u(F(2 * i + 1, 2 * grid))) for i in range(grid)]
+        assert u.center_floats(grid) == want
+
+    def test_past_the_float_range_overflows(self):
+        u = PiecewisePolynomial([0, F(1, 3), 1], [poly(1), poly(0, 10**400)])
+        with pytest.raises(OverflowError):
+            u.center_floats(16)
+
+    def test_needs_the_unit_domain(self):
+        with pytest.raises(ValueError):
+            single(poly(1), 0, 2).center_floats(16)
+
+
+
 class TestLift:
     def test_diagonal_gives_constant(self):
         c = lifted(poly(0, 1), poly(0, 1))

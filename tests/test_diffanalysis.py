@@ -14,7 +14,6 @@ from heislusin import diffanalysis, jets
 from heislusin.counterexample import build_curve, default_params
 from heislusin.curves import PiecewisePolynomial
 from heislusin.diffanalysis import (
-    _center_samples,
     _first_bad_counts,
     _pth_root,
     approx_density,
@@ -319,35 +318,6 @@ class TestSieveModulus:
             # about 1e-15 each, then divides by gap^(m-k) >= 64^-3
             assert math.isclose(value, float(exact),
                                 rel_tol=1e-9, abs_tol=1e-7)
-
-
-@st.composite
-def piecewise_on_unit(draw):
-    """A random piecewise polynomial on [0, 1] and a grid, one of whose
-    breakpoints lies on a cell centre."""
-    grid = draw(st.integers(8, 200))
-    centre = F(2 * draw(st.integers(0, grid - 1)) + 1, 2 * grid)
-    inner = draw(st.sets(st.fractions(0, 1, max_denominator=3 * grid),
-                         max_size=5))
-    bps = sorted({F(0), F(1), centre} | inner)
-    coeff = st.fractions(-50, 50, max_denominator=2**40)
-    pieces = [Polynomial(draw(st.lists(coeff, max_size=6)))
-              for _ in bps[1:]]
-    return PiecewisePolynomial(bps, pieces), grid
-
-
-class TestCenterSamples:
-    @given(piecewise_on_unit())
-    @settings(max_examples=100, deadline=None)
-    def test_equal_exact_samples_rounded(self, case):
-        u, grid = case
-        want = [float(u(F(2 * i + 1, 2 * grid))) for i in range(grid)]
-        assert _center_samples(u, grid) == want
-
-    def test_past_the_float_range_overflows(self):
-        u = PiecewisePolynomial([0, F(1, 3), 1], [poly(1), poly(0, 10**400)])
-        with pytest.raises(OverflowError):
-            _center_samples(u, 16)
 
 
 def _sweep_data():
