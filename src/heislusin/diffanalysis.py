@@ -149,7 +149,7 @@ def _intersection_measure(q1: Polynomial, q2: Polynomial,
     """Measure of {y in [a,b] : q1(y) <= 0 and q2(y) <= 0}."""
     cuts = [a, b]
     for q in (q1, q2):
-        if q.is_zero or q.degree <= 0:
+        if q.degree <= 0:
             continue
         for enc in isolate_roots(q, a, b):
             enc = refine_root(enc, tol)
@@ -158,9 +158,7 @@ def _intersection_measure(q1: Polynomial, q2: Polynomial,
     total = Fraction(0)
     for lo, hi in zip(cuts, cuts[1:]):
         mid = (lo + hi) / 2
-        v1 = q1(mid) if not q1.is_zero else Fraction(0)
-        v2 = q2(mid) if not q2.is_zero else Fraction(0)
-        if v1 <= 0 and v2 <= 0:
+        if q1(mid) <= 0 and q2(mid) <= 0:
             total += hi - lo
     return total
 

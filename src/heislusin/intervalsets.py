@@ -39,7 +39,9 @@ MAX_EXPONENT = 4300
 
 def parse_rational(s) -> Fraction:
     """Fraction(s) for a flag, CSV entry or JSON value; ValueError on a
-    decimal exponent above MAX_EXPONENT in magnitude."""
+    bool, or on a decimal exponent above MAX_EXPONENT in magnitude."""
+    if isinstance(s, bool):
+        raise ValueError("%r is not a rational" % s)
     if isinstance(s, str) and ("e" in s or "E" in s):
         try:
             exponent = int(s.lower().rpartition("e")[2])
@@ -107,8 +109,8 @@ class Interval:
     @staticmethod
     def from_json_obj(obj: dict) -> "Interval":
         return Interval(
-            Fraction(obj["lo"]),
-            Fraction(obj["hi"]),
+            parse_rational(obj["lo"]),
+            parse_rational(obj["hi"]),
             bool(obj["lo_closed"]),
             bool(obj["hi_closed"]),
         )

@@ -160,39 +160,28 @@ class Polynomial:
         return F(b) - F(a)
 
     def taylor_coeffs(self, x) -> list:
-        """Coefficients c_k with P(y) = sum c_k (y - x)^k, by synthetic division."""
-        x = _q(x)
-        cs = list(self.coeffs)
-        out = []
-        while cs:
-            quot = [Fraction(0)] * (len(cs) - 1)
-            acc = cs[-1]
-            for i in range(len(cs) - 2, -1, -1):
-                quot[i] = acc
-                acc = cs[i] + x * acc
-            out.append(acc)
-            cs = quot
+        """Coefficients c_k with P(y) = sum c_k (y - x)^k: the remainders
+        of repeated division by y - x."""
+        shift = Polynomial((-_q(x), 1))
+        p, out = self, []
+        while not p.is_zero:
+            p, rem = p.divmod(shift)
+            out.append(rem(0))
         return out
 
     def divmod(self, other: "Polynomial"):
+        """(q, r) with self = q * other + r and deg r < deg other, by long
+        division: step k clears the coefficient of y^(k + deg other)."""
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
+        d, lead = other.degree, other.coeffs[-1]
         rem = list(self.coeffs)
-        d = other.degree
-        lead = other.coeffs[-1]
         quot = [Fraction(0)] * max(0, len(rem) - d)
-        while len(rem) - 1 >= d and any(c != 0 for c in rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) - 1 < d:
-                break
-            k = len(rem) - 1 - d
-            f = rem[-1] / lead
-            quot[k] = f
-            for i in range(d + 1):
+        for k in range(len(quot) - 1, -1, -1):
+            f = quot[k] = rem[k + d] / lead
+            for i in range(d):
                 rem[k + i] -= f * other.coeffs[i]
-            rem.pop()
-        return Polynomial(quot), Polynomial(rem)
+        return Polynomial(quot), Polynomial(rem[:d])
 
     def __floordiv__(self, other):
         return self.divmod(other)[0]
@@ -206,26 +195,11 @@ class Polynomial:
 # ---------------------------------------------------------------------------
 
 
-def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    while not b.is_zero:
-        a, b = b, a % b
-    if a.is_zero:
-        return a
-    return a * (Fraction(1) / a.coeffs[-1])
-
-
-def squarefree_part(p: Polynomial) -> Polynomial:
-    if p.degree <= 0:
-        return p
-    g = poly_gcd(p, p.derivative())
-    if g.degree <= 0:
-        return p
-    return p // g
-
-
 def _sturm_chain(s: Polynomial):
+    """s, s' and the negated remainders of their Euclidean sequence; the
+    last member is a nonzero multiple of gcd(s, s')."""
     chain = [s, s.derivative()]
-    while not chain[-1].is_zero and chain[-1].degree > 0:
+    while chain[-1].degree > 0:
         chain.append(-(chain[-2] % chain[-1]))
     if chain[-1].is_zero:
         chain.pop()
@@ -298,19 +272,25 @@ def isolate_roots(p: Polynomial, a, b) -> list:
         raise ValueError("cannot isolate roots of the zero polynomial")
     if a >= b or p.degree == 0:
         return []
-    s = squarefree_part(p)
-    # deflate rational roots at the endpoints so Sturm counts are clean
-    found_interior = []
+    s = p
+    chain = _sturm_chain(p)
+    if chain[-1].degree > 0:
+        # repeated roots: divide out gcd(p, p'), the chain's monic last member
+        s = p // (chain[-1] * (1 / chain[-1].coeffs[-1]))
+    # deflate rational roots at the endpoints so Sturm counts are clean;
+    # s is squarefree, so each endpoint is at most a simple root
     for endpoint in (a, b):
-        while s.degree >= 1 and s(endpoint) == 0:
+        if s(endpoint) == 0:
             s = s // Polynomial((-endpoint, 1))
+    found_interior = []
     while True:
-        # any interior rational root hit mid-bisection triggers deflation
-        hits, brackets = _isolate_squarefree(s, a, b)
-        if hits:
-            for r in hits:
-                s = s // Polynomial((-r, 1))
-                found_interior.append(r)
+        if chain[0] is not s:  # s was divided since its chain was built
+            chain = _sturm_chain(s)
+        # an interior rational root hit mid-bisection triggers deflation
+        hit, brackets = _isolate_squarefree(s, chain, a, b)
+        if hit is not None:
+            s = s // Polynomial((-hit, 1))
+            found_interior.append(hit)
             continue
         # split any bracket straddling an already-deflated root so the
         # left-to-right order of enclosures is trustworthy
@@ -329,13 +309,11 @@ def isolate_roots(p: Polynomial, a, b) -> list:
         return out
 
 
-def _isolate_squarefree(s: Polynomial, a: Fraction, b: Fraction):
-    """One isolation pass; returns (exact_hits, brackets)."""
-    if s.degree <= 0:
-        return [], []
-    chain = _sturm_chain(s)
+def _isolate_squarefree(s: Polynomial, chain, a: Fraction, b: Fraction):
+    """One isolation pass over s's Sturm chain; returns (None, brackets),
+    or (root, []) at the first midpoint that is a root of s."""
     va, vb = _variations(chain, a), _variations(chain, b)
-    hits, brackets = [], []
+    brackets = []
     stack = [(a, va, b, vb)]
     while stack:
         lo, vlo, hi, vhi = stack.pop()
@@ -347,19 +325,21 @@ def _isolate_squarefree(s: Polynomial, a: Fraction, b: Fraction):
             continue
         mid = (lo + hi) / 2
         if s(mid) == 0:
-            hits.append(mid)
-            return hits, []  # caller deflates and restarts
+            return mid, []  # caller deflates and restarts
         vm = _variations(chain, mid)
         stack.append((lo, vlo, mid, vm))
         stack.append((mid, vm, hi, vhi))
-    return hits, brackets
+    return None, brackets
 
 
 def refine_root(enc: RootEnclosure, width: Fraction) -> RootEnclosure:
     """Shrink a bracket below `width`, catching rational roots exactly.
 
     The bracket's witness polynomial changes sign exactly once inside it.
+    ValueError when width <= 0, which no bisection reaches.
     """
+    if width <= 0:
+        raise ValueError("refinement width must be positive")
     if enc.exact is not None:
         return enc
     s = enc.poly
@@ -506,7 +486,7 @@ def sup_norm(p: Polynomial, a, b, tol: Fraction = DEFAULT_TOL) -> CertifiedValue
     exact = True
     error = Fraction(0)
     dp = p.derivative()
-    if not dp.is_zero and dp.degree >= 1 and a < b:
+    if dp.degree >= 1:
         crits = isolate_roots(dp, a, b)
         if crits:
             dbound = _coeff_bound(dp, a, b)

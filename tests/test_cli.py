@@ -492,9 +492,14 @@ class TestJetsCheck:
         lambda obj: dict(obj, sites=[dict(obj["sites"][0],
                                           F=["1e10000000", "0"])]
                          + obj["sites"][1:]),
+        # the last site is x = 1, which a bool would pass for
+        lambda obj: dict(obj, sites=obj["sites"][:-1]
+                         + [dict(obj["sites"][-1], x=True)]),
+        lambda obj: dict(obj, sites=[dict(obj["sites"][0], F=[False, "0"])]
+                         + obj["sites"][1:]),
     ], ids=["top-level list", "sites string", "m float", "m bool",
             "m negative", "x null", "F infinite", "F zero denominator",
-            "F huge exponent"])
+            "F huge exponent", "x bool", "F bool"])
     def test_malformed_json_is_a_usage_error(self, capsys, tmp_path, edit):
         # exit 1 means "failed check", so a malformed file must not reach it
         p = tmp_path / "zero.json"

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -251,6 +252,15 @@ class TestSerialization:
             [Interval(0, F(1, 3), True, False), Interval(F(1, 2), 1, False, True)]
         )
         assert IntervalSet.from_json_obj(s.to_json_obj()) == s
+
+    def test_huge_exponent_rejected(self):
+        # the one parser's exponent bound: no ten-million-digit power
+        obj = [{"lo": "0", "hi": "1e10000000", "lo_closed": True,
+                "hi_closed": True}]
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="exponent"):
+            IntervalSet.from_json_obj(obj)
+        assert time.perf_counter() - start < 0.5
 
     def test_rational_strings(self):
         assert rational_to_str(F(1, 3)) == "1/3"

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import signal
 from fractions import Fraction as F
 
 import mpmath
@@ -8,6 +9,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from heislusin.curves import PiecewisePolynomial
+from heislusin.diffanalysis import approx_density
 from heislusin.intervalsets import IntervalSet
 from heislusin.polynomials import (
     CertifiedValue,
@@ -336,6 +339,35 @@ class TestAbsIntegral:
         assert v.value + v.error >= abs(p.integral(-1, 1))
 
 
+class TestNonPositiveTol:
+    """`refine_root` refuses a width <= 0, which no bisection reaches, so
+    every certified routine that refines a root refuses tol <= 0."""
+
+    @pytest.mark.parametrize("tol", [F(0), F(-1)])
+    @pytest.mark.parametrize("certified", [
+        lambda tol: abs_integral(P(-2, 0, 1), 0, 2, tol=tol),
+        lambda tol: sup_norm(P(0, -2, 0, 1), 0, 2, tol=tol),
+        # 2 <= |y|^2 from |y| = sqrt 2 on
+        lambda tol: approx_density(PiecewisePolynomial([-2, 2], [P(2)]),
+                                   Polynomial.zero(), 0, 2, 1, 2, tol=tol),
+    ], ids=["abs_integral", "sup_norm", "approx_density"])
+    def test_irrational_crossing_raises_at_once(self, certified, tol):
+        def timeout(*_):
+            raise TimeoutError("still refining after 1 s")
+        previous = signal.signal(signal.SIGALRM, timeout)
+        signal.setitimer(signal.ITIMER_REAL, 1)
+        try:
+            with pytest.raises(ValueError, match="width must be positive"):
+                certified(tol)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+
+    def test_no_root_to_refine_stays_exact(self):
+        assert abs_integral(P(1, 0, 1), 0, 2, tol=0) == CertifiedValue(F(14, 3))
+        assert sup_norm(P(1, 1), 0, 2, tol=0) == CertifiedValue(F(3))
+
+
 class TestSupNorm:
     def test_interior_critical_point(self):
         v = sup_norm(P(0, 0, -1, 1), 0, 1)  # t^3 - t^2, max 4/27 at 2/3
@@ -512,3 +544,145 @@ class TestDeGiorgi:
         # still outside
         with pytest.raises(ValueError, match="E must be contained"):
             degiorgi_ratio(P(1), F(1, 2), F(1, 2), E, 0)
+
+
+def pin_family():
+    """300 seeded `from_roots` products (p, a, b, q): repeated rational
+    and dyadic roots, irrational quadratic factors (y - c)^2 - d, about
+    a quarter with a root on an end of (a, b), and a divisor q."""
+    rng = random.Random(15)
+    family = []
+    for _ in range(300):
+        roots = [F(rng.randint(-16, 16), rng.choice((1, 2, 3, 4, 5, 8, 16)))
+                 for _ in range(rng.randint(0, 3))]
+        if roots:
+            roots += [rng.choice(roots) for _ in range(rng.randint(0, 2))]
+        p = Polynomial.from_roots(
+            F(rng.choice((-3, -1, 1, 2, 5)), rng.choice((1, 2, 7))), roots)
+        for _ in range(rng.randint(0, 2)):
+            c = F(rng.randint(-4, 4), rng.choice((1, 2, 3)))
+            d = rng.choice((F(2), F(3), F(5), F(1, 2), F(7, 4)))
+            p = p * P(c * c - d, -2 * c, 1)
+        a = F(rng.randint(-8, 0), rng.choice((1, 2, 3)))
+        b = F(rng.randint(1, 8), rng.choice((1, 2, 3)))
+        if roots and rng.random() < 0.3:
+            r = rng.choice(roots)
+            a, b = (r, max(b, r + 1)) if rng.random() < 0.5 else (min(a, r - 1), r)
+        q = Polynomial([rng.randint(-5, 5) for _ in range(rng.randint(1, 4))])
+        family.append((p, a, b, q if not q.is_zero else P(1)))
+    return family
+
+
+def enclosure_line(e):
+    return "%s %s %s %s\n" % (e.lo, e.hi, e.exact,
+                               None if e.poly is None else e.poly.coeffs)
+
+
+def isolation_lines():
+    for p, a, b, _ in pin_family():
+        for e in isolate_roots(p, a, b):
+            yield enclosure_line(e)
+            for width in (F(1, 2**10), F(1, 2**40)):
+                yield enclosure_line(refine_root(e, width))
+
+
+def division_lines():
+    for p, _, _, q in pin_family():
+        for num, den in ((p, q), (q, p), (p, p.derivative())):
+            if not den.is_zero:
+                quot, rem = num.divmod(den)
+                yield "%s %s\n" % (quot.coeffs, rem.coeffs)
+
+
+def taylor_lines():
+    for p, a, _, _ in pin_family():
+        yield "%s\n" % p.taylor_coeffs(a)
+
+
+class TestIsolationPins:
+    """Enclosures (ends, exact root, witness coefficients), refinements
+    at widths 2^-10 and 2^-40, quotients, remainders and Taylor
+    coefficients on `pin_family`, pinned to the values recorded while
+    `isolate_roots` still ran a separate gcd to find the squarefree part
+    and `taylor_coeffs` its own synthetic division."""
+
+    @pytest.mark.parametrize("lines, digest", [
+        (isolation_lines,
+         "b8465027295fbd4515902dff5a7fe818b16bf3fffa739d9394d9181c68bb7add"),
+        (division_lines,
+         "dff972e68c0691cb3d3567b205ad914d04750ac144f4a86b35fe9745dae1f26c"),
+        (taylor_lines,
+         "a8a23205d39f1e79bfa661201d10133bccf51f3f233265dfc249903cf37cba72"),
+    ], ids=["isolate and refine", "divmod", "taylor_coeffs"])
+    def test_outputs_are_pinned(self, lines, digest):
+        text = "".join(lines())
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    @given(coeffs, coeffs)
+    @settings(max_examples=300, deadline=None)
+    def test_divmod_identity(self, a, b):
+        a, b = Polynomial(a), Polynomial(b)
+        assume(not b.is_zero)
+        q, r = a.divmod(b)
+        assert a == q * b + r
+        assert r.degree < b.degree
+
+
+def sympy_real_roots(p):
+    """The distinct real roots of p from sympy's factorisation over Q:
+    the rational ones exactly, and each irrational one as its
+    irreducible factor with an isolating interval."""
+    sympy = pytest.importorskip("sympy")
+    poly = sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                       for c in reversed(p.coeffs)], sympy.Symbol("y"))
+    rational, irrational = set(), []
+    for f, _ in poly.factor_list()[1]:
+        if f.degree() == 1:
+            c1, c0 = f.all_coeffs()
+            rational.add(from_sympy(-c0 / c1))
+        else:
+            irrational.extend((f, from_sympy(s), from_sympy(t))
+                              for (s, t), _ in f.intervals())
+    return rational, irrational
+
+
+def from_sympy(x):
+    return F(int(x.p), int(x.q))
+
+
+def sympy_count_between(roots, lo, hi):
+    """Number of the roots strictly between the rationals lo and hi. An
+    irrational root's interval is refined until neither end is in it."""
+    rational, irrational = roots
+    count = sum(1 for r in rational if lo < r < hi)
+    for f, s, t in irrational:
+        while any(s <= x <= t for x in (lo, hi)):
+            s, t = map(from_sympy, f.refine_root(s, t, eps=(t - s) / 4))
+        count += lo < s and t < hi
+    return count
+
+
+class TestSympyOracle:
+    """`isolate_roots` against sympy's factorisation and root isolation,
+    which share no code with this package."""
+
+    @given(st.lists(st.lists(st.integers(-4, 4), min_size=2, max_size=4),
+                    min_size=1, max_size=3),
+           st.lists(st.integers(1, 2), min_size=3, max_size=3),
+           st.integers(-5, 4), st.integers(1, 5))
+    @settings(max_examples=120, deadline=None)
+    def test_isolation_matches_sympy(self, factors, powers, a, length):
+        # a product of random integer factors, some squared
+        p = P(1)
+        for cs, k in zip(factors, powers):
+            p = p * Polynomial(cs) ** k
+        assume(p.degree >= 1)
+        a, b = F(a, 2), F(a + length, 2)
+        roots = sympy_real_roots(p)
+        encs = isolate_roots(p, a, b)
+        assert len(encs) == sympy_count_between(roots, a, b)
+        for e in encs:
+            if e.exact is not None:
+                assert e.exact in roots[0]
+            else:
+                assert sympy_count_between(roots, e.lo, e.hi) == 1
