@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Callable, Optional
 
 from .curves import (
@@ -105,13 +106,12 @@ class CounterexampleCurve:
 
 
 def _decreasing_from(vals) -> Optional[int]:
-    """Smallest index i such that vals[i:] is strictly decreasing; None if
-    the sequence never settles into decrease."""
-    n = len(vals)
-    for i in range(n):
-        if all(a > b for a, b in zip(vals[i:], vals[i + 1:])):
-            return i
-    return None
+    """Smallest index i such that vals[i:] is strictly decreasing; None
+    for an empty sequence."""
+    i = len(vals) - 1
+    while i > 0 and vals[i - 1] > vals[i]:
+        i -= 1
+    return i if vals else None
 
 
 def check_params(params: CounterexampleParams, p_max: int = 4,
@@ -126,33 +126,23 @@ def check_params(params: CounterexampleParams, p_max: int = 4,
     """
     if p_max < 1:
         raise ValueError("p_max must be >= 1")
+    if tail_terms < 0:  # P below would be indexed from its end
+        raise ValueError("tail_terms must be >= 0")
     N = params.depth
     ns = range(1, N + 1)
 
-    lam_partial = []
-    acc = Fraction(0)
-    for n in ns:
-        acc += 2**n * params.lam(n)
-        lam_partial.append(acc)
-
+    lam_partial = list(accumulate(2**n * params.lam(n) for n in ns))
     h_over_lam = [params.h(n) / params.lam(n) for n in ns]
     four_pow_h = [Fraction(4**n) * params.h(n) for n in ns]
 
     def tails(term):
         """T(n) = sum_{k=n+1}^{n+L} 2^(k-n) term(k) for n = 1..N, L =
-        tail_terms, sliding by 2 T(n+1) = T(n) - 2 term(n+1) +
-        2^(L+1) term(n+L+1): each term(k), k = 2..N+L, is evaluated once."""
+        tail_terms: (P[n+L-1] - P[n-1]) / 2^n, P[j] = the sum of
+        2^k term(k) over k = 2..j+1."""
         L = tail_terms
-        terms = {k: term(k) for k in range(2, N + L + 1)}
-        T = sum(
-            (Fraction(2) ** (k - 1) * terms[k] for k in range(2, L + 2)),
-            Fraction(0),
-        )
-        out = [T]
-        for n in range(1, N):
-            T = (T - 2 * terms[n + 1] + 2 ** (L + 1) * terms[n + L + 1]) / 2
-            out.append(T)
-        return out
+        P = list(accumulate((2**k * term(k) for k in range(2, N + L + 1)),
+                            initial=Fraction(0)))
+        return [(P[n + L - 1] - P[n - 1]) / 2**n for n in ns]
 
     h_tail_ratio = [
         T / params.lam(n + 1) ** 2

@@ -289,15 +289,16 @@ def whitney_sieve(
         excluded_prev = excluded
     budget_ok = all(new <= budget for _, new, budget in defects)
 
-    # retained cells: center alive and every extra point in the closed
-    # cell alive
-    alive_by_point = np.empty_like(alive)
-    alive_by_point[order] = alive
-    cell_alive = alive_by_point[:grid].copy()
-    for t, ok in zip(extras, alive_by_point[grid:]):
-        if not ok:
-            k = t * grid
-            cell_alive[max(math.ceil(k) - 1, 0):math.floor(k) + 1] = False
+    # each test point's first and last closed cell: a centre's own, an
+    # extra point t's one or two; a cell is retained when every test
+    # point in it is alive
+    ks = [t * grid for t in extras]
+    first, last = (
+        np.concatenate((np.arange(grid), np.array(ends, dtype=int)))[order]
+        for ends in ([max(math.ceil(k) - 1, 0) for k in ks],
+                     [min(math.floor(k), grid - 1) for k in ks]))
+    cell_alive = np.ones(grid, dtype=bool)
+    cell_alive[first[~alive]] = cell_alive[last[~alive]] = False
     # one closed interval per run of retained cells
     edges = np.flatnonzero(np.diff(cell_alive, prepend=False, append=False))
     retained = IntervalSet(
@@ -305,11 +306,7 @@ def whitney_sieve(
         for a, b in zip(edges[::2].tolist(), edges[1::2].tolist())
     )
 
-    cell_of = np.concatenate((
-        np.arange(grid),
-        np.array([min(int(t * grid), grid - 1) for t in extras], dtype=int),
-    ))[order]
-    keep = np.flatnonzero(alive & cell_alive[cell_of])
+    keep = np.flatnonzero(alive & cell_alive[last])
     if len(keep) > modulus_cap:
         keep = keep[::-(-len(keep) // modulus_cap)]
     profile = _jet_modulus(xs[keep], U[:, keep], profile_scales)

@@ -108,12 +108,11 @@ class Interval:
 
     @staticmethod
     def from_json_obj(obj: dict) -> "Interval":
-        return Interval(
-            parse_rational(obj["lo"]),
-            parse_rational(obj["hi"]),
-            bool(obj["lo_closed"]),
-            bool(obj["hi_closed"]),
-        )
+        flags = obj["lo_closed"], obj["hi_closed"]
+        if not all(isinstance(f, bool) for f in flags):
+            raise ValueError("lo_closed and hi_closed must be JSON booleans")
+        return Interval(parse_rational(obj["lo"]), parse_rational(obj["hi"]),
+                        *flags)
 
 
 def _encode(iv: Interval) -> tuple:

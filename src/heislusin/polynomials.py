@@ -8,6 +8,7 @@ error bound.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
@@ -54,14 +55,12 @@ class Polynomial:
 
     @staticmethod
     def from_taylor(coeffs, center) -> "Polynomial":
-        """Expand sum c_k (y - center)^k into the monomial basis."""
-        center = _q(center)
+        """Expand sum c_k (y - center)^k into the monomial basis, by
+        Horner's rule in y - center."""
+        shift = Polynomial((-_q(center), 1))
         p = Polynomial.zero()
-        shift = Polynomial((-center, 1))
-        power = Polynomial.constant(1)
-        for c in coeffs:
-            p = p + power * _q(c)
-            power = power * shift
+        for c in list(coeffs)[::-1]:
+            p = p * shift + c
         return p
 
     # -- basic structure ------------------------------------------------
@@ -145,10 +144,11 @@ class Polynomial:
     # -- calculus -------------------------------------------------------
 
     def derivative(self, k: int = 1) -> "Polynomial":
-        p = self
-        for _ in range(k):
-            p = Polynomial(c * i for i, c in enumerate(p.coeffs) if i >= 1)
-        return p
+        """The k-th derivative: c_i y^i goes to c_i i!/(i-k)! y^(i-k)."""
+        if k < 0:
+            raise ValueError("derivative order must be >= 0")
+        return Polynomial(c * math.perm(i, k)
+                          for i, c in enumerate(self.coeffs[k:], start=k))
 
     def antiderivative(self) -> "Polynomial":
         return Polynomial(
@@ -518,15 +518,11 @@ def intmax_ratio(p: Polynomial, a, b, tol: Fraction = DEFAULT_TOL) -> CertifiedV
 
 
 def truncate_shifted(p: Polynomial, x, m: int) -> Polynomial:
-    """Degree-<=m polynomial agreeing with p's Taylor expansion at x.
-
-    The difference p - result is divisible by (y - x)^(m+1).
-    """
+    """Degree-<=m polynomial agreeing with p's Taylor expansion at x: the
+    remainder of p divided by (y - x)^(m+1)."""
     if m < 0:
         return Polynomial.zero()
-    x = _q(x)
-    cs = p.taylor_coeffs(x)[: m + 1]
-    return Polynomial.from_taylor(cs, x)
+    return p % Polynomial((-_q(x), 1)) ** (m + 1)
 
 
 def degiorgi_ratio(

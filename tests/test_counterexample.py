@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 from fractions import Fraction as F
 from functools import reduce
 
@@ -84,6 +85,10 @@ class TestCheckParams:
             assert abs(got - closed) <= closed / 10**8
         assert rep["h_tail_ratio"]["decreasing_from"] == 0
 
+    def test_negative_tail_terms_rejected(self):
+        with pytest.raises(ValueError, match="tail_terms"):
+            check_params(default_params(3), tail_terms=-1)
+
     def test_w_ratios_eventually_decreasing(self):
         rep = check_params(default_params(10), p_max=4)
         for p in range(1, 5):
@@ -125,7 +130,7 @@ def slow_params(depth):
 
 
 class TestCheckParamsSlidingTails:
-    """check_params slides its tail sums; the values are those of the
+    """check_params' tail sums, prefix differences, are those of the
     direct double sum, Fraction for Fraction."""
 
     @pytest.mark.parametrize("make", [default_params, slow_params])
@@ -142,6 +147,49 @@ class TestCheckParamsSlidingTails:
                 assert sorted(w) == list(range(1, p_max + 1))
                 for p, entry in w.items():
                     assert (entry["values"], entry["decreasing_from"]) == ref[p]
+
+
+def geometric_params(eta, mu, omega, depth):
+    return CounterexampleParams(
+        h_seq=lambda n: eta**n, lambda_seq=lambda n: mu**n,
+        w_seq=lambda n: omega**n, depth=depth,
+    )
+
+
+class TestCheckParamsGeometricOracle:
+    """For h = eta^n, lambda = mu^n, w = omega^n every ratio is C q^n with
+    C > 0 once tail_terms >= 1: the tails are finite geometric sums of
+    ratio 2 eta^2 and 2 omega eta^p. So each sequence is strictly
+    decreasing from n = 1 when q < 1, and never strictly decreasing over
+    two terms otherwise."""
+
+    @staticmethod
+    def expected_from(q, depth):
+        return 0 if q < 1 else depth - 1
+
+    def test_seeded_grid(self):
+        rng = random.Random(2019)
+        for _ in range(200):
+            eta, mu = (F(rng.randint(1, 15), 16) for _ in range(2))
+            omega = F(1, 2 ** rng.randint(6, 12))
+            depth, p_max = rng.randint(1, 9), rng.randint(1, 6)
+            tail_terms = rng.choice([1, 2, 5, 30])
+            rep = check_params(geometric_params(eta, mu, omega, depth),
+                               p_max=p_max, tail_terms=tail_terms)
+            case = (eta, mu, omega, depth, p_max, tail_terms)
+            assert rep["h_over_lambda"]["decreasing_from"] == (
+                self.expected_from(eta / mu, depth)), case
+            assert rep["h_tail_ratio"]["decreasing_from"] == (
+                self.expected_from(eta**2 / mu**2, depth)), case
+            for p in range(1, p_max + 1):
+                q = omega * eta**p / mu ** (2 * p + 1)
+                assert rep["w_tail_ratios"][p]["decreasing_from"] == (
+                    self.expected_from(q, depth)), (case, p)
+            rising = rep["four_pow_times_h"]["increasing_from"]
+            assert rising == (0 if 4 * eta > 1 else depth - 1), case
+            r = 2 * mu  # sum_{n=1}^{depth} r^n, in closed form
+            closed = depth if r == 1 else r * (r**depth - 1) / (r - 1)
+            assert rep["lambda_partial_sums"]["values"][-1] == closed, case
 
 
 class TestIntervals:

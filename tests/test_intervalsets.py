@@ -262,6 +262,15 @@ class TestSerialization:
             IntervalSet.from_json_obj(obj)
         assert time.perf_counter() - start < 0.5
 
+    @pytest.mark.parametrize("flag", ["false", "true", 0, 1, None])
+    def test_closed_flags_must_be_booleans(self, flag):
+        # bool("false") is True: only JSON booleans name an end's closure
+        for key in ("lo_closed", "hi_closed"):
+            obj = {"lo": "0", "hi": "1", "lo_closed": True, "hi_closed": False}
+            obj[key] = flag
+            with pytest.raises(ValueError, match="JSON booleans"):
+                IntervalSet.from_json_obj([obj])
+
     def test_rational_strings(self):
         assert rational_to_str(F(1, 3)) == "1/3"
         assert rational_to_str(F(2)) == "2/1"

@@ -49,6 +49,22 @@ class TestArithmetic:
         p = Polynomial(cs)
         assert p.antiderivative().derivative() == p
 
+    @given(coeffs, st.integers(min_value=0, max_value=8))
+    @settings(max_examples=200, deadline=None)
+    def test_kth_derivative_is_k_first_derivatives(self, cs, k):
+        p = q = Polynomial(cs)
+        for _ in range(k):
+            q = q.derivative()
+        assert p.derivative(k) == q
+
+    @pytest.mark.parametrize("p", [P(1, 2), Polynomial.zero()])
+    def test_negative_derivative_order_rejected(self, p):
+        with pytest.raises(ValueError, match="order"):
+            p.derivative(-1)
+        u = PiecewisePolynomial((0, 1), (p,))
+        with pytest.raises(ValueError, match="order"):
+            u.derivative(-1)
+
     @given(coeffs, coeffs,
            st.fractions(min_value=-3, max_value=3, max_denominator=12))
     @settings(max_examples=200, deadline=None)
