@@ -229,11 +229,12 @@ def whitney_sieve(
     The epsilon budget is reported, not enforced: `defects` lists the
     newly excluded measure at each stage against eps/2^n.
 
-    The modulus is `Jet.modulus_profile`'s kernel (`jets._jet_modulus`)
-    run on the kept points in floats: at each ladder scale, the largest
-    |remainder of order k| / gap^(m-k) over the orders k and both
-    directions of every pair of kept points at most that scale apart,
-    and 0.0 at a scale with no such pair. The stage tests read the
+    The modulus is `jets._jet_modulus`, the float twin of
+    `Jet.modulus_profile` on the same remainder sweep, run on the kept
+    points: at each ladder scale, the largest |remainder of order k| /
+    gap^(m-k) over the orders k and both directions of every pair of
+    kept points at most that scale apart, and 0.0 at a scale with no
+    such pair. The stage tests read the
     order-0 remainders of the same sweep.
     """
     eps = _q(eps)

@@ -49,23 +49,28 @@ def _check_scales(scales) -> None:
 def _remainder_sweep(xs: np.ndarray, U: np.ndarray, orders, reach):
     """Taylor remainders of a sampled jet over the pairs of sorted points.
 
-    U holds the k-th derivatives at the points xs, k = 0..m, as floats or
-    as `Fraction` objects; the arithmetic is that of the entries. Lag by
-    lag, while some gap xs[i + lag] - xs[i] is at most `reach`, yields
-    (i, j, d, rems) for a chunk of whole lags, about `_SWEEP_CHUNK` pairs
-    or one longer lag: flat index arrays with j = i + lag, the gaps
-    d = xs[j] - xs[i], and for each order k in `orders` the absolute
-    order-k remainders forward, at x_j expanded at x_i, and backward, at
-    x_i expanded at x_j.
+    U holds the k-th derivatives at the points xs, k = 0..m, either as
+    floats or as ints over a shared denominator (object arrays). Floats
+    run Horner's rule with the weights 1/ell!; ints with the integer
+    weights m!/ell!, so their remainders are ints, m! times the remainders
+    of the scaled values. Lag by lag, while some gap xs[i + lag] - xs[i]
+    is at most `reach`, yields (i, j, d, rems) for a chunk of whole lags,
+    about `_SWEEP_CHUNK` pairs or one longer lag: flat index arrays with
+    j = i + lag, the gaps d = xs[j] - xs[i], and for each order k in
+    `orders` the absolute order-k remainders forward, at x_j expanded at
+    x_i, and backward, at x_i expanded at x_j.
     """
     m, n = len(U) - 1, len(xs)
     fact = [math.factorial(ell) for ell in range(m + 1)]
-    # the Taylor coefficients U[k + ell] / ell! as rows of one array, so a
-    # chunk gathers them in one take per end; row[k] holds ell = 0, U[k]
+    exact = U.dtype == object
+    # the Taylor coefficients U[k + ell] / ell! (or U[k + ell] m!/ell!) as
+    # rows of one array, so a chunk gathers them in one take per end;
+    # row[k] holds ell = 0, U[k] (or m! U[k])
     row, coef = {}, []
     for k in orders:
         row[k] = len(coef)
-        coef.extend(U[k + ell] / fact[ell] for ell in range(m - k + 1))
+        coef.extend(U[k + ell] * (fact[m] // fact[ell]) if exact
+                    else U[k + ell] / fact[ell] for ell in range(m - k + 1))
     coef = np.array(coef)
     # ends[lag] = number of pairs with a lag of at most `lag`
     ends = np.concatenate(([0], np.cumsum(np.arange(n - 1, 0, -1))))
@@ -101,21 +106,19 @@ def _remainder_sweep(xs: np.ndarray, U: np.ndarray, orders, reach):
         lag = last + 1
 
 
-def _jet_modulus(xs: np.ndarray, U: np.ndarray, scales, empty=0.0) -> list:
-    """Whitney modulus profile of the sampled jet at the sorted points xs.
+def _jet_modulus(xs: np.ndarray, U: np.ndarray, scales) -> list:
+    """Whitney modulus profile, in floats, of the jet sampled at the
+    sorted points xs: the float twin of `Jet.modulus_profile`.
 
     At each scale, the largest |remainder of order k| / gap^(m-k) over
     the orders k and both directions of every pair at most that scale
-    apart, and `empty` at a scale with no such pair; ValueError on a
-    scale that is not positive. The number type is
-    that of `empty`: 0.0 for float arrays, `Fraction(0)` for object
-    arrays of `Fraction`s, which keeps every value exact.
+    apart, and 0.0 at a scale with no such pair; ValueError on a scale
+    that is not positive.
     """
     _check_scales(scales)
     m = len(U) - 1
-    num = type(empty)
-    bins = sorted({num(s) for s in scales})
-    best = np.full(len(bins) + 1, empty)  # the last slot: gaps beyond every scale
+    bins = sorted({float(s) for s in scales})
+    best = np.zeros(len(bins) + 1)  # the last slot: gaps beyond every scale
     reach = bins[-1] if bins else -1
     for _, _, d, rems in _remainder_sweep(xs, U, range(m + 1), reach):
         # coincident points (an extra point on a centre) are no pair
@@ -123,7 +126,7 @@ def _jet_modulus(xs: np.ndarray, U: np.ndarray, scales, empty=0.0) -> list:
         worst = np.max([r / gap ** (m - k)
                         for k, pair in enumerate(rems) for r in pair], axis=0)
         np.maximum.at(best, np.searchsorted(bins, d), worst)
-    return ladder_maxima(zip(bins, best.tolist()), map(num, scales), empty)
+    return ladder_maxima(zip(bins, best.tolist()), map(float, scales), 0.0)
 
 
 @dataclass(frozen=True)
@@ -136,6 +139,8 @@ class Jet:
     _rows: dict = field(init=False, repr=False, compare=False)  # site -> row
 
     def __post_init__(self):
+        if self.m < 0:
+            raise ValueError("jet order m must be >= 0")
         sites = tuple(_q(x) for x in self.sites)
         values = tuple(tuple(_q(v) for v in row) for row in self.values)
         if any(a >= b for a, b in zip(sites, sites[1:])):
@@ -195,14 +200,46 @@ class Jet:
     def modulus_profile(self, ladder=DEFAULT_LADDER) -> list:
         """(delta, whitney_modulus(delta)) for every delta of the ladder.
 
-        The Whitney sieve's kernel `_jet_modulus` run on object arrays of
-        the `Fraction` sites and values, so every value is exact.
+        The sieve's remainder sweep run on ints over a shared denominator.
+        With D the lcm of the site denominators and L that of the values,
+        the sites go in as the ints D x and the order-k values as the ints
+        L D^(m-k) F^k, so every gap is an int G and the order-k remainder
+        comes out as m! L D^(m-k) times the true one. A pair's worst ratio
+        is then max_k |R_k| G^k / (L m! G^m). Pairs are compared by
+        cross-multiplication within each ladder bin, and only the bin
+        maxima become `Fraction`s, so every value is exact.
         """
         ladder = tuple(ladder)
         scales = [_q(d) for d in ladder]
-        xs = np.array(self.sites, dtype=object)
-        U = np.array(self.values, dtype=object).reshape(-1, self.m + 1).T
-        return list(zip(ladder, _jet_modulus(xs, U, scales, Fraction(0))))
+        _check_scales(scales)
+        m = self.m
+        D = math.lcm(*(x.denominator for x in self.sites))
+        L = math.lcm(*(v.denominator for row in self.values for v in row))
+        xs = np.array([x.numerator * (D // x.denominator) for x in self.sites],
+                      dtype=object)
+        U = np.array([[v.numerator * (L // v.denominator) * D ** (m - k)
+                       for k, v in enumerate(row)] for row in self.values],
+                     dtype=object).reshape(-1, m + 1).T
+        # a gap G lies in the first bin whose scale s has s D >= G, that is
+        # floor(s D) >= G; an object array, as floor(s D) may pass int64
+        bins = sorted(set(scales))
+        floors = np.array([s.numerator * D // s.denominator for s in bins],
+                          dtype=object)
+        best = [None] * (len(bins) + 1)  # (num, G^m) of each bin's worst pair
+        for _, _, G, rems in _remainder_sweep(
+                xs, U, range(m + 1), floors[-1] if bins else -1):
+            worst = np.max([r * G ** k
+                            for k, pair in enumerate(rems) for r in pair], axis=0)
+            for b, num, den in zip(np.searchsorted(floors, G).tolist(),
+                                   worst.tolist(), (G ** m).tolist()):
+                top = best[b]
+                if top is None or num * top[1] > top[0] * den:
+                    best[b] = (num, den)
+        unit = L * math.factorial(m)  # each ratio is num / (unit G^m)
+        return list(zip(ladder, ladder_maxima(
+            ((s, Fraction(top[0], unit * top[1]))
+             for s, top in zip(bins, best) if top is not None),
+            scales, Fraction(0))))
 
     def to_json_obj(self) -> dict:
         return {
@@ -220,8 +257,8 @@ class Jet:
     def from_json_obj(obj: dict, key: str = "F") -> "Jet":
         """The `key` jet of a JSON object; ValueError on a malformed shape."""
         m = obj.get("m") if isinstance(obj, dict) else None
-        if type(m) is not int or m < 0:  # a bool is not an int here
-            raise ValueError("jet JSON needs an object with an integer m >= 0")
+        if type(m) is not int:  # a bool is not an int here; Jet checks m >= 0
+            raise ValueError("jet JSON needs an object with an integer m")
         recs = obj.get("sites")
         if not isinstance(recs, list) or not all(
             isinstance(rec, dict) and "x" in rec and isinstance(rec.get(key), list)

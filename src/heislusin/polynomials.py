@@ -220,21 +220,28 @@ def simplest_between(a: Fraction, b: Fraction) -> Fraction:
     a, b = _q(a), _q(b)
     if a > b:
         raise ValueError("empty interval")
-    if a == b:
-        return a
-    if a <= 0 <= b:
-        return Fraction(0)
-    if b < 0:
-        return -simplest_between(-b, -a)
+    Q = math.lcm(a.denominator, b.denominator)
+    return Fraction(*_simplest(a.numerator * (Q // a.denominator),
+                               b.numerator * (Q // b.denominator), Q))
+
+
+def _simplest(A: int, B: int, Q: int):
+    """(p, q): the fraction p/q with the smallest denominator in the
+    closed interval [A/Q, B/Q], for A <= B and Q > 0; p and q coprime."""
+    if A <= 0 <= B:
+        return 0, 1
+    if B < 0:
+        p, q = _simplest(-B, -A, Q)
+        return -p, q
     # While [a, b] holds no integer, a and b share the integer part fa and
     # the answer is fa + 1/(the answer for [1/(b - fa), 1/(a - fa)]); h/k
-    # is the convergent of these partial quotients. Every pair is coprime.
-    pa, qa, pb, qb = a.numerator, a.denominator, b.numerator, b.denominator
+    # is the convergent of these partial quotients.
+    pa, qa, pb, qb = A, Q, B, Q
     h, h_prev, k, k_prev = 1, 0, 0, 1
     while True:
         ca = -(-pa // qa)
         if ca * qb <= pb:
-            return Fraction(ca * h + h_prev, ca * k + k_prev)
+            return ca * h + h_prev, ca * k + k_prev
         fa = ca - 1
         h, h_prev, k, k_prev = fa * h + h_prev, h, fa * k + k_prev, k
         pa, qa, pb, qb = qb, pb - fa * qb, qa, pa - fa * qa
@@ -336,33 +343,54 @@ def refine_root(enc: RootEnclosure, width: Fraction) -> RootEnclosure:
     """Shrink a bracket below `width`, catching rational roots exactly.
 
     The bracket's witness polynomial changes sign exactly once inside it.
+    The bisection runs on ints over a shared denominator: the bracket is
+    [A/Q, B/Q] with Q the lcm of its ends' denominators, each step doubles
+    A, B and Q, and the witness's sign at p/q is that of its homogenised
+    Horner value on its coefficients with their denominators cleared.
     ValueError when width <= 0, which no bisection reaches.
     """
+    width = _q(width)
     if width <= 0:
         raise ValueError("refinement width must be positive")
     if enc.exact is not None:
         return enc
     s = enc.poly
     lo, hi = enc.lo, enc.hi
-    sign_lo = s(lo) > 0
+    Q = math.lcm(lo.denominator, hi.denominator)
+    A, B = lo.numerator * (Q // lo.denominator), hi.numerator * (Q // hi.denominator)
+    cleared = math.lcm(*(c.denominator for c in s.coeffs))
+    cs = [c.numerator * (cleared // c.denominator) for c in s.coeffs[::-1]]
+
+    def at(p: int, q: int) -> int:
+        """q^deg s(p/q) with s's denominators cleared: an int with the
+        sign of s(p/q), for q > 0."""
+        acc, power = cs[0], 1
+        for c in cs[1:]:
+            power *= q
+            acc = acc * p + c * power
+        return acc
+
+    sign_lo = at(A, Q) > 0
     cand = None
-    while hi - lo > width:
+    while (B - A) * width.denominator > width.numerator * Q:
         # the simplest fraction of a bracket is also the simplest of every
         # sub-bracket holding it, so it is recomputed (and tested) only
         # once the bracket has shrunk past it
-        if cand is None or not lo <= cand <= hi:
-            cand = simplest_between(lo, hi)
-            if lo < cand < hi and s(cand) == 0:
-                return RootEnclosure(cand, cand, cand)
-        mid = (lo + hi) / 2
-        fm = s(mid)
+        if cand is None or not A * cand[1] <= cand[0] * Q <= B * cand[1]:
+            cand = _simplest(A, B, Q)
+            if A * cand[1] < cand[0] * Q < B * cand[1] and at(*cand) == 0:
+                root = Fraction(*cand)
+                return RootEnclosure(root, root, root)
+        mid, A, B, Q = A + B, 2 * A, 2 * B, 2 * Q
+        fm = at(mid, Q)
         if fm == 0:
-            return RootEnclosure(mid, mid, mid)
+            root = Fraction(mid, Q)
+            return RootEnclosure(root, root, root)
         if (fm > 0) == sign_lo:
-            lo = mid
+            A = mid
         else:
-            hi = mid
-    return RootEnclosure(lo, hi, None, s)
+            B = mid
+    return RootEnclosure(Fraction(A, Q), Fraction(B, Q), None, s)
 
 
 def _coeff_bound(p: Polynomial, a: Fraction, b: Fraction) -> Fraction:

@@ -1,8 +1,9 @@
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from heislusin.jets import (
@@ -112,24 +113,51 @@ def brute_modulus(j, delta):
 
 
 small = st.fractions(min_value=-9, max_value=9, max_denominator=7)
+# pairwise coprime denominators make the lcm of the sites' denominators large
+PRIMES = [q for q in range(2, 10**4)
+          if all(q % d for d in range(2, math.isqrt(q) + 1))]
 
 
 @st.composite
 def jets_and_ladders(draw):
     m = draw(st.integers(0, 3))
-    sites = sorted(draw(st.sets(
-        st.fractions(min_value=-2, max_value=2, max_denominator=16),
-        min_size=1, max_size=6)))
-    values = tuple(tuple(draw(small) for _ in range(m + 1)) for _ in sites)
+    if draw(st.booleans()):
+        sites = draw(st.sets(
+            st.fractions(min_value=-2, max_value=2, max_denominator=16),
+            min_size=1, max_size=6))
+    else:  # one site per prime denominator up to 10^4
+        primes = draw(st.lists(st.sampled_from(PRIMES), min_size=1,
+                               max_size=6, unique=True))
+        sites = {F(draw(st.integers(-2 * q, 2 * q)), q) for q in primes}
+    sites = sorted(sites)
+    value = st.one_of(small, st.fractions(min_value=-9, max_value=9,
+                                          max_denominator=10**6))
+    values = tuple(tuple(draw(value) for _ in range(m + 1)) for _ in sites)
     # scales below the smallest gap, between gaps and above the widest
-    ladder = draw(st.lists(
-        st.fractions(min_value=F(1, 512), max_value=5, max_denominator=512),
-        min_size=1, max_size=6))
+    scale = st.fractions(min_value=F(1, 512), max_value=5, max_denominator=512)
+    gaps = sorted({b - a for a in sites for b in sites if a < b})
+    if gaps:
+        # scales within 1/D of a gap but not on a multiple of 1/D, D the
+        # lcm of the site denominators, so strictly between two gaps G/D
+        D = math.lcm(*(x.denominator for x in sites))
+        near = st.builds(lambda g, k: g + F(k, 97 * D), st.sampled_from(gaps),
+                         st.integers(-96, 96).filter(bool))
+        scale = st.one_of(scale, near)
+    ladder = draw(st.lists(scale, min_size=1, max_size=6))
     return Jet(m, tuple(sites), values), ladder
+
+
+# the lcm D of these site denominators has 64 bits, so the bin bound
+# floor(s D) of a scale s near 1/2 passes int64
+WIDE_SITES = (F(-272, 541), F(1, 6829), F(1, 5147), F(1, 3511), F(1, 2011),
+              F(69, 137))
+WIDE_D = math.lcm(*(x.denominator for x in WIDE_SITES))
 
 
 class TestModulusProfile:
     @given(jets_and_ladders())
+    @example((Jet(1, WIDE_SITES, ((0, 1),) + ((0, 0),) * 5),
+              [F(1, 512), F(1858029, 3694489) + F(1, 97 * WIDE_D)]))
     @settings(max_examples=150, deadline=None)
     def test_matches_brute_force_per_scale(self, case):
         j, ladder = case
@@ -170,6 +198,17 @@ class TestModulusProfile:
         j.modulus_profile()
         j.whitney_modulus(F(1, 3))
         assert calls == []
+
+
+class TestJetOrder:
+    @pytest.mark.parametrize("build", [
+        lambda: Jet(-1, (0, 1), ((), ())),
+        lambda: Jet(-1, (), ()),
+        lambda: Jet.from_json_obj({"m": -1, "sites": [{"x": "0", "F": []}]}),
+    ], ids=["two sites", "no sites", "from JSON"])
+    def test_negative_order_rejected_when_built(self, build):
+        with pytest.raises(ValueError, match="m must be >= 0"):
+            build()
 
 
 class TestSiteLookup:

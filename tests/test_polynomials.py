@@ -238,14 +238,24 @@ class TestRefineRoot:
 
     @given(st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=9),
                     min_size=1, max_size=3),
-           st.integers(-2, 5), st.integers(1, 60))
+           st.fractions(min_value=-2, max_value=5, max_denominator=7),
+           st.fractions(min_value=F(1, 9), max_value=9, max_denominator=9),
+           st.lists(st.fractions(min_value=-4, max_value=4,
+                                 max_denominator=97),
+                    min_size=2, max_size=2, unique=True),
+           st.integers(1, 60))
     @settings(max_examples=150, deadline=None)
-    def test_same_enclosures_as_per_step_candidate(self, roots, c, bits):
-        # rational roots plus a possibly irrational factor y^2 - c
-        p = Polynomial.from_roots(1, roots) * P(-c, 0, 1)
+    def test_same_enclosures_as_per_step_candidate(self, roots, c, lead,
+                                                   ends, bits):
+        # rational roots plus a possibly irrational factor y^2 - c, with a
+        # leading coefficient that need not be an integer
+        p = Polynomial.from_roots(lead, roots) * P(-c, 0, 1)
         width = F(1, 2**bits)
-        for enc in isolate_roots(p, -4, 4):
-            assert refine_root(enc, width) == refine_reference(enc, width)
+        # (-4, 4) gives dyadic brackets; ends with denominators up to 97,
+        # as sites such as 1/10 give, brackets over other denominators
+        for a, b in ((-4, 4), sorted(ends)):
+            for enc in isolate_roots(p, a, b):
+                assert refine_root(enc, width) == refine_reference(enc, width)
 
 
 def mp(x):
