@@ -149,8 +149,8 @@ def read_curve_csv(path):
     """
     rows = []
     with open(path) as fh:
-        header = fh.readline().strip()
-        if header.split(",")[:1] != ["t"]:
+        header = [x.strip() for x in fh.readline().split(",")]
+        if header != ["t", "f", "g", "h"]:
             raise ValueError("curve CSV must start with header t,f,g,h")
         for line in fh:
             line = line.strip()

@@ -19,12 +19,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .intervalsets import _pth_root, _q, rational_to_str
+from .intervalsets import _cleared, _pth_root, _q, rational_to_str
 from .jets import DEFAULT_LADDER, Jet, JetTriple, area_rate, ladder_maxima
 from .polynomials import (
     DEFAULT_TOL,
     CertifiedValue,
     Polynomial,
+    _homogeneous,
     abs_integral,
     prefix_abs_integrals,
     sup_norm,
@@ -72,9 +73,9 @@ class PiecewisePolynomial:
         of the domain [0, 1].
 
         A centre on a breakpoint takes the right piece, as `piece_index`
-        does. Each piece runs Horner's rule in integers on s = 2i+1 over
-        its shared denominator L (2 grid)^degree, L the lcm of its
-        coefficients' denominators; int / int rounds correctly, as
+        does. Each piece is the homogenised Horner value of its cleared
+        coefficients at s / (2 grid), s = 2i+1, over its shared denominator
+        L (2 grid)^degree; int / int rounds correctly, as
         float(Fraction) does, and raises OverflowError past the float range.
         """
         if self.domain != (0, 1):
@@ -84,16 +85,10 @@ class PiecewisePolynomial:
         firsts = [math.ceil((b * D - 1) / 2) for b in self.breakpoints[1:-1]]
         out = []
         for piece, lo, hi in zip(self.pieces, [0] + firsts, firsts + [grid]):
-            cs = piece.coeffs or (Fraction(0),)
-            deg = len(cs) - 1
-            L = math.lcm(*(c.denominator for c in cs))
-            num = [c.numerator * (L // c.denominator) * D ** (deg - k)
-                   for k, c in enumerate(cs)]
+            nums, L = _cleared(piece.coeffs or (0,))
             s = np.arange(2 * lo + 1, 2 * hi, 2).astype(object)
-            acc = np.full(len(s), num[-1], dtype=object)
-            for a in num[-2::-1]:
-                acc = acc * s + a
-            out.extend((acc / (L * D**deg)).tolist())
+            out.extend((_homogeneous(nums, s, D)
+                        / (L * D ** (len(nums) - 1))).tolist())
         return out
 
     def spans(self, a, b):

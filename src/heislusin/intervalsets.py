@@ -31,6 +31,15 @@ def _q(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
+def _cleared(values) -> tuple:
+    """(nums, D) with values[i] = nums[i] / D, D the lcm of the
+    denominators of the rationals `values`: the one place where exact
+    values enter an integer kernel."""
+    values = list(values)
+    D = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (D // v.denominator) for v in values], D
+
+
 # largest decimal exponent of a rational read from outside the package:
 # Fraction("1e10000000") would build a ten-million-digit power of ten, and
 # 4300 is Python's default limit on the digits of an integer string
@@ -126,10 +135,19 @@ def _decode(start, stop) -> Interval:
 
 
 _UNIT_START, _UNIT_STOP = (0, 0), (1, 2)  # the key range of [0, 1]
+_BELOW, _ABOVE = (-math.inf, 0), (math.inf, 0)  # below and above every key
 
 
 def _ranges(keys) -> Iterable[tuple]:  # the (start, stop) pairs of keys
     return zip(keys[::2], keys[1::2])
+
+
+def _complement(keys: list) -> list:
+    """The key list of the complement: the same keys between a sentinel
+    below and one above, a sentinel dropped where one is already at that
+    end."""
+    keys = keys[1:] if keys[:1] == [_BELOW] else [_BELOW] + keys
+    return keys[:-1] if keys[-1:] == [_ABOVE] else keys + [_ABOVE]
 
 
 def _merge(ranges) -> list:
@@ -236,22 +254,8 @@ class IntervalSet:
             _ranges(self._keys), _ranges(other._keys))))
 
     def intersect(self, other: "IntervalSet") -> "IntervalSet":
-        """Two pointers over both key lists, O(N + M)."""
-        A, B = self._keys, other._keys
-        out = []
-        i = j = 0
-        while i < len(A) and j < len(B):
-            start = max(A[i], B[j])
-            # drop whichever range stops first
-            if A[i + 1] <= B[j + 1]:
-                stop = A[i + 1]
-                i += 2
-            else:
-                stop = B[j + 1]
-                j += 2
-            if start < stop:
-                out += start, stop
-        return IntervalSet._of(out)
+        """self minus the complement of other, O(N + M)."""
+        return self.subtract(IntervalSet._of(_complement(other._keys)))
 
     def subtract(self, other: "IntervalSet") -> "IntervalSet":
         """A cut loop over both key lists, O(N + M).

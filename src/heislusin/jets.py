@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .intervalsets import _q, parse_rational, rational_to_str
+from .intervalsets import _cleared, _q, parse_rational, rational_to_str
 from .polynomials import Polynomial, truncate_shifted
 
 DEFAULT_LADDER = tuple(Fraction(1, 2**j) for j in range(13))
@@ -213,13 +213,11 @@ class Jet:
         scales = [_q(d) for d in ladder]
         _check_scales(scales)
         m = self.m
-        D = math.lcm(*(x.denominator for x in self.sites))
-        L = math.lcm(*(v.denominator for row in self.values for v in row))
-        xs = np.array([x.numerator * (D // x.denominator) for x in self.sites],
-                      dtype=object)
-        U = np.array([[v.numerator * (L // v.denominator) * D ** (m - k)
-                       for k, v in enumerate(row)] for row in self.values],
-                     dtype=object).reshape(-1, m + 1).T
+        nums, D = _cleared(self.sites)
+        xs = np.array(nums, dtype=object)
+        nums, L = _cleared(v for row in self.values for v in row)
+        powers = np.array([D ** (m - k) for k in range(m + 1)], dtype=object)
+        U = (np.array(nums, dtype=object).reshape(-1, m + 1) * powers).T
         # a gap G lies in the first bin whose scale s has s D >= G, that is
         # floor(s D) >= G; an object array, as floor(s D) may pass int64
         bins = sorted(set(scales))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .intervalsets import IntervalSet, _q
+from .intervalsets import IntervalSet, _cleared, _q
 
 DEFAULT_TOL = Fraction(1, 10**12)
 
@@ -215,14 +215,25 @@ def _variations(chain, x) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
+def _homogeneous(nums, p, q):
+    """sum nums[k] p^k q^(deg-k), deg = len(nums) - 1, by Horner's rule:
+    q^deg P(p/q) for the polynomial P with the integer coefficients nums,
+    lowest power first; the one homogenised Horner rule. p is an int or an
+    object array of ints, and so is the value; q is an int."""
+    acc, power = p * 0, 1
+    for c in reversed(nums):
+        acc = acc * p + c * power
+        power *= q
+    return acc
+
+
 def simplest_between(a: Fraction, b: Fraction) -> Fraction:
     """Fraction with the smallest denominator in the closed interval [a, b]."""
     a, b = _q(a), _q(b)
     if a > b:
         raise ValueError("empty interval")
-    Q = math.lcm(a.denominator, b.denominator)
-    return Fraction(*_simplest(a.numerator * (Q // a.denominator),
-                               b.numerator * (Q // b.denominator), Q))
+    (A, B), Q = _cleared((a, b))
+    return Fraction(*_simplest(A, B, Q))
 
 
 def _simplest(A: int, B: int, Q: int):
@@ -355,22 +366,9 @@ def refine_root(enc: RootEnclosure, width: Fraction) -> RootEnclosure:
     if enc.exact is not None:
         return enc
     s = enc.poly
-    lo, hi = enc.lo, enc.hi
-    Q = math.lcm(lo.denominator, hi.denominator)
-    A, B = lo.numerator * (Q // lo.denominator), hi.numerator * (Q // hi.denominator)
-    cleared = math.lcm(*(c.denominator for c in s.coeffs))
-    cs = [c.numerator * (cleared // c.denominator) for c in s.coeffs[::-1]]
-
-    def at(p: int, q: int) -> int:
-        """q^deg s(p/q) with s's denominators cleared: an int with the
-        sign of s(p/q), for q > 0."""
-        acc, power = cs[0], 1
-        for c in cs[1:]:
-            power *= q
-            acc = acc * p + c * power
-        return acc
-
-    sign_lo = at(A, Q) > 0
+    (A, B), Q = _cleared((enc.lo, enc.hi))
+    cs = _cleared(s.coeffs)[0]  # _homogeneous(cs, p, q) has the sign of s(p/q)
+    sign_lo = _homogeneous(cs, A, Q) > 0
     cand = None
     while (B - A) * width.denominator > width.numerator * Q:
         # the simplest fraction of a bracket is also the simplest of every
@@ -378,11 +376,12 @@ def refine_root(enc: RootEnclosure, width: Fraction) -> RootEnclosure:
         # once the bracket has shrunk past it
         if cand is None or not A * cand[1] <= cand[0] * Q <= B * cand[1]:
             cand = _simplest(A, B, Q)
-            if A * cand[1] < cand[0] * Q < B * cand[1] and at(*cand) == 0:
+            if (A * cand[1] < cand[0] * Q < B * cand[1]
+                    and _homogeneous(cs, *cand) == 0):
                 root = Fraction(*cand)
                 return RootEnclosure(root, root, root)
         mid, A, B, Q = A + B, 2 * A, 2 * B, 2 * Q
-        fm = at(mid, Q)
+        fm = _homogeneous(cs, mid, Q)
         if fm == 0:
             root = Fraction(mid, Q)
             return RootEnclosure(root, root, root)
@@ -394,14 +393,11 @@ def refine_root(enc: RootEnclosure, width: Fraction) -> RootEnclosure:
 
 
 def _coeff_bound(p: Polynomial, a: Fraction, b: Fraction) -> Fraction:
-    """Cheap upper bound for |p| on [a, b]."""
+    """Upper bound sum |c_k| M^k for |p| on [a, b], M = max(|a|, |b|, 1)."""
     m = max(abs(a), abs(b), Fraction(1))
-    bound = Fraction(0)
-    power = Fraction(1)
-    for c in p.coeffs:
-        bound += abs(c) * power
-        power *= m
-    return bound
+    nums, L = _cleared(abs(c) for c in p.coeffs or (0,))
+    return Fraction(_homogeneous(nums, m.numerator, m.denominator),
+                    L * m.denominator ** (len(nums) - 1))
 
 
 # ---------------------------------------------------------------------------

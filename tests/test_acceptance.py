@@ -12,8 +12,6 @@ import random
 import sys
 from fractions import Fraction as F
 
-import pytest
-
 from heislusin.counterexample import (
     build_curve,
     build_intervals,
@@ -54,11 +52,6 @@ def rand_poly(rng, deg, lo=-9, hi=9):
     return Polynomial(
         [F(rng.randint(lo, hi), rng.randint(1, 5)) for _ in range(deg + 1)]
     )
-
-
-@pytest.fixture(scope="module")
-def curve10():
-    return build_curve(default_params(10))
 
 
 def test_criterion_01_component_increments(capsys):

@@ -725,6 +725,25 @@ class TestMalformedCsv:
         assert out == "" and err.startswith("error: ")
         assert "Traceback" not in err
 
+    @READERS
+    @pytest.mark.parametrize("header", ["t,g,f,h", "t", " t , f , g , h , x"])
+    def test_header_other_than_t_f_g_h_is_usage_error(self, capsys, tmp_path,
+                                                      argv, header):
+        # a file headed t,g,f,h would be read with f and g swapped
+        src = tmp_path / "bad-header.csv"
+        src.write_text(header + "\n0,0,0,0\n1/2,1,0,0\n1,0,0,0\n")
+        status, out, err = invoke(capsys, *argv, "--input", str(src))
+        assert status == 2
+        assert out == ""
+        assert "header t,f,g,h" in err
+        assert "Traceback" not in err
+
+    def test_header_fields_are_stripped(self, tmp_path):
+        src = tmp_path / "spaced-header.csv"
+        src.write_text(" t , f,g ,h \n0,0,0,0\n1,1,2,3\n")
+        f, g, h = read_curve_csv(src)
+        assert (f(1), g(1), h(1)) == (1, 2, 3)
+
 
 class TestDecimalMode:
     def test_decimal_flag(self, capsys, tmp_path):

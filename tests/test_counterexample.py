@@ -21,13 +21,6 @@ from heislusin.counterexample import (
 from heislusin.curves import horizontality_residual
 from heislusin.intervalsets import IntervalSet, rational_to_str
 
-import pytest
-
-
-@pytest.fixture(scope="module")
-def curve10():
-    return build_curve(default_params(10))
-
 
 class TestParams:
     def test_defaults(self):

@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heislusin import diffanalysis, jets
-from heislusin.counterexample import build_curve, default_params
 from heislusin.curves import PiecewisePolynomial
 from heislusin.diffanalysis import (
     _first_bad_counts,
@@ -39,11 +38,6 @@ def single(p, a=0, b=1):
 def kink(c):
     """u(t) = |t - c| on [0, 1]."""
     return PiecewisePolynomial([0, c, 1], [poly(c, -1), poly(-c, 1)])
-
-
-@pytest.fixture(scope="module")
-def curve10():
-    return build_curve(default_params(10))
 
 
 class TestLpLadder:

@@ -5,17 +5,20 @@ import signal
 from fractions import Fraction as F
 
 import mpmath
+import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from heislusin.curves import PiecewisePolynomial
 from heislusin.diffanalysis import approx_density
-from heislusin.intervalsets import IntervalSet
+from heislusin.intervalsets import IntervalSet, _cleared
 from heislusin.polynomials import (
     CertifiedValue,
     Polynomial,
     RootEnclosure,
+    _coeff_bound,
+    _homogeneous,
     abs_integral,
     degiorgi_ratio,
     intmax_ratio,
@@ -256,6 +259,41 @@ class TestRefineRoot:
         for a, b in ((-4, 4), sorted(ends)):
             for enc in isolate_roots(p, a, b):
                 assert refine_root(enc, width) == refine_reference(enc, width)
+
+
+class TestIntegerGate:
+    """`_cleared` and `_homogeneous`, the way exact rationals enter and
+    are read by every integer kernel."""
+
+    @given(coeffs, st.integers(-60, 60), st.integers(1, 40),
+           st.lists(st.integers(-60, 60), max_size=6))
+    @example([], -3, 2, [-3, 0, 5])  # the zero polynomial
+    @example([F(1, 2), F(-2, 3), F(5, 6)], -7, 4, [-7, -1])
+    @settings(max_examples=200, deadline=None)
+    def test_homogeneous_of_cleared_is_the_scaled_value(self, cs, p, q, ps):
+        poly = Polynomial(cs)
+        nums, L = _cleared(poly.coeffs)
+        assert L == math.lcm(*(c.denominator for c in poly.coeffs))
+        assert [F(n, L) for n in nums] == list(poly.coeffs)
+        want = L * F(q) ** max(poly.degree, 0) * poly(F(p, q))
+        got = _homogeneous(nums, p, q)
+        assert type(got) is int and got == want
+        # an object array of p's agrees elementwise and holds Python ints
+        arr = _homogeneous(nums, np.array(ps, dtype=object), q)
+        assert arr.dtype == object and arr.shape == (len(ps),)
+        assert arr.tolist() == [_homogeneous(nums, x, q) for x in ps]
+        assert all(type(v) is int for v in arr.tolist())
+
+    @given(coeffs, st.fractions(min_value=-4, max_value=4, max_denominator=9),
+           st.fractions(min_value=-4, max_value=4, max_denominator=9))
+    @example([], F(-1, 2), F(1, 3))
+    def test_coeff_bound_is_the_written_out_sum(self, cs, a, b):
+        a, b = min(a, b), max(a, b)
+        poly = Polynomial(cs)
+        M = max(abs(a), abs(b), F(1))
+        want = sum((abs(c) * M ** k for k, c in enumerate(poly.coeffs)), F(0))
+        got = _coeff_bound(poly, a, b)
+        assert isinstance(got, F) and got == want
 
 
 def mp(x):
