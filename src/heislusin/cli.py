@@ -34,7 +34,7 @@ from .counterexample import (
 )
 from .curves import PiecewisePolynomial, extendability_report, lift
 from .diffanalysis import approx_density, lp_remainder_ladder, whitney_sieve
-from .intervalsets import IntervalSet, parse_rational, rational_to_str
+from .intervalsets import parse_rational, rational_to_str
 from .jets import DEFAULT_LADDER, JetTriple
 from .polynomials import Polynomial
 
@@ -280,7 +280,9 @@ def _cmd_ce_straddle(args, fmt) -> int:
 
 def _cmd_jets_check(args, fmt) -> int:
     with open(args.input) as fh:
-        triple = JetTriple.from_json_obj(json.load(fh))
+        # JSON decimals are read exactly, as CSV entries are
+        triple = JetTriple.from_json_obj(
+            json.load(fh, parse_float=parse_rational))
     if args.m is not None and triple.m != args.m:
         print(
             "error: jet order %d does not match --m %d" % (triple.m, args.m),

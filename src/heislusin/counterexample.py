@@ -27,7 +27,7 @@ from .curves import (
     lift,
     velocity,
 )
-from .intervalsets import IntervalSet, _q, rational_to_str
+from .intervalsets import IntervalSet, _q
 from .jets import Jet, JetTriple
 
 
@@ -144,46 +144,33 @@ def check_params(params: CounterexampleParams, p_max: int = 4,
                             initial=Fraction(0)))
         return [(P[n + L - 1] - P[n - 1]) / 2**n for n in ns]
 
-    h_tail_ratio = [
-        T / params.lam(n + 1) ** 2
-        for n, T in zip(ns, tails(lambda k: params.h(k) ** 2))
-    ]
-    w_tail_ratios = {
-        p: [
-            T / params.lam(n + 1) ** (2 * p + 1)
-            for n, T in zip(
-                ns, tails(lambda k: params.w(k) * params.h(k) ** p))
-        ]
-        for p in range(1, p_max + 1)
-    }
+    def decreasing(values):
+        return {"values": values, "decreasing_from": _decreasing_from(values)}
 
-    report = {
+    return {
         "depth": N,
         "lambda_partial_sums": {
             "values": lam_partial,
             "bounded_by_4": lam_partial[-1] <= 4,
         },
-        "h_over_lambda": {
-            "values": h_over_lam,
-            "decreasing_from": _decreasing_from(h_over_lam),
-        },
+        "h_over_lambda": decreasing(h_over_lam),
         "four_pow_times_h": {
             "values": four_pow_h,
             "increasing_from": _decreasing_from([-v for v in four_pow_h]),
         },
-        "h_tail_ratio": {
-            "values": h_tail_ratio,
-            "decreasing_from": _decreasing_from(h_tail_ratio),
-        },
+        "h_tail_ratio": decreasing([
+            T / params.lam(n + 1) ** 2
+            for n, T in zip(ns, tails(lambda k: params.h(k) ** 2))
+        ]),
         "w_tail_ratios": {
-            p: {
-                "values": vals,
-                "decreasing_from": _decreasing_from(vals),
-            }
-            for p, vals in w_tail_ratios.items()
+            p: decreasing([
+                T / params.lam(n + 1) ** (2 * p + 1)
+                for n, T in zip(
+                    ns, tails(lambda k: params.w(k) * params.h(k) ** p))
+            ])
+            for p in range(1, p_max + 1)
         },
     }
-    return report
 
 
 # ---------------------------------------------------------------------------

@@ -260,8 +260,6 @@ def higher_horizontality_residual(curve: PiecewiseCurve, k: int,
         zip(curve.f_pieces, curve.g_pieces, curve.h_pieces)
     ):
         d = (hp.derivative() - area_rate(fp, gp)).derivative(k - 1)
-        if d.is_zero:
-            continue
         sv = sup_norm(d, bps[i], bps[i + 1], tol=tol)
         best = max(best, sv.value + sv.error)
     return best

@@ -125,22 +125,23 @@ def approx_density(
     a, b = max(dlo, x - R), min(dhi, x + R)
     if a >= b:
         raise ValueError("ball does not meet the domain")
-    shift = Polynomial((-x, 1))  # y - x
+    power = Polynomial((-x, 1)) ** m  # (y - x)^m
+    # eps |y-x|^m left and right of x: |y-x|^m = (-1)^m (y-x)^m on the left
+    e_left, e_right = (eps * (-1) ** m) * power, eps * power
     total = Fraction(0)
     for plo, phi, piece in u.spans(a, b):
         d = piece - P
-        for lo, hi, sgn in (
-            (plo, min(phi, x), (-1) ** m),
-            (max(plo, x), phi, 1),
+        for lo, hi, e in (
+            (plo, min(phi, x), e_left),
+            (max(plo, x), phi, e_right),
         ):
             if lo >= hi:
                 continue
-            # on this side |y-x|^m = sgn * (y-x)^m
-            e = (eps * sgn) * shift**m
-            # good set: d <= e and -d <= e
-            n_roots = max(1, (d - e).degree) + max(1, (d + e).degree)
+            # good set: d - e <= 0 and -(d + e) <= 0
+            over, under = d - e, -(d + e)
+            n_roots = max(1, over.degree) + max(1, under.degree)
             step = tol / (2 * n_roots)
-            total += _intersection_measure(d - e, -(d + e), lo, hi, step)
+            total += _intersection_measure(over, under, lo, hi, step)
     return total / (b - a)
 
 
@@ -175,9 +176,12 @@ class SieveResult:
     retained: IntervalSet
     cell_width: Fraction
     defects: list  # per n: (n, excluded measure at that stage, budget eps/2^n)
-    budget_ok: bool
     modulus_scales: tuple
     modulus_profile: list  # floats, Whitney modulus of the jet on retained pts
+
+    @property
+    def budget_ok(self) -> bool:
+        return all(new <= budget for _, new, budget in self.defects)
 
     def to_json_obj(self) -> dict:
         return {
@@ -210,9 +214,9 @@ def whitney_sieve(
     modulus_cap: int = 1024,
     ladder=DEFAULT_LADDER,
 ) -> SieveResult:
-    """Retain the grid cells whose test points pass every scale test
-    W-measure test, and report the Whitney modulus of the induced jet on
-    the retained points.
+    """Retain the grid cells whose test points pass the W-measure test
+    at every stage and radius, and report the Whitney modulus of the
+    induced jet on the retained points.
 
     For each n = 1..n_max the bad set at x is
     W(x,r) = {y in B(x,r) : |u(y) - P_x(y)| > (1/n) |y - x|^m} with P_x
@@ -229,13 +233,9 @@ def whitney_sieve(
     The epsilon budget is reported, not enforced: `defects` lists the
     newly excluded measure at each stage against eps/2^n.
 
-    The modulus is `jets._jet_modulus`, the float twin of
-    `Jet.modulus_profile` on the same remainder sweep, run on the kept
-    points: at each ladder scale, the largest |remainder of order k| /
-    gap^(m-k) over the orders k and both directions of every pair of
-    kept points at most that scale apart, and 0.0 at a scale with no
-    such pair. The stage tests read the
-    order-0 remainders of the same sweep.
+    The modulus is `jets._jet_modulus` of the kept points, defined
+    there. The stage tests read the order-0 remainders of the same
+    sweep.
     """
     eps = _q(eps)
     if eps <= 0:
@@ -288,7 +288,6 @@ def whitney_sieve(
         new = excluded - excluded_prev
         defects.append((n, new, eps / 2**n))
         excluded_prev = excluded
-    budget_ok = all(new <= budget for _, new, budget in defects)
 
     # each test point's first and last closed cell: a centre's own, an
     # extra point t's one or two; a cell is retained when every test
@@ -311,9 +310,7 @@ def whitney_sieve(
     if len(keep) > modulus_cap:
         keep = keep[::-(-len(keep) // modulus_cap)]
     profile = _jet_modulus(xs[keep], U[:, keep], profile_scales)
-    return SieveResult(
-        retained, cell, defects, budget_ok, profile_scales, profile
-    )
+    return SieveResult(retained, cell, defects, profile_scales, profile)
 
 
 def _first_bad_counts(xs, U, is_center, radii, n_max) -> np.ndarray:

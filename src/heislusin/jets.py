@@ -13,7 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -331,18 +331,12 @@ class JetTriple:
         )
 
     def to_json_obj(self) -> dict:
-        return {
-            "m": self.m,
-            "sites": [
-                {
-                    "x": rational_to_str(x),
-                    "F": [rational_to_str(v) for v in self.F.values[i]],
-                    "G": [rational_to_str(v) for v in self.G.values[i]],
-                    "H": [rational_to_str(v) for v in self.H.values[i]],
-                }
-                for i, x in enumerate(self.sites)
-            ],
-        }
+        """F's `Jet.to_json_obj`, with G and H added to each site record."""
+        obj = self.F.to_json_obj()
+        for rec, g, h in zip(obj["sites"], self.G.values, self.H.values):
+            rec["G"] = [rational_to_str(v) for v in g]
+            rec["H"] = [rational_to_str(v) for v in h]
+        return obj
 
     @staticmethod
     def from_json_obj(obj: dict) -> "JetTriple":

@@ -116,8 +116,6 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             c = _q(other)
             return Polynomial(a * c for a in self.coeffs)
-        if self.is_zero or other.is_zero:
-            return Polynomial.zero()
         out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a == 0:
@@ -132,13 +130,13 @@ class Polynomial:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power")
-        out = Polynomial.constant(1)
-        base = self
+        out, base = Polynomial.constant(1), self
         while n:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
+            if n:  # the base's next square is read only by a later bit
+                base = base * base
         return out
 
     # -- calculus -------------------------------------------------------
@@ -260,22 +258,24 @@ def _simplest(A: int, B: int, Q: int):
 
 @dataclass
 class RootEnclosure:
-    """One real root of a squarefree polynomial: exact or bracketed."""
+    """One real root of a squarefree polynomial: exact when lo == hi,
+    otherwise bracketed by lo < hi."""
 
     lo: Fraction
     hi: Fraction
-    exact: Optional[Fraction] = None
     poly: Optional["Polynomial"] = None  # sign-changing witness for brackets
 
     @property
+    def exact(self) -> Optional[Fraction]:
+        return self.lo if self.lo == self.hi else None
+
+    @property
     def midpoint(self) -> Fraction:
-        if self.exact is not None:
-            return self.exact
         return (self.lo + self.hi) / 2
 
     @property
     def width(self) -> Fraction:
-        return Fraction(0) if self.exact is not None else self.hi - self.lo
+        return self.hi - self.lo
 
 
 def isolate_roots(p: Polynomial, a, b) -> list:
@@ -288,7 +288,7 @@ def isolate_roots(p: Polynomial, a, b) -> list:
     a, b = _q(a), _q(b)
     if p.is_zero:
         raise ValueError("cannot isolate roots of the zero polynomial")
-    if a >= b or p.degree == 0:
+    if a >= b:
         return []
     s = p
     chain = _sturm_chain(p)
@@ -321,8 +321,8 @@ def isolate_roots(p: Polynomial, a, b) -> list:
                 else:
                     split.append((lo, hi))
             brackets = split
-        out = [RootEnclosure(r, r, r) for r in found_interior]
-        out.extend(RootEnclosure(lo, hi, None, s) for lo, hi in brackets)
+        out = [RootEnclosure(r, r) for r in found_interior]
+        out.extend(RootEnclosure(lo, hi, s) for lo, hi in brackets)
         out.sort(key=lambda e: e.midpoint)
         return out
 
@@ -379,17 +379,17 @@ def refine_root(enc: RootEnclosure, width: Fraction) -> RootEnclosure:
             if (A * cand[1] < cand[0] * Q < B * cand[1]
                     and _homogeneous(cs, *cand) == 0):
                 root = Fraction(*cand)
-                return RootEnclosure(root, root, root)
+                return RootEnclosure(root, root)
         mid, A, B, Q = A + B, 2 * A, 2 * B, 2 * Q
         fm = _homogeneous(cs, mid, Q)
         if fm == 0:
             root = Fraction(mid, Q)
-            return RootEnclosure(root, root, root)
+            return RootEnclosure(root, root)
         if (fm > 0) == sign_lo:
             A = mid
         else:
             B = mid
-    return RootEnclosure(Fraction(A, Q), Fraction(B, Q), None, s)
+    return RootEnclosure(Fraction(A, Q), Fraction(B, Q), s)
 
 
 def _coeff_bound(p: Polynomial, a: Fraction, b: Fraction) -> Fraction:
@@ -469,7 +469,7 @@ def prefix_abs_integrals(p: Polynomial, a, ends, tol: Fraction = DEFAULT_TOL) ->
     if ends[0] < a or any(x > y for x, y in zip(ends, ends[1:])):
         raise ValueError("require a <= b, with the ends nondecreasing")
     last = ends[-1]
-    if p.is_zero or a == last:
+    if p.is_zero:
         return [CertifiedValue(Fraction(0)) for _ in ends]
     roots = isolate_roots(p, a, last)
     bound = _coeff_bound(p, a, last)
@@ -490,10 +490,9 @@ def prefix_abs_integrals(p: Polynomial, a, ends, tol: Fraction = DEFAULT_TOL) ->
             F_break = F_mid
             n_breaks += 1
         while n_costed < len(roots) and roots[n_costed].lo < b:
-            enc = roots[n_costed]
-            if enc.exact is None:
-                cost += CertifiedValue(
-                    Fraction(0), False, 2 * enc.width * bound)
+            enc = roots[n_costed]  # an exact root costs nothing: width 0
+            cost += CertifiedValue(Fraction(0), enc.exact is not None,
+                                   2 * enc.width * bound)
             n_costed += 1
         out.append(cost + CertifiedValue(passed + abs(F(b) - F_break)))
     return out
@@ -504,8 +503,6 @@ def sup_norm(p: Polynomial, a, b, tol: Fraction = DEFAULT_TOL) -> CertifiedValue
     a, b = _q(a), _q(b)
     if a > b:
         raise ValueError("require a <= b")
-    if p.is_zero:
-        return CertifiedValue(Fraction(0))
     candidates = [abs(p(a)), abs(p(b))]
     exact = True
     error = Fraction(0)
@@ -516,13 +513,10 @@ def sup_norm(p: Polynomial, a, b, tol: Fraction = DEFAULT_TOL) -> CertifiedValue
             dbound = _coeff_bound(dp, a, b)
             width = tol / dbound if dbound > 0 else Fraction(1)
             for enc in crits:
-                enc = refine_root(enc, width)
-                if enc.exact is not None:
-                    candidates.append(abs(p(enc.exact)))
-                else:
-                    exact = False
-                    error = max(error, enc.width * dbound)
-                    candidates.append(abs(p(enc.midpoint)))
+                enc = refine_root(enc, width)  # an exact root has width 0
+                exact = exact and enc.exact is not None
+                error = max(error, enc.width * dbound)
+                candidates.append(abs(p(enc.midpoint)))
     return CertifiedValue(max(candidates), exact, error)
 
 

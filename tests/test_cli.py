@@ -432,6 +432,17 @@ class TestBuild:
             "4dfa103b01adcde8c619616036687311135498365d7897770170bd2b81ae6437"
         )
 
+    def test_uniform_samples(self, capsys, tmp_path):
+        status, _, _ = invoke(capsys, "counterexample", "build", "--depth",
+                              "4", "--samples", "8", "--out", str(tmp_path))
+        assert status == 0
+        curve = build_curve(default_params(4)).curve
+        rows = (tmp_path / "curve.csv").read_text().splitlines()
+        assert rows[0] == "t,f,g,h" and len(rows) == 10
+        for i, row in enumerate(rows[1:]):
+            t = F(i, 8)
+            assert row == ",".join(map(rational_to_str, (t, *curve(t))))
+
 
 class TestJetsCheck:
     def test_zero_jets_pass(self, capsys, tmp_path):
@@ -533,6 +544,40 @@ class TestJetsCheck:
         assert rep["verdict"] == verdict
         assert rep["whitney"]["F"][0] == {"delta": "1/1", "value": "inf"}
 
+    def test_json_decimals_are_read_exactly(self, capsys, tmp_path):
+        # F = x at the sites 0, 1/10, 1/5 with m = 0: read as a binary
+        # double, 0.1 would sit just above 1/10, and the F modulus at
+        # 1/10 would read 0.09999999999999999
+        def report(x, v):
+            p = tmp_path / "triple.json"
+            z = [0]
+            p.write_text(json.dumps({"m": 0, "sites": [
+                {"x": a, "F": [b], "G": z, "H": z}
+                for a, b in ((0, 0), (x, v), ("1/5", "1/5"))]}))
+            status, out, err = invoke(capsys, "jets", "check", "--input",
+                                      str(p), "--ladder", "1/10")
+            assert status == 1 and err == ""
+            return out
+
+        out = report(0.1, 0.1)
+        assert json.loads(out)["whitney"]["F"] == [
+            {"delta": "1/10", "value": "0.1"}]
+        assert out == report("1/10", "1/10")
+
+    def test_json_number_past_float_range_is_exact(self, capsys, tmp_path):
+        # the JSON number 1e400 is 10^400, as the string "1e400" is
+        sites = (0, F(1, 4), 1)
+        z = Jet(2, sites, ((0, 0, 0),) * 3)
+        obj = JetTriple(z, z, z).to_json_obj()
+        obj["sites"][2]["F"][0] = "1e400"
+        outs = []
+        for text in (json.dumps(obj),
+                     json.dumps(obj).replace('"1e400"', "1e400")):
+            p = tmp_path / "big.json"
+            p.write_text(text)
+            outs.append(invoke(capsys, "jets", "check", "--input", str(p)))
+        assert outs[0] == outs[1]
+
 
 class TestCurveLift:
     def test_diagonal_lifts_flat(self, capsys, tmp_path):
@@ -588,6 +633,27 @@ class TestDiffAndSieve:
         lines = out.splitlines()
         assert lines[0] == "rho,value"
         assert len(lines) == 3
+
+    def test_lp_default_ladder(self, capsys, tmp_path):
+        # with no --scales, the default ladder's scales that fit in the
+        # domain around x: 1/4 down to 1/4096 at x = 1/3
+        src = tmp_path / "in.csv"
+        src.write_text("t,f,g,h\n0,1/3,0,0\n1/3,0,0,0\n1,2/3,0,0\n")
+        argv = ("diff", "lp", "--input", str(src), "--x", "1/3", "--m", "1")
+        status, out, _ = invoke(capsys, *argv)
+        assert status == 0
+        scales = ",".join("1/%d" % 2**j for j in range(2, 13))
+        assert (status, out) == invoke(capsys, *argv, "--scales", scales)[:2]
+        assert [r.split(",")[0] for r in out.splitlines()[1:]] == \
+            scales.split(",")
+
+    def test_lp_no_scale_at_the_boundary(self, capsys, tmp_path):
+        src = tmp_path / "in.csv"
+        src.write_text("t,f,g,h\n0,1/3,0,0\n1,2/3,0,0\n")
+        status, out, err = invoke(capsys, "diff", "lp", "--input", str(src),
+                                  "--x", "1", "--m", "1")
+        assert status == 2 and out == ""
+        assert "x too close to the boundary for any scale" in err
 
     @pytest.mark.parametrize("p, scales", [
         ("2", "1/8,1/%d" % 2**600), ("1", "1/%d" % 2**1100),
@@ -743,6 +809,20 @@ class TestMalformedCsv:
         src.write_text(" t , f,g ,h \n0,0,0,0\n1,1,2,3\n")
         f, g, h = read_curve_csv(src)
         assert (f(1), g(1), h(1)) == (1, 2, 3)
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        src = tmp_path / "blank.csv"
+        src.write_text("t,f,g,h\n0,0,0,0\n\n  \n1,1,2,3\n\n")
+        f, g, h = read_curve_csv(src)
+        assert f.breakpoints == (0, 1) and (f(1), g(1), h(1)) == (1, 2, 3)
+
+    @READERS
+    def test_single_row_is_usage_error(self, capsys, tmp_path, argv):
+        src = tmp_path / "one-row.csv"
+        src.write_text("t,f,g,h\n1/2,0,0,0\n")
+        status, out, err = invoke(capsys, *argv, "--input", str(src))
+        assert status == 2 and out == ""
+        assert "need at least two sample rows" in err
 
 
 class TestDecimalMode:

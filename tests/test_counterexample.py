@@ -43,6 +43,18 @@ class TestParams:
                 w_seq=lambda n: F(1, 2**n), depth=3,
             )
 
+    @pytest.mark.parametrize("kwargs, match", [
+        (dict(depth=0), "depth must be >= 1"),
+        (dict(h_seq=lambda n: F(2 - n, 3)), "h_2 must be positive"),
+        (dict(lambda_seq=lambda n: F(0)), "lambda_1 must be positive"),
+    ])
+    def test_bad_depth_or_sequence_rejected(self, kwargs, match):
+        args = dict(h_seq=lambda n: F(1, 3**n),
+                    lambda_seq=lambda n: F(2, 5) ** n,
+                    w_seq=lambda n: F(1, 2 ** (7 * n)), depth=3) | kwargs
+        with pytest.raises(ValueError, match=match):
+            CounterexampleParams(**args)
+
 
 class TestCheckParams:
     def test_partial_sums_bounded(self):
@@ -81,6 +93,10 @@ class TestCheckParams:
     def test_negative_tail_terms_rejected(self):
         with pytest.raises(ValueError, match="tail_terms"):
             check_params(default_params(3), tail_terms=-1)
+
+    def test_p_max_below_one_rejected(self):
+        with pytest.raises(ValueError, match="p_max must be >= 1"):
+            check_params(default_params(3), p_max=0)
 
     def test_w_ratios_eventually_decreasing(self):
         rep = check_params(default_params(10), p_max=4)

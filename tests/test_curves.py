@@ -670,3 +670,42 @@ class TestHermite:
         t = sample(c, (0, F(1, 2), 1), 1)
         with pytest.raises(ValueError):
             horizontal_repair_gap(t, 0, 1)
+
+    def test_unequal_endpoint_data_rejected(self):
+        with pytest.raises(ValueError, match="equal length"):
+            hermite_two_point(0, [0, 1], 1, [1])
+
+
+class TestDegenerateCurves:
+    def test_residual_of_a_lift_is_zero_at_every_order(self):
+        # every piece's residual is the zero polynomial
+        bps = (0, F(1, 2), 1)
+        c = lift(PiecewisePolynomial(bps, (poly(0, 1), poly(F(1, 2)))),
+                 PiecewisePolynomial(bps, (poly(0, 2), poly(1))))
+        for k in (1, 2, 3):
+            got = higher_horizontality_residual(c, k)
+            assert got == 0 and type(got) is F
+
+    def test_residual_order_below_one_rejected(self):
+        c = lifted(poly(0, 1), poly(0, 1))
+        with pytest.raises(ValueError, match="require k >= 1"):
+            higher_horizontality_residual(c, 0)
+
+    @pytest.mark.parametrize("bps", [(0,), (0, 0), (1, 0)])
+    def test_breakpoints_not_increasing_rejected(self, bps):
+        with pytest.raises(ValueError, match="strictly increasing, >= 2"):
+            PiecewisePolynomial(bps, (poly(1),) * max(len(bps) - 1, 0))
+
+    def test_power_below_one_rejected(self):
+        with pytest.raises(ValueError, match="positive integer"):
+            single(poly(0, 1)).abs_power_integral(poly(0), 0, 1, 0)
+
+    def test_one_site_rejected(self):
+        t = sample(lifted(poly(0, 1), poly(1)), (F(1, 2),), 1)
+        for fn in (extendability_report, hermite_gap_fill):
+            with pytest.raises(ValueError, match="at least two sites"):
+                fn(t)
+
+    def test_lift_of_different_domains_rejected(self):
+        with pytest.raises(ValueError, match="domains differ"):
+            lift(single(poly(0, 1)), single(poly(0, 1), 0, 2))

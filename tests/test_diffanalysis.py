@@ -390,3 +390,55 @@ def test_sieve_output_is_pinned(case, digest):
     obj = whitney_sieve(u, m, F(5, 100), grid=grid).to_json_obj()
     text = json.dumps(obj, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+class TestParameterErrors:
+    def test_lp_ladder_not_decreasing_rejected(self):
+        with pytest.raises(ValueError, match="strictly decreasing"):
+            lp_remainder_ladder(single(CUBE, -1, 1), Polynomial.zero(), 0,
+                                1, 2, [F(1, 8), F(1, 4)])
+
+    @pytest.mark.parametrize("eps, want", [(2, 1), (1, 1), (F(1, 2), 0)])
+    def test_density_of_a_constant_gap_at_order_zero(self, eps, want):
+        # u - P = 1 against eps |y - x|^0 = eps: both bounds are constant
+        # polynomials, the zero polynomial at eps = 1, with no root
+        assert approx_density(single(poly(1)), Polynomial.zero(), F(1, 2),
+                              0, eps, F(1, 4)) == want
+
+    @pytest.mark.parametrize("m, p, match", [
+        (1, 0, "p must be a positive integer"), (-1, 1, "m must be"),
+    ])
+    def test_lp_bad_order_or_exponent(self, m, p, match):
+        with pytest.raises(ValueError, match=match):
+            lp_remainder_ladder(single(CUBE, -1, 1), Polynomial.zero(), 0,
+                                m, p)
+
+    @pytest.mark.parametrize("x, eps, R, match", [
+        (0, 0, 1, "eps and R must be positive"),
+        (0, 1, F(-1, 2), "eps and R must be positive"),
+        (2, 1, 1, "ball does not meet the domain"),
+        (-3, 1, 1, "ball does not meet the domain"),
+    ])
+    def test_density_bad_parameters(self, x, eps, R, match):
+        with pytest.raises(ValueError, match=match):
+            approx_density(single(CUBE), Polynomial.zero(), x, 1, eps, R)
+
+    @pytest.mark.parametrize("u, kwargs, match", [
+        (single(CUBE), dict(eps=0), "eps must be positive"),
+        (single(CUBE), dict(m=-1), "bad sieve parameters"),
+        (single(CUBE), dict(n_max=0), "bad sieve parameters"),
+        (single(CUBE), dict(grid=4), "bad sieve parameters"),
+        (single(CUBE, 0, 2), {}, "sieve expects domain"),
+        (single(CUBE), dict(extra_points=[F(5, 4)]), "must lie in"),
+    ])
+    def test_sieve_bad_parameters(self, u, kwargs, match):
+        args = dict(m=2, eps=F(1, 20), grid=64) | kwargs
+        with pytest.raises(ValueError, match=match):
+            whitney_sieve(u, **args)
+
+    def test_budget_follows_the_defects(self):
+        # y^3 is retained whole at m = 2 and loses 53/256 at stage 1 at m = 1
+        for m, ok in ((2, True), (1, False)):
+            res = whitney_sieve(single(CUBE), m, F(1, 20), grid=2**8)
+            assert res.budget_ok is ok
+            assert res.to_json_obj()["budget_ok"] is ok

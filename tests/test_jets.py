@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction as F
@@ -339,3 +340,43 @@ class TestSerialization:
         assert obj["sites"][0]["x"] == "1/2"
         assert obj["sites"][0]["F"] == ["1/2", "1/1"]
         assert set(obj["sites"][0]) == {"x", "F", "G", "H"}
+
+    def test_triple_text_is_pinned(self):
+        # key order and spelling of each site record
+        t = JetTriple(
+            Jet(1, (0, F(1, 2)), ((1, 2), (F(-1, 3), 0))),
+            Jet(1, (0, F(1, 2)), ((0, 0), (5, F(7, 2)))),
+            Jet(1, (0, F(1, 2)), ((F(1, 9), 1), (0, -4))),
+        )
+        assert json.dumps(t.to_json_obj()) == (
+            '{"m": 1, "sites": ['
+            '{"x": "0/1", "F": ["1/1", "2/1"], "G": ["0/1", "0/1"], '
+            '"H": ["1/9", "1/1"]}, '
+            '{"x": "1/2", "F": ["-1/3", "0/1"], "G": ["5/1", "7/2"], '
+            '"H": ["0/1", "-4/1"]}]}')
+
+
+class TestParameterErrors:
+    @pytest.mark.parametrize("sites, values, match", [
+        ((0, 0), ((0,), (0,)), "strictly increasing"),
+        ((1, 0), ((0,), (0,)), "strictly increasing"),
+        ((0, 1), ((0,), (0, 1)), "length m\\+1"),
+    ])
+    def test_bad_jet_rejected(self, sites, values, match):
+        with pytest.raises(ValueError, match=match):
+            Jet(0, sites, values)
+
+    def test_order_out_of_range_rejected(self):
+        j = Jet.from_polynomial(CUBE, (0, 1), 1)
+        for k in (-1, 2):
+            with pytest.raises(ValueError, match="order k out of range"):
+                j.value(0, k)
+            with pytest.raises(ValueError, match="order k out of range"):
+                j.remainder(0, 1, k)
+
+    def test_triple_of_unlike_jets_rejected(self):
+        a = Jet.from_polynomial(CUBE, (0, 1), 1)
+        with pytest.raises(ValueError, match="share order m"):
+            JetTriple(a, a, Jet.from_polynomial(CUBE, (0, 1), 2))
+        with pytest.raises(ValueError, match="share sites"):
+            JetTriple(a, Jet.from_polynomial(CUBE, (0, 2), 1), a)

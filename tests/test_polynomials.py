@@ -199,21 +199,21 @@ def refine_reference(enc, width):
     while hi - lo > width:
         cand = simplest_between(lo, hi)
         if lo < cand < hi and s(cand) == 0:
-            return RootEnclosure(cand, cand, cand)
+            return RootEnclosure(cand, cand)
         mid = (lo + hi) / 2
         fm = s(mid)
         if fm == 0:
-            return RootEnclosure(mid, mid, mid)
+            return RootEnclosure(mid, mid)
         if (fm > 0) == sign_lo:
             lo = mid
         else:
             hi = mid
-    return RootEnclosure(lo, hi, None, s)
+    return RootEnclosure(lo, hi, s)
 
 
 class TestRefineRoot:
     def test_sqrt2_pinned_dyadic_bracket(self):
-        e = refine_root(RootEnclosure(F(1), F(2), None, P(-2, 0, 1)),
+        e = refine_root(RootEnclosure(F(1), F(2), P(-2, 0, 1)),
                         F(1, 2**40))
         assert e.exact is None
         assert (e.lo, e.hi) == (F(1554944255987, 2**40),
@@ -225,17 +225,17 @@ class TestRefineRoot:
         p = P(-20, 11, 3)  # (3y - 4)(y + 5)
         # the first candidate, 1, is the bracket's left endpoint; 4/3
         # only becomes the candidate once the bracket has left 1 behind
-        e = refine_root(RootEnclosure(F(1), F(2), None, p), F(1, 2**40))
+        e = refine_root(RootEnclosure(F(1), F(2), p), F(1, 2**40))
         assert e.exact == F(4, 3)
 
     def test_candidate_on_endpoint_then_midpoint_hit(self):
         p = P(-15, -4, 4)  # (2y - 5)(2y + 3); candidate 2 is the endpoint
-        e = refine_root(RootEnclosure(F(2), F(3), None, p), F(1, 2**40))
+        e = refine_root(RootEnclosure(F(2), F(3), p), F(1, 2**40))
         assert e.exact == F(5, 2)
 
     def test_candidate_kept_inside_bracket(self):
         p = P(-5, 0, 3)  # 3y^2 - 5, irrational root in (1, 2)
-        e = refine_root(RootEnclosure(F(1), F(2), None, p), F(1, 2**30))
+        e = refine_root(RootEnclosure(F(1), F(2), p), F(1, 2**30))
         assert e.exact is None and e.lo < e.hi and e.hi - e.lo <= F(1, 2**30)
         assert p(e.lo) < 0 < p(e.hi)
 
@@ -750,3 +750,72 @@ class TestSympyOracle:
                 assert e.exact in roots[0]
             else:
                 assert sympy_count_between(roots, e.lo, e.hi) == 1
+
+
+class TestDegenerateInputs:
+    """Zero and degenerate inputs take the general paths and give the
+    values the zero-case shortcuts returned."""
+
+    def test_products_with_zero(self):
+        for p in (Polynomial.zero(), P(F(1, 2), -2, 3)):
+            assert (Polynomial.zero() * p).coeffs == ()
+            assert (p * Polynomial.zero()).coeffs == ()
+        assert Polynomial.zero() ** 0 == P(1)
+        assert Polynomial.zero() ** 3 == Polynomial.zero()
+
+    def test_zero_sup_norm(self):
+        v = sup_norm(Polynomial.zero(), F(-1, 3), 2)
+        assert v == CertifiedValue(F(0)) and type(v.value) is F
+
+    def test_constant_has_no_roots(self):
+        assert isolate_roots(P(F(-5, 7)), -10, 10) == []
+
+    def test_every_end_at_a(self):
+        for p in (P(-1, 0, 1), P(F(1, 3)), Polynomial.zero()):
+            got = prefix_abs_integrals(p, 1, [1, 1, 1])
+            assert got == [CertifiedValue(F(0))] * 3
+
+    def test_reversed_interval_rejected(self):
+        for fn in (sup_norm, abs_integral):
+            with pytest.raises(ValueError, match="require a <= b"):
+                fn(P(0, 1), 1, 0)
+        with pytest.raises(ValueError, match="require a < b"):
+            intmax_ratio(P(1), 1, 1)
+
+    def test_zero_polynomial_rejected_where_undefined(self):
+        with pytest.raises(ZeroDivisionError):
+            P(1, 1).divmod(Polynomial.zero())
+        with pytest.raises(ValueError, match="zero polynomial"):
+            isolate_roots(Polynomial.zero(), 0, 1)
+
+    def test_negative_truncation_order_is_zero(self):
+        assert truncate_shifted(P(1, 2, 3), F(1, 2), -1) == Polynomial.zero()
+
+    def test_degiorgi_bad_radius_and_null_set_rejected(self):
+        E = IntervalSet.closed(F(1, 4), F(1, 2))
+        with pytest.raises(ValueError, match="require r > 0"):
+            degiorgi_ratio(P(1), F(1, 2), 0, E, 0)
+        point = IntervalSet.closed(F(1, 2), F(1, 2))
+        with pytest.raises(ValueError, match="positive measure"):
+            degiorgi_ratio(P(1), F(1, 2), F(1, 2), point, 0)
+
+
+class TestPower:
+    def test_powers_are_repeated_products(self):
+        p = P(F(1, 2), -1, F(2, 3))
+        acc = P(1)
+        for n in range(9):
+            assert p ** n == acc
+            acc = acc * p
+        with pytest.raises(ValueError, match="negative power"):
+            p ** -1
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 8, 13])
+    def test_no_square_past_the_last_bit(self, monkeypatch, n):
+        # one product per set bit and one square per bit after the first
+        calls = []
+        mul = Polynomial.__mul__
+        monkeypatch.setattr(Polynomial, "__mul__",
+                            lambda a, b: calls.append(1) or mul(a, b))
+        P(1, 1) ** n
+        assert len(calls) == bin(n).count("1") + n.bit_length() - 1
