@@ -8,13 +8,14 @@ than the vertical increments, the increment over a component dwarfs every
 power of its length — which is what any C^2 horizontal approximation
 would have to match.
 
-Everything here is exact rational arithmetic to a finite generation
-depth; the reports verify the quantitative facts that drive the
-obstruction.
+Everything here is exact to a finite generation depth: the curve is
+built on integers over shared denominators, h from the signed area of
+each edge, and the reports verify the facts that drive the obstruction.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -23,11 +24,11 @@ from typing import Callable, Optional
 from .curves import (
     PiecewiseCurve,
     PiecewisePolynomial,
+    _linear_pieces,
     area_discrepancy,
-    lift,
     velocity,
 )
-from .intervalsets import IntervalSet, _q
+from .intervalsets import IntervalSet, _cleared, _q
 from .jets import Jet, JetTriple
 
 
@@ -181,53 +182,66 @@ def check_params(params: CounterexampleParams, p_max: int = 4,
 def build_intervals(params: CounterexampleParams) -> tuple:
     """(levels, unions): level n, I_n, keeps the open interval of radius
     w_n around each dyadic center k/2^n that misses all earlier levels,
-    and unions[n-1] = I_1 u ... u I_n is the union level n+1 must miss."""
-    levels, unions = [], [IntervalSet.empty()]
-    for n in range(1, params.depth + 1):
-        w = params.w(n)
+    and unions[n-1] = I_1 u ... u I_n is the union level n+1 must miss.
+    Centres and radii are ints over one D."""
+    N = params.depth
+    W, D = _cleared([Fraction(1, 2**N)] + [params.w(n) for n in range(1, N + 1)])
+    levels, unions, los, his = [], [IntervalSet.empty()], [], []
+    for n, w in enumerate(W[1:], start=1):
         # an open interval misses the earlier open ones exactly when the
-        # closed interval with the same ends does
-        centers = (Fraction(k, 2**n) for k in range(1, 2**n))
-        ends = [(c - w, c + w) for c in centers]
-        kept = [e for e in ends if unions[-1].first_piece(*e) is None]
-        levels.append(IntervalSet.from_pairs(kept, False, False))
+        # closed one with the same ends does: when the first earlier one
+        # that stops after c - w starts at or after c + w
+        kept = []
+        for c in range(D >> n, D, D >> n):
+            i = bisect.bisect_right(his, c - w)
+            if i == len(his) or los[i] >= c + w:
+                kept.append((c - w, c + w))
+        levels.append(IntervalSet.from_pairs(
+            [(Fraction(lo, D), Fraction(hi, D)) for lo, hi in kept],
+            False, False))
         unions.append(unions[-1].union(levels[-1]))
+        # the kept intervals are disjoint, so starts and stops sort alike
+        los = sorted(los + [lo for lo, _ in kept])
+        his = sorted(his + [hi for _, hi in kept])
     return levels, unions[1:]
 
 
 def build_curve(params: CounterexampleParams) -> CounterexampleCurve:
     """Assemble (f, g, h) on [0,1]: the four-piece square pattern of side
-    h_n on every level-n component, zero in the gaps, h by exact lift."""
+    h_n on every level-n component, zero in the gaps.
+
+    The vertices are ints: t over 4D, D the denominator of the component
+    ends, and f, g over L, the one of the h_n. An edge from (f0, g0) to
+    (f1, g1) adds exactly 2 (f1 g0 - f0 g1) to h, the integral of
+    h' = 2 (f'g - g'f) over it, so h is linear between integer vertices
+    over L^2: the horizontal lift of f and g."""
     levels, unions = build_intervals(params)
+    ends, D = _cleared(x for iv in unions[-1].intervals for x in (iv.lo, iv.hi))
+    H, L = _cleared(params.h(n) for n in range(1, params.depth + 1))
     # the ranges of the last union are the components, in order; a
-    # component's width 2 w_n names its level, as w strictly decreases
-    level_of = {2 * params.w(n): n for n in range(1, params.depth + 1)}
+    # component's width 2 w_n D names its level, as w strictly decreases
+    # (an int and a Fraction of the same value are the same key)
+    level_of = {2 * params.w(n) * D: n for n in range(1, params.depth + 1)}
 
-    # vertices of f and g: 0 off the components; on one, the quarter
-    # points after lo carry the square's corners
-    bps, fs, gs = [Fraction(0)], [0], [0]
-    t = Fraction(0)
-    for iv in unions[-1].intervals:
-        lo, hi = iv.lo, iv.hi
-        if lo > t:
-            bps.append(lo)
-            fs.append(0)
-            gs.append(0)
-        hn = params.h(level_of[hi - lo])
-        quarter = (hi - lo) / 4
-        bps += [lo + i * quarter for i in range(1, 5)]
-        fs += [0, hn, hn, 0]
-        gs += [hn, hn, 0, 0]
-        t = hi
-    if t < 1:
-        bps.append(Fraction(1))
-        fs.append(0)
-        gs.append(0)
+    ts, fs, gs = [0], [0], [0]
+    for lo, hi in zip(ends[::2], ends[1::2]):
+        # f = g = 0 in the gaps; the square's corners sit at the quarter
+        # points after lo, a new vertex unless a component ends there
+        k = int(4 * lo == ts[-1])
+        hn = H[level_of[hi - lo] - 1]
+        ts += [4 * lo + i * (hi - lo) for i in range(k, 5)]
+        fs += [0, 0, hn, hn, 0][k:]
+        gs += [0, hn, hn, 0, 0][k:]
+    if ts[-1] < 4 * D:
+        ts, fs, gs = ts + [4 * D], fs + [0], gs + [0]
+    hs = list(accumulate((2 * (f1 * g0 - f0 * g1) for f0, f1, g0, g1
+                          in zip(fs, fs[1:], gs, gs[1:])), initial=0))
 
-    f = PiecewisePolynomial.linear(bps, fs)
-    g = PiecewisePolynomial.linear(bps, gs)
-    curve = lift(f, g, 0)
-    return CounterexampleCurve(params, tuple(levels), tuple(unions), curve)
+    bps = [Fraction(t, 4 * D) for t in ts]
+    f, g, h = (PiecewisePolynomial(bps, _linear_pieces(ts, 4 * D, ys, M))
+               for ys, M in ((fs, L), (gs, L), (hs, L * L)))
+    return CounterexampleCurve(params, tuple(levels), tuple(unions),
+                               PiecewiseCurve(f, g, h))
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import pairwise
 from typing import Sequence
 
 import numpy as np
@@ -108,8 +109,14 @@ class PiecewisePolynomial:
             i += 1
 
     def is_continuous(self) -> bool:
-        for i, t in enumerate(self.breakpoints[1:-1], start=1):
-            if self.pieces[i - 1](t) != self.pieces[i](t):
+        """Both pieces agree at each inner breakpoint T/D: a piece with
+        coefficients nums/L of degree d is _homogeneous(nums, T, D) /
+        (L D^d) there, and the sides are compared cross-multiplied."""
+        T, D = _cleared(self.breakpoints)
+        sides = pairwise(_cleared(p.coeffs or (0,)) for p in self.pieces)
+        for t, ((a, La), (b, Lb)) in zip(T[1:-1], sides):
+            if (_homogeneous(a, t, D) * Lb * D ** (len(b) - 1)
+                    != _homogeneous(b, t, D) * La * D ** (len(a) - 1)):
                 return False
         return True
 
@@ -160,16 +167,22 @@ class PiecewisePolynomial:
     def linear(ts: Sequence, ys: Sequence) -> "PiecewisePolynomial":
         """The continuous piecewise-linear function through the points
         (ts[i], ys[i]); ts strictly increasing."""
-        pieces = []
-        for t0, t1, y0, y1 in zip(ts, ts[1:], ys, ys[1:]):
-            if y0 == y1:
-                pieces.append(Polynomial((y0,)))
-            elif t0 < t1:
-                s = (y1 - y0) / (t1 - t0)
-                pieces.append(Polynomial((y0 - s * t0, s)))
-            else:
-                raise ValueError("ts must be strictly increasing")
-        return PiecewisePolynomial(ts, pieces)
+        return PiecewisePolynomial(ts, _linear_pieces(
+            *_cleared(map(_q, ts)), *_cleared(map(_q, ys))))
+
+
+def _linear_pieces(ts: list, D: int, ys: list, L: int) -> list:
+    """The pieces of `PiecewisePolynomial.linear` through the points
+    (ts[i]/D, ys[i]/L), ts and ys ints: on each pair, the coefficients
+    (y0 t1 - y1 t0) / (L (t1 - t0)) and (y1 - y0) D / (L (t1 - t0))."""
+    pieces = []
+    for t0, t1, y0, y1 in zip(ts, ts[1:], ys, ys[1:]):
+        if t1 <= t0:
+            raise ValueError("ts must be strictly increasing")
+        q = L * (t1 - t0)
+        pieces.append(Polynomial((Fraction(y0 * t1 - y1 * t0, q),
+                                  Fraction((y1 - y0) * D, q))))
+    return pieces
 
 
 @dataclass(frozen=True)
@@ -228,12 +241,7 @@ def lift(f: PiecewisePolynomial, g: PiecewisePolynomial, h0=0) -> PiecewiseCurve
     h_pieces = []
     acc = _q(h0)
     for i, (fp, gp) in enumerate(zip(fr.pieces, gr.pieces)):
-        rate = area_rate(fp, gp)
-        if rate.is_zero:
-            # no area swept: h stays at acc across the piece
-            h_pieces.append(Polynomial((acc,)))
-            continue
-        A = rate.antiderivative()
+        A = area_rate(fp, gp).antiderivative()
         h_pieces.append(A + (acc - A(bps[i])))
         acc = h_pieces[-1](bps[i + 1])
     try:

@@ -350,9 +350,6 @@ class JetTriple:
 def area_rate(p: Polynomial, q: Polynomial) -> Polynomial:
     """2 (p'q - q'p): the rate at which the planar path (p, q) sweeps
     signed area, and so the h' of its horizontal lift."""
-    if p.is_zero or q.is_zero:
-        # no area; most pieces of the staircase curve have a zero component
-        return Polynomial.zero()
     return 2 * (p.derivative() * q - q.derivative() * p)
 
 

@@ -18,7 +18,7 @@ from heislusin.counterexample import (
     straddle_jets,
     straddle_ratio,
 )
-from heislusin.curves import horizontality_residual
+from heislusin.curves import horizontality_residual, lift
 from heislusin.intervalsets import IntervalSet, rational_to_str
 
 
@@ -222,7 +222,8 @@ class TestIntervals:
     @pytest.mark.parametrize("w_seq", [
         lambda n: F(1, 2 ** (n * (n + 6))),  # the default
         lambda n: F(1, 2 ** (6 * n)),  # the widest the params accept
-    ], ids=["default", "widest"])
+        lambda n: F(2, 3 * 2 ** (6 * n)),  # ends over 3 2^(6n - 1)
+    ], ids=["default", "widest", "non-dyadic"])
     def test_levels_match_pairwise_overlap_oracle(self, w_seq):
         # open (a, b) and (c, d) meet iff a < d and c < b; every earlier
         # component is compared with every centre, no interval algebra
@@ -262,6 +263,16 @@ class TestIntervals:
         assert curve10.I_union == curve10.I_unions[-1]
 
 
+def pieces_digest(c):
+    """sha256 of the breakpoints and every piece of f, g and h, one line
+    each as "p/q" coefficients."""
+    lines = [",".join(rational_to_str(t) for t in c.breakpoints)]
+    for pieces in (c.f_pieces, c.g_pieces, c.h_pieces):
+        lines += [",".join(rational_to_str(x) for x in p.coeffs)
+                  for p in pieces]
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
 class TestCurve:
     def test_zero_off_components(self, curve10):
         for t in (0, F(1, 7), F(9, 10), 1):
@@ -295,19 +306,36 @@ class TestCurve:
         assert all(a <= b for a, b in zip(vals, vals[1:]))
 
     def test_depth8_pieces_unchanged(self):
-        # digest of the breakpoints and every piece of f, g and h, one
-        # line each as "p/q" coefficients; recorded when f and g were
-        # still built from hand-written linear pieces
+        # recorded when f and g were still built from hand-written
+        # linear pieces
         c = build_curve(default_params(8)).curve
-        lines = [",".join(rational_to_str(t) for t in c.breakpoints)]
-        for pieces in (c.f_pieces, c.g_pieces, c.h_pieces):
-            lines += [",".join(rational_to_str(x) for x in p.coeffs)
-                      for p in pieces]
-        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert len(c.breakpoints) == 1257
-        assert digest == (
+        assert pieces_digest(c) == (
             "c102e55efc897460be23623c2327a8562375177fcc71dc077cfb0d8acbf9939e"
         )
+
+    @pytest.mark.parametrize("depth", range(1, 9))
+    def test_h_is_the_lift_of_f_and_g(self, depth):
+        c = build_curve(default_params(depth)).curve
+        assert c.h.pieces == lift(c.f, c.g, 0).h.pieces
+
+    # denominators with the primes 7 and 11 in h, and 3 and 7 in w;
+    # recorded when the curve was still built on Fractions and h by lift
+    @pytest.mark.parametrize("h_seq, w_seq, digest", [
+        (lambda n: F(2, 7) ** n, lambda n: F(1, 3 * 2 ** (6 * n)),
+         "d53e45705f5cd0519ce4403d0034095b279ce47ca4f4198b8c3122639ebd94bd"),
+        (lambda n: F(5, 11) ** n, lambda n: F(1, 7**n * 2 ** (6 * n)),
+         "ef10daee645bee7ff4551c7eac0c8ba1d73040b50fda73a45202f6e33ea25ab1"),
+    ], ids=["sevenths", "elevenths"])
+    def test_other_families_match_lift_and_pin(self, h_seq, w_seq, digest):
+        p = CounterexampleParams(h_seq, default_params(1).lambda_seq,
+                                 w_seq, 7)
+        C = build_curve(p)
+        c = C.curve
+        assert c.h.pieces == lift(c.f, c.g, 0).h.pieces
+        assert pieces_digest(c) == digest
+        assert [x for _, _, x in component_increments(C)] == [
+            4 * p.h(n) ** 2 for n in range(1, 8) for _ in range(2 ** (n - 1))]
 
     def test_outside_domain_rejected(self, curve10):
         with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from heislusin import polynomials
@@ -198,6 +198,81 @@ class TestCenterSamples:
     def test_needs_the_unit_domain(self):
         with pytest.raises(ValueError):
             single(poly(1), 0, 2).center_floats(16)
+
+
+rationals = st.fractions(-10, 10, max_denominator=10**6)
+
+
+@st.composite
+def linear_points(draw):
+    """Strictly increasing ts and ys of the same length, some ys equal."""
+    ts = sorted(draw(st.sets(rationals, min_size=2, max_size=8)))
+    ys = draw(st.lists(st.one_of(rationals, st.just(F(1, 3))),
+                       min_size=len(ts), max_size=len(ts)))
+    return ts, ys
+
+
+@st.composite
+def piecewise_with_matches(draw):
+    """A piecewise polynomial of degree 0 to 7 per piece; at each inner
+    breakpoint the right piece is shifted to meet the left one or not,
+    so both continuous and jumping functions come up."""
+    bps = sorted(draw(st.sets(rationals, min_size=2, max_size=6)))
+    coeff = st.fractions(-50, 50, max_denominator=2**40)
+    pieces = [Polynomial(draw(st.lists(coeff, max_size=8)))]
+    for t in bps[1:-1]:
+        p = Polynomial(draw(st.lists(coeff, max_size=8)))
+        if draw(st.booleans()):
+            p = p + (pieces[-1](t) - p(t))
+        pieces.append(p)
+    return PiecewisePolynomial(bps, pieces)
+
+
+class TestIntKernels:
+    @given(linear_points())
+    @settings(max_examples=200, deadline=None)
+    def test_linear_matches_fraction_formula(self, case):
+        ts, ys = case
+        ref = []
+        for t0, t1, y0, y1 in zip(ts, ts[1:], ys, ys[1:]):
+            s = (y1 - y0) / (t1 - t0)
+            ref.append(poly(y0 - s * t0, s))
+        pp = PiecewisePolynomial.linear(ts, ys)
+        assert pp.pieces == tuple(ref)
+        assert pp.breakpoints == tuple(ts)
+
+    @given(piecewise_with_matches())
+    @settings(max_examples=200, deadline=None)
+    def test_continuity_matches_fraction_evaluation(self, pp):
+        bps, pieces = pp.breakpoints, pp.pieces
+        assert pp.is_continuous() == all(
+            pieces[i - 1](t) == pieces[i](t)
+            for i, t in enumerate(bps[1:-1], start=1))
+
+    @given(piecewise_with_matches(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_catches_a_tiny_jump(self, pp, data):
+        # make pp continuous, then lift every piece from breakpoint j on
+        # by 2^-200: the one jump is at j
+        pieces = list(pp.pieces)
+        for i, t in enumerate(pp.breakpoints[1:-1], start=1):
+            pieces[i] = pieces[i] + (pieces[i - 1](t) - pieces[i](t))
+        cont = PiecewisePolynomial(pp.breakpoints, pieces)
+        assert cont.is_continuous()
+        assume(len(pieces) > 1)
+        j = data.draw(st.integers(1, len(pieces) - 1))
+        shifted = pieces[:j] + [p + F(1, 2**200) for p in pieces[j:]]
+        assert not PiecewisePolynomial(pp.breakpoints, shifted).is_continuous()
+
+    # a flat pair is checked too, not only a sloped one
+    @pytest.mark.parametrize("ts, ys", [
+        ([0, 0, 1], [1, 1, 2]),
+        ([0, F(1, 2), F(1, 2)], [0, 3, 3]),
+        ([0, 1, F(1, 2)], [0, 0, 0]),
+    ])
+    def test_linear_rejects_a_repeated_t_with_equal_ys(self, ts, ys):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            PiecewisePolynomial.linear(ts, ys)
 
 
 
