@@ -173,11 +173,10 @@ def read_curve_csv(path):
     )
 
 
-def curve_to_csv(ts, curve, fmt) -> str:
-    """Rows t,f,g,h of `curve` at each t, one piece lookup per row."""
+def curve_to_csv(rows, fmt) -> str:
+    """The curve CSV of the value rows (t, f, g, h): the one CSV writer."""
     lines = ["t,f,g,h"]
-    for t in ts:
-        lines.append("%s,%s,%s,%s" % (fmt(t), *(fmt(v) for v in curve(t))))
+    lines += [",".join(map(fmt, row)) for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -197,13 +196,12 @@ def _cmd_ce_build(args, fmt) -> int:
     with open(os.path.join(outdir, "intervals.json"), "w") as fh:
         json.dump(levels, fh, indent=2)
         fh.write("\n")
-    ts = C.curve.breakpoints
+    # the breakpoint rows are the vertex tables; samples read the curve
+    rows = C.vertices()
     if args.samples:
         ts = [Fraction(i, args.samples) for i in range(args.samples + 1)]
-    _write(
-        os.path.join(outdir, "curve.csv"),
-        curve_to_csv(ts, C.curve, fmt),
-    )
+        rows = ((t, *C(t)) for t in ts)
+    _write(os.path.join(outdir, "curve.csv"), curve_to_csv(rows, fmt))
     _write_meta(outdir, args)
     print("wrote intervals.json and curve.csv to %s" % outdir)
     return 0
@@ -300,8 +298,8 @@ def _cmd_jets_check(args, fmt) -> int:
 def _cmd_curve_lift(args, fmt) -> int:
     f, g, _h = read_curve_csv(args.input)
     curve = lift(f, g, args.h0)
-    ts = curve.breakpoints
-    _write(args.out, curve_to_csv(ts, curve, fmt))
+    rows = ((t, *curve(t)) for t in curve.breakpoints)
+    _write(args.out, curve_to_csv(rows, fmt))
     return 0
 
 

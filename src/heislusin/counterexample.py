@@ -9,16 +9,20 @@ power of its length — which is what any C^2 horizontal approximation
 would have to match.
 
 Everything here is exact to a finite generation depth: the curve is
-built on integers over shared denominators, h from the signed area of
-each edge, and the reports verify the facts that drive the obstruction.
+kept as integer vertex tables over shared denominators, h from the
+signed area of each edge, and the reports verify the facts that drive
+the obstruction from those tables; the piecewise curve is built from
+them only when it is read.
 """
 
 from __future__ import annotations
 
 import bisect
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from functools import cache, cached_property
+from itertools import accumulate, chain
 from typing import Callable, Optional
 
 from .curves import (
@@ -28,7 +32,7 @@ from .curves import (
     area_discrepancy,
     velocity,
 )
-from .intervalsets import IntervalSet, _cleared, _q
+from .intervalsets import IntervalSet, _cleared, _merge, _q
 from .jets import Jet, JetTriple
 
 
@@ -86,16 +90,43 @@ def default_params(depth: int = 10) -> CounterexampleParams:
 
 @dataclass(frozen=True)
 class CounterexampleCurve:
-    """The built curve with its interval levels and their running unions."""
+    """The built curve as integer vertex tables, with its interval levels
+    and their running unions.
+
+    Vertex i is t = ts[i]/T, f = fs[i]/L, g = gs[i]/L and h = hs[i]/L^2,
+    and f, g and h are linear between vertices; components[n-1] holds the
+    (first, last) vertex index of each level-n component, in order. The
+    piecewise curve is built from the tables when `curve` is first read.
+    """
 
     params: CounterexampleParams
     I_levels: tuple  # IntervalSet per level 1..depth
     I_unions: tuple  # I_unions[n-1] = I_1 u ... u I_n
-    curve: PiecewiseCurve
+    T: int
+    L: int
+    ts: tuple
+    fs: tuple
+    gs: tuple
+    hs: tuple
+    components: tuple
 
     @property
     def I_union(self) -> IntervalSet:  # the union of all levels
         return self.I_unions[-1]
+
+    @cached_property
+    def curve(self) -> PiecewiseCurve:
+        bps = [Fraction(t, self.T) for t in self.ts]
+        return PiecewiseCurve(*(
+            PiecewisePolynomial(bps, _linear_pieces(self.ts, self.T, ys, M))
+            for ys, M in ((self.fs, self.L), (self.gs, self.L),
+                          (self.hs, self.L**2))))
+
+    def vertices(self):
+        """Yield (t, f, g, h) at each vertex: the curve at its breakpoints."""
+        T, L, LL = self.T, self.L, self.L**2
+        for t, f, g, h in zip(self.ts, self.fs, self.gs, self.hs):
+            yield Fraction(t, T), Fraction(f, L), Fraction(g, L), Fraction(h, LL)
 
     def __call__(self, t):
         return self.curve(t)
@@ -179,14 +210,13 @@ def check_params(params: CounterexampleParams, p_max: int = 4,
 # ---------------------------------------------------------------------------
 
 
-def build_intervals(params: CounterexampleParams) -> tuple:
-    """(levels, unions): level n, I_n, keeps the open interval of radius
-    w_n around each dyadic center k/2^n that misses all earlier levels,
-    and unions[n-1] = I_1 u ... u I_n is the union level n+1 must miss.
-    Centres and radii are ints over one D."""
+def _level_rows(params: CounterexampleParams) -> tuple:
+    """(rows, D): rows[n-1] holds the ends (lo, hi), ints over one D, of
+    the open interval of radius w_n around each dyadic centre k/2^n that
+    misses all earlier levels, in order."""
     N = params.depth
     W, D = _cleared([Fraction(1, 2**N)] + [params.w(n) for n in range(1, N + 1)])
-    levels, unions, los, his = [], [IntervalSet.empty()], [], []
+    rows, los, his = [], [], []
     for n, w in enumerate(W[1:], start=1):
         # an open interval misses the earlier open ones exactly when the
         # closed one with the same ends does: when the first earlier one
@@ -196,52 +226,69 @@ def build_intervals(params: CounterexampleParams) -> tuple:
             i = bisect.bisect_right(his, c - w)
             if i == len(his) or los[i] >= c + w:
                 kept.append((c - w, c + w))
-        levels.append(IntervalSet.from_pairs(
-            [(Fraction(lo, D), Fraction(hi, D)) for lo, hi in kept],
-            False, False))
-        unions.append(unions[-1].union(levels[-1]))
+        rows.append(kept)
         # the kept intervals are disjoint, so starts and stops sort alike
         los = sorted(los + [lo for lo, _ in kept])
         his = sorted(his + [hi for _, hi in kept])
-    return levels, unions[1:]
+    return rows, D
+
+
+def _level_sets(rows: list, D: int) -> tuple:
+    """(levels, unions): the level-n rows as the IntervalSet I_n, and
+    unions[n-1] = I_1 u ... u I_n, the union level n+1 must miss.
+
+    The sets are made and united on the rows' int keys, then decoded
+    over D; a key shared by several sets is decoded once."""
+    levels, unions = [], [IntervalSet.empty()]
+    for kept in rows:
+        levels.append(IntervalSet._of([key for lo, hi in kept
+                                       for key in ((lo, 2), (hi, 0))]))
+        unions.append(unions[-1].union(levels[-1]))
+    over_D = cache(lambda key: (Fraction(key[0], D), key[1]))
+    return tuple(tuple(IntervalSet._of(list(map(over_D, s._keys))) for s in sets)
+                 for sets in (levels, unions[1:]))
+
+
+def build_intervals(params: CounterexampleParams) -> tuple:
+    """(levels, unions): level n, I_n, keeps the open interval of radius
+    w_n around each dyadic centre k/2^n that misses all earlier levels,
+    and unions[n-1] = I_1 u ... u I_n is the union level n+1 must miss."""
+    return _level_sets(*_level_rows(params))
 
 
 def build_curve(params: CounterexampleParams) -> CounterexampleCurve:
     """Assemble (f, g, h) on [0,1]: the four-piece square pattern of side
     h_n on every level-n component, zero in the gaps.
 
-    The vertices are ints: t over 4D, D the denominator of the component
-    ends, and f, g over L, the one of the h_n. An edge from (f0, g0) to
-    (f1, g1) adds exactly 2 (f1 g0 - f0 g1) to h, the integral of
-    h' = 2 (f'g - g'f) over it, so h is linear between integer vertices
+    The vertices are ints: t over T = 4D, D the shared denominator of
+    the component ends, and f, g over L, the one of the h_n. An edge from
+    (f0, g0) to (f1, g1) adds exactly 2 (f1 g0 - f0 g1) to h, the integral
+    of h' = 2 (f'g - g'f) over it, so h is linear between integer vertices
     over L^2: the horizontal lift of f and g."""
-    levels, unions = build_intervals(params)
-    ends, D = _cleared(x for iv in unions[-1].intervals for x in (iv.lo, iv.hi))
+    rows, D = _level_rows(params)
     H, L = _cleared(params.h(n) for n in range(1, params.depth + 1))
-    # the ranges of the last union are the components, in order; a
-    # component's width 2 w_n D names its level, as w strictly decreases
-    # (an int and a Fraction of the same value are the same key)
-    level_of = {2 * params.w(n) * D: n for n in range(1, params.depth + 1)}
 
     ts, fs, gs = [0], [0], [0]
-    for lo, hi in zip(ends[::2], ends[1::2]):
+    components = [[] for _ in rows]
+    # the rows merged by their starts are the components in order, each
+    # with its level
+    for lo, hi, n in heapq.merge(*([(lo, hi, n) for lo, hi in row]
+                                   for n, row in enumerate(rows))):
         # f = g = 0 in the gaps; the square's corners sit at the quarter
         # points after lo, a new vertex unless a component ends there
         k = int(4 * lo == ts[-1])
-        hn = H[level_of[hi - lo] - 1]
+        components[n].append((len(ts) - k, len(ts) + 4 - k))
         ts += [4 * lo + i * (hi - lo) for i in range(k, 5)]
-        fs += [0, 0, hn, hn, 0][k:]
-        gs += [0, hn, hn, 0, 0][k:]
+        fs += [0, 0, H[n], H[n], 0][k:]
+        gs += [0, H[n], H[n], 0, 0][k:]
     if ts[-1] < 4 * D:
         ts, fs, gs = ts + [4 * D], fs + [0], gs + [0]
-    hs = list(accumulate((2 * (f1 * g0 - f0 * g1) for f0, f1, g0, g1
-                          in zip(fs, fs[1:], gs, gs[1:])), initial=0))
-
-    bps = [Fraction(t, 4 * D) for t in ts]
-    f, g, h = (PiecewisePolynomial(bps, _linear_pieces(ts, 4 * D, ys, M))
-               for ys, M in ((fs, L), (gs, L), (hs, L * L)))
-    return CounterexampleCurve(params, tuple(levels), tuple(unions),
-                               PiecewiseCurve(f, g, h))
+    hs = accumulate((2 * (f1 * g0 - f0 * g1) for f0, f1, g0, g1
+                     in zip(fs, fs[1:], gs, gs[1:])), initial=0)
+    levels, unions = _level_sets(rows, D)
+    return CounterexampleCurve(
+        params, levels, unions, 4 * D, L, tuple(ts),
+        tuple(fs), tuple(gs), tuple(hs), tuple(map(tuple, components)))
 
 
 # ---------------------------------------------------------------------------
@@ -252,38 +299,49 @@ def build_curve(params: CounterexampleParams) -> CounterexampleCurve:
 def component_increments(C: CounterexampleCurve) -> list:
     """(level, component index, h(b) - h(a)) per component; each increment
     equals 4 h_n^2 exactly."""
-    h = C.curve.h
-    out = []
-    for n, lev in enumerate(C.I_levels, start=1):
-        for i, iv in enumerate(lev.intervals):
-            out.append((n, i, h(iv.hi) - h(iv.lo)))
-    return out
+    LL = C.L**2
+    return [(n, i, Fraction(C.hs[b] - C.hs[a], LL))
+            for n, level in enumerate(C.components, start=1)
+            for i, (a, b) in enumerate(level)]
 
 
 def measure_report(C: CounterexampleCurve) -> dict:
     """Exact measures of the interval levels and of the dilation shells
     A_n = (lambda_n-neighborhood of I_1..I_n) minus I, with the
-    2 lambda_n (2^n - 1) upper bound checked per level."""
+    2 lambda_n (2^n - 1) upper bound checked per level.
+
+    The shells are dilated, cut and measured on the int keys of the
+    components' ends over one M, the lcm of T and the lambda_n
+    denominators, and each is decoded to its Fraction set once."""
     params = C.params
     N = params.depth
-    I_all = C.I_union
     two_pow_w = sum(
         (Fraction(2) ** n * params.w(n) for n in range(1, N + 1)), Fraction(0)
     )
-    shells = []
-    for n, partial in enumerate(C.I_unions, 1):
+    R, M = _cleared([Fraction(1, C.T)] + [params.lam(n) for n in range(1, N + 1)])
+    ts = [t * R[0] for t in C.ts]  # the vertex times over M
+    over_M = cache(lambda x: Fraction(x, M))  # shared by the shells
+    everything = sorted(chain.from_iterable(C.components))
+    I_all = IntervalSet._of([key for a, b in everything
+                             for key in ((ts[a], 2), (ts[b], 0))])
+    shells, partial = [], []
+    for n, (level, r) in enumerate(zip(C.components, R[1:]), start=1):
         lam = params.lam(n)
-        A_n = partial.dilate(lam).subtract(I_all)
+        partial = list(heapq.merge(partial, level))
+        # the open r-neighbourhood clipped to [0, 1], as `dilate` makes it
+        A_n = IntervalSet._of(_merge(
+            (max((ts[a] - r, 2), (0, 0)), min((ts[b] + r, 0), (M, 2)))
+            for a, b in partial)).subtract(I_all)
+        measure = A_n.measure() / M
         bound = 2 * lam * Fraction(2**n - 1)
-        measure = A_n.measure()
         shells.append({
             "n": n,
             "measure": measure,
             "bound": bound,
             "within_bound": measure <= bound,
-            "set": A_n,
+            "set": IntervalSet._of([(over_M(x), t) for x, t in A_n._keys]),
         })
-    measure_I = I_all.measure()
+    measure_I = I_all.measure() / M
     return {
         "sum_2n_wn": two_pow_w,
         "sum_2n_wn_le_1_31": two_pow_w <= Fraction(1, 31),
@@ -331,13 +389,14 @@ def straddle_jets(C: CounterexampleCurve, n: int) -> JetTriple:
     component's ends, so the full increment 4 h_{n+1}^2 comes with no
     horizontal motion."""
     _check_level(C, n)
-    iv = C.I_levels[n].intervals[0]
-    c = (iv.lo + iv.hi) / 2
+    a, b = C.components[n][0]
+    c = Fraction(C.ts[a] + C.ts[b], 2 * C.T)
     half = Fraction(1, 2 ** (n + 1))
     sites = (c - half, c + half)
-    h = C.curve.h
+    LL = C.L**2
     zeros = Jet(2, sites, ((0, 0, 0), (0, 0, 0)))
-    H = Jet(2, sites, ((h(iv.lo), 0, 0), (h(iv.hi), 0, 0)))
+    H = Jet(2, sites, ((Fraction(C.hs[a], LL), 0, 0),
+                       (Fraction(C.hs[b], LL), 0, 0)))
     return JetTriple(zeros, zeros, H)
 
 

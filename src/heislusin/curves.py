@@ -384,7 +384,8 @@ def extendability_report(
     ladder's order; the pass rules read them from the largest scale down.
     The uniform-vanishing condition on A/V passes when the ratio at the
     smallest populated scale is below `tolerance` and the profile is
-    non-increasing over its last three populated steps.
+    non-increasing over its last three populated steps; with no populated
+    scale it fails, as no data is no evidence.
     """
     ladder = tuple(_q(d) for d in ladder)
     if not ladder:
@@ -412,13 +413,10 @@ def extendability_report(
 
     down = sorted(range(len(ladder)), key=ladder.__getitem__, reverse=True)
     populated = [ratio_profile[i] for i in down if ratio_profile[i] is not None]
-    if populated:
-        tail = populated[-3:]
-        ratio_pass = populated[-1] <= tolerance and all(
-            x >= y for x, y in zip(tail, tail[1:])
-        )
-    else:
-        ratio_pass = True
+    tail = populated[-3:]
+    ratio_pass = bool(populated) and populated[-1] <= tolerance and all(
+        x >= y for x, y in zip(tail, tail[1:])
+    )
     whitney_pass = all(
         profile[down[-1]] <= tolerance for profile in profiles.values()
     )

@@ -228,9 +228,8 @@ class IntervalSet:
         )
 
     def measure(self) -> Fraction:
-        # a normalized set holds no empty range
-        return sum((stop[0] - start[0] for start, stop in _ranges(self._keys)),
-                   Fraction(0))
+        # a normalized set holds no empty range; on int keys the sum is an int
+        return _q(sum(stop[0] - start[0] for start, stop in _ranges(self._keys)))
 
     def contains(self, x) -> bool:
         """x is in the set iff an odd number of keys lie below (x, 1)."""

@@ -443,6 +443,32 @@ class TestBuild:
             t = F(i, 8)
             assert row == ",".join(map(rational_to_str, (t, *curve(t))))
 
+    @pytest.mark.parametrize("depth", [6, 9])
+    def test_curve_csv_is_the_curve_at_its_breakpoints(self, capsys,
+                                                        tmp_path, depth):
+        # the rows come from the vertex tables, not from the curve
+        status, _, _ = invoke(capsys, "counterexample", "build", "--depth",
+                              str(depth), "--out", str(tmp_path))
+        assert status == 0
+        curve = build_curve(default_params(depth)).curve
+        expected = cli.curve_to_csv(
+            ((t, *curve(t)) for t in curve.breakpoints), cli._Fmt())
+        assert (tmp_path / "curve.csv").read_bytes() == expected.encode()
+
+    def test_build_leaves_the_curve_unbuilt(self, capsys, tmp_path,
+                                            monkeypatch):
+        built = []
+
+        def recording_build(params):
+            built.append(build_curve(params))
+            return built[-1]
+
+        monkeypatch.setattr(cli, "build_curve", recording_build)
+        status, _, _ = invoke(capsys, "counterexample", "build", "--depth",
+                              "5", "--out", str(tmp_path))
+        assert status == 0
+        assert "curve" not in vars(built[0])
+
 
 class TestJetsCheck:
     def test_zero_jets_pass(self, capsys, tmp_path):
@@ -453,6 +479,24 @@ class TestJetsCheck:
         rep = json.loads(out)
         assert rep["verdict"] == "pass"
         assert rep["max_ode_residual"] == "0.0"
+
+    @pytest.mark.parametrize("ladder, ratio", [("1/4", None), ("1/2", "16.0")])
+    def test_h_bump_fails_on_every_ladder(self, capsys, tmp_path, ladder,
+                                          ratio):
+        # zero F and G jets, H^0 = 0, 1, 0: no site pair is within 1/4, and
+        # an A/V profile with no populated scale is no evidence of a pass
+        sites = (0, F(1, 2), 1)
+        z = Jet(2, sites, ((0, 0, 0),) * 3)
+        H = Jet(2, sites, ((0, 0, 0), (1, 0, 0), (0, 0, 0)))
+        p = tmp_path / "bump.json"
+        p.write_text(json.dumps(JetTriple(z, z, H).to_json_obj()))
+        status, out, _ = invoke(capsys, "jets", "check", "--input", str(p),
+                                "--ladder", ladder)
+        assert status == 1
+        rep = json.loads(out)
+        assert rep["verdict"] == "fail"
+        assert rep["conditions"]["ratio_vanishes"] is False
+        assert [v["value"] for v in rep["area_velocity_ratio"]] == [ratio]
 
     def test_violating_jets_fail(self, capsys, tmp_path):
         z = Jet(2, (0, 1), ((0, 0, 0), (0, 0, 0)))

@@ -517,3 +517,84 @@ class TestStraddle:
     def test_strictly_increasing(self, curve10):
         vals = [straddle_ratio(curve10, n) for n in range(1, 10)]
         assert all(a < b for a, b in zip(vals, vals[1:]))
+
+
+# h = (2/7)^n and w = 1/(3 2^(6n)): the first family of the pieces pins
+SEVENTHS = CounterexampleParams(
+    lambda n: F(2, 7) ** n, default_params(1).lambda_seq,
+    lambda n: F(1, 3 * 2 ** (6 * n)), 7)
+# w_1 + w_6 = 1/64: the level-6 components at 31/64 and 33/64 touch I_1,
+# so a component starts at the vertex where another ends
+TOUCHING = CounterexampleParams(
+    default_params(1).h_seq, default_params(1).lambda_seq,
+    lambda n: {1: F(1, 64) - F(1, 2**40), 6: F(1, 2**40)}.get(
+        n, F(1, 2 ** (6 * n))), 6)
+# lambda_1 = 3/5 > 1/2: the first shells reach 0 and 1 and are clipped
+WIDE = CounterexampleParams(
+    default_params(1).h_seq, lambda n: F(3, 5) ** n,
+    default_params(1).w_seq, 6)
+
+
+@pytest.fixture(scope="module", params=["default8", "sevenths", "touching"])
+def tabled(request):
+    return build_curve({"default8": default_params(8), "sevenths": SEVENTHS,
+                        "touching": TOUCHING}[request.param])
+
+
+class TestTablesMatchCurve:
+    """The reports read the integer vertex tables; each value is the one
+    the piecewise curve gives."""
+
+    def test_increments(self, tabled):
+        C, h = tabled, tabled.curve.h
+        assert component_increments(C) == [
+            (n, i, h(iv.hi) - h(iv.lo))
+            for n, lev in enumerate(C.I_levels, start=1)
+            for i, iv in enumerate(lev.intervals)]
+        assert all(v == 4 * C.params.h(n) ** 2
+                   for n, _, v in component_increments(C))
+
+    def test_straddle_h_values(self, tabled):
+        C, h = tabled, tabled.curve.h
+        for n in range(C.params.depth):
+            iv = C.I_levels[n].intervals[0]
+            (h0, *_), (h1, *_) = straddle_jets(C, n).H.values
+            assert (h0, h1) == (h(iv.lo), h(iv.hi))
+
+    def test_components_are_the_level_intervals(self, tabled):
+        C = tabled
+        for level, lev in zip(C.components, C.I_levels):
+            assert [(F(C.ts[a], C.T), F(C.ts[b], C.T)) for a, b in level] == [
+                (iv.lo, iv.hi) for iv in lev.intervals]
+        assert C.curve.h.pieces == lift(C.curve.f, C.curve.g, 0).h.pieces
+
+    def test_vertices_are_the_curve_at_its_breakpoints(self, tabled):
+        C = tabled
+        assert list(C.vertices()) == [
+            (t, *C.curve(t)) for t in C.curve.breakpoints]
+
+    @pytest.mark.parametrize(
+        "params",
+        [default_params(d) for d in range(5, 10)] + [SEVENTHS, TOUCHING, WIDE],
+        ids=["depth%d" % d for d in range(5, 10)]
+        + ["sevenths", "touching", "wide"])
+    def test_shells_match_fraction_keys(self, params):
+        C = build_curve(params)
+        rep = measure_report(C)
+        assert rep["measure_I"] == C.I_union.measure()
+        for shell, partial in zip(rep["shells"], C.I_unions):
+            A_n = partial.dilate(params.lam(shell["n"])).subtract(C.I_union)
+            assert shell["set"] == A_n
+            assert shell["measure"] == A_n.measure()
+
+
+def test_reports_leave_the_curve_unbuilt():
+    C = build_curve(default_params(6))
+    component_increments(C)
+    measure_report(C)
+    straddle_jets(C, 2)
+    straddle_ratio(C, 3)
+    for n in range(6):
+        good_pair_search(IntervalSet.unit(), C, n)
+    assert "curve" not in vars(C)
+    assert C.curve is C.curve
