@@ -34,7 +34,7 @@ from .counterexample import (
 )
 from .curves import PiecewisePolynomial, extendability_report, lift
 from .diffanalysis import approx_density, lp_remainder_ladder, whitney_sieve
-from .intervalsets import parse_rational, rational_to_str
+from .intervalsets import _q, parse_rational, rational_to_str
 from .jets import DEFAULT_LADDER, JetTriple
 from .polynomials import Polynomial
 
@@ -46,7 +46,7 @@ class _Fmt:
     def __call__(self, x) -> str:
         if isinstance(x, float):
             return repr(x)
-        x = Fraction(x)
+        x = _q(x)
         if self.decimal_digits is None:
             return rational_to_str(x)
         q = round(x * 10**self.decimal_digits)

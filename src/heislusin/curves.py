@@ -74,10 +74,10 @@ class PiecewisePolynomial:
         of the domain [0, 1].
 
         A centre on a breakpoint takes the right piece, as `piece_index`
-        does. Each piece is the homogenised Horner value of its cleared
-        coefficients at s / (2 grid), s = 2i+1, over its shared denominator
-        L (2 grid)^degree; int / int rounds correctly, as
-        float(Fraction) does, and raises OverflowError past the float range.
+        does. Each piece is the homogenised Horner value of its numerators
+        at s / (2 grid), s = 2i+1, over its den (2 grid)^degree; int / int
+        rounds correctly, as float(Fraction) does, and raises OverflowError
+        past the float range.
         """
         if self.domain != (0, 1):
             raise ValueError("center_floats expects domain [0,1]")
@@ -86,10 +86,10 @@ class PiecewisePolynomial:
         firsts = [math.ceil((b * D - 1) / 2) for b in self.breakpoints[1:-1]]
         out = []
         for piece, lo, hi in zip(self.pieces, [0] + firsts, firsts + [grid]):
-            nums, L = _cleared(piece.coeffs or (0,))
+            nums = piece.nums or (0,)
             s = np.arange(2 * lo + 1, 2 * hi, 2).astype(object)
             out.extend((_homogeneous(nums, s, D)
-                        / (L * D ** (len(nums) - 1))).tolist())
+                        / (piece.den * D ** (len(nums) - 1))).tolist())
         return out
 
     def spans(self, a, b):
@@ -113,7 +113,7 @@ class PiecewisePolynomial:
         coefficients nums/L of degree d is _homogeneous(nums, T, D) /
         (L D^d) there, and the sides are compared cross-multiplied."""
         T, D = _cleared(self.breakpoints)
-        sides = pairwise(_cleared(p.coeffs or (0,)) for p in self.pieces)
+        sides = pairwise((p.nums or (0,), p.den) for p in self.pieces)
         for t, ((a, La), (b, Lb)) in zip(T[1:-1], sides):
             if (_homogeneous(a, t, D) * Lb * D ** (len(b) - 1)
                     != _homogeneous(b, t, D) * La * D ** (len(a) - 1)):
@@ -173,15 +173,14 @@ class PiecewisePolynomial:
 
 def _linear_pieces(ts: list, D: int, ys: list, L: int) -> list:
     """The pieces of `PiecewisePolynomial.linear` through the points
-    (ts[i]/D, ys[i]/L), ts and ys ints: on each pair, the coefficients
-    (y0 t1 - y1 t0) / (L (t1 - t0)) and (y1 - y0) D / (L (t1 - t0))."""
+    (ts[i]/D, ys[i]/L), ts and ys ints: on each pair, the numerators
+    y0 t1 - y1 t0 and (y1 - y0) D over L (t1 - t0)."""
     pieces = []
     for t0, t1, y0, y1 in zip(ts, ts[1:], ys, ys[1:]):
         if t1 <= t0:
             raise ValueError("ts must be strictly increasing")
-        q = L * (t1 - t0)
-        pieces.append(Polynomial((Fraction(y0 * t1 - y1 * t0, q),
-                                  Fraction((y1 - y0) * D, q))))
+        pieces.append(Polynomial.from_ints((y0 * t1 - y1 * t0, (y1 - y0) * D),
+                                           L * (t1 - t0)))
     return pieces
 
 
@@ -290,18 +289,20 @@ def _taylor_pair(triple: JetTriple, a):
 
 def _discrepancies(triple: JetTriple, a, TF: Polynomial, TG: Polynomial,
                    ends) -> list:
-    """A(a, b) for every b in `ends`, from the Taylor polynomials at a."""
-    swept = area_rate(TF, TG).antiderivative()
+    """A(a, b) for every b in `ends`, from the Taylor polynomials at a:
+    H(b) + 2 F(a) G(b) - 2 G(a) F(b) - P(b) for the one polynomial
+    P = swept + 2 F(a) TG - 2 G(a) TF + H(a) - swept(a), swept the
+    antiderivative of area_rate(TF, TG). P is read at each b = E/D, the
+    ends cleared over D, by the homogenised Horner rule."""
     F, G, H = triple.F, triple.G, triple.H
-    Fa, Ga, Ha, swept_a = F.value(a, 0), G.value(a, 0), H.value(a, 0), swept(a)
-    return [
-        H.value(b, 0)
-        - Ha
-        - (swept(b) - swept_a)
-        + 2 * Fa * (G.value(b, 0) - TG(b))
-        - 2 * Ga * (F.value(b, 0) - TF(b))
-        for b in ends
-    ]
+    Fa, Ga = 2 * F.value(a, 0), 2 * G.value(a, 0)
+    swept = area_rate(TF, TG).antiderivative()
+    P = swept + TG * Fa - TF * Ga + (H.value(a, 0) - swept(a))
+    E, D = _cleared(ends)
+    nums = P.nums or (0,)
+    K = P.den * D ** (len(nums) - 1)  # P(E/D) = _homogeneous(nums, E, D) / K
+    return [H.value(b, 0) + Fa * G.value(b, 0) - Ga * F.value(b, 0)
+            - Fraction(_homogeneous(nums, e, D), K) for b, e in zip(ends, E)]
 
 
 def _velocities(m: int, a, TF: Polynomial, TG: Polynomial, ends,
@@ -435,30 +436,38 @@ def extendability_report(
 def hermite_two_point(a, va: Sequence, b, vb: Sequence) -> Polynomial:
     """Unique degree-(2m+1) polynomial with derivatives va at a, vb at b.
 
-    va, vb list the derivative values of orders 0..m. Newton form on the
-    repeated-node sequence (a,...,a,b,...,b), exact.
+    va, vb list the derivative values of orders 0..m, and a != b. Newton
+    form on the nodes (a,...,a,b,...,b) on ints: with a = A/D, b = B/D,
+    H = B - A and the Taylor coefficients v^(k)/k! over one M, the divided
+    difference on nodes i-j..i is Y[i] / (M H^j), and the interpolant
+    times M (HD)^(2m+1) is sum_j Y[j] (HD)^(2m+1-j) prod_(k<j) (Dy - D node_k).
     """
-    a, b = _q(a), _q(b)
+    (A, B), D = _cleared((_q(a), _q(b)))
+    if A == B:
+        raise ValueError("require distinct ends")
     m = len(va) - 1
     if len(vb) != m + 1:
         raise ValueError("endpoint data must have equal length")
-    nodes = [a] * (m + 1) + [b] * (m + 1)
-    vals = [_q(v) for v in va] + [_q(v) for v in vb]
-    n = len(nodes)
-    # after pass j, dd[i] is the divided difference on nodes[i-j..i]
-    # (i >= j); going from the bottom up keeps dd[i-1] at pass j-1
-    dd = [vals[0]] * (m + 1) + [vals[m + 1]] * (m + 1)
+    # v^(k)/k! = v^(k) (m!/k!) / m!, so the Taylor coefficients are
+    # ints over M = L m!, L the shared denominator of the values
+    nums, L = _cleared(map(_q, (*va, *vb)))
+    taylor = [v * (math.factorial(m) // math.factorial(k % (m + 1)))
+              for k, v in enumerate(nums)]
+    H, HD, n = B - A, (B - A) * D, 2 * m + 2
+    # after pass j, Y[i] belongs to the nodes i-j..i (i >= j); going from
+    # the bottom up keeps Y[i-1] at pass j-1
+    Y = [taylor[0]] * (m + 1) + [taylor[m + 1]] * (m + 1)
     for j in range(1, n):
         for i in range(n - 1, j - 1, -1):
-            if nodes[i] == nodes[i - j]:
-                src = vals[j] if nodes[i] == a else vals[m + 1 + j]
-                dd[i] = src / math.factorial(j)
+            if i <= m or i - j > m:  # the nodes all at a, or all at b
+                Y[i] = taylor[j + (i > m) * (m + 1)] * H**j
             else:
-                dd[i] = (dd[i] - dd[i - 1]) / (nodes[i] - nodes[i - j])
-    poly = Polynomial.constant(dd[-1])
+                Y[i] = D * (Y[i] - Y[i - 1])
+    poly = Polynomial.constant(Y[-1])
     for j in range(n - 2, -1, -1):
-        poly = poly * Polynomial((-nodes[j], 1)) + dd[j]
-    return poly
+        node = A if j <= m else B
+        poly = poly * Polynomial.from_ints((-node, D)) + Y[j] * HD ** (n - 1 - j)
+    return Polynomial.from_ints(poly.nums, L * math.factorial(m) * HD ** (n - 1))
 
 
 def _gap_interpolants(triple: JetTriple, i: int):

@@ -36,7 +36,10 @@ def _cleared(values) -> tuple:
     denominators of the rationals `values`: the one place where exact
     values enter an integer kernel."""
     values = list(values)
-    D = math.lcm(*(v.denominator for v in values))
+    # star-args from a list, not a generator: CPython grows a tuple built
+    # from a generator by resizing, which bypasses its tuple free lists on
+    # the way in but not on the way out, so they fill and hold memory
+    D = math.lcm(*[v.denominator for v in values])
     return [v.numerator * (D // v.denominator) for v in values], D
 
 

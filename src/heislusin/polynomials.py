@@ -19,19 +19,25 @@ DEFAULT_TOL = Fraction(1, 10**12)
 
 
 class Polynomial:
-    """Polynomial with Fraction coefficients, index = power.
-
-    Trailing zero coefficients are stripped; the zero polynomial has
-    degree -1 by convention. Immutable.
+    """Polynomial with rational coefficients in its cleared form: ints
+    `nums`, lowest power first, trailing zeros stripped, over the int
+    `den` > 0 with gcd(den, *nums) == 1, so equal polynomials have equal
+    forms. The zero polynomial has nums (), den 1 and degree -1. Every
+    operation runs on the ints; `coeffs` reads Fractions. Immutable.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("nums", "den")
 
     def __init__(self, coeffs: Iterable = ()):
-        cs = [_q(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        values = [_q(c) for c in coeffs]  # the one Fraction entry gate
+        self._store(*_cleared(values))
+
+    def _store(self, nums: list, den: int) -> None:
+        while nums and not nums[-1]:
+            nums.pop()
+        g = math.gcd(den, *nums) if den > 0 else -math.gcd(den, *nums)
+        object.__setattr__(self, "nums", tuple([n // g for n in nums]))
+        object.__setattr__(self, "den", den // g)
 
     def __setattr__(self, *a):
         raise AttributeError("Polynomial is immutable")
@@ -39,12 +45,20 @@ class Polynomial:
     # -- constructors ---------------------------------------------------
 
     @staticmethod
+    def from_ints(nums, den: int = 1) -> "Polynomial":
+        """sum nums[k] y^k / den for ints nums and den != 0."""
+        p = object.__new__(Polynomial)
+        p._store(list(nums), den)
+        return p
+
+    @staticmethod
     def zero() -> "Polynomial":
         return Polynomial(())
 
     @staticmethod
     def constant(c) -> "Polynomial":
-        return Polynomial((c,))
+        c = _q(c)
+        return Polynomial.from_ints((c.numerator,), c.denominator)
 
     @staticmethod
     def from_roots(leading, roots) -> "Polynomial":
@@ -66,18 +80,25 @@ class Polynomial:
     # -- basic structure ------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple:
+        """The coefficients as Fractions, lowest power first."""
+        # a list, as intervalsets._cleared explains
+        return tuple([Fraction(n, self.den) for n in self.nums])
+
+    @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     def __eq__(self, other):
-        return isinstance(other, Polynomial) and self.coeffs == other.coeffs
+        return isinstance(other, Polynomial) and (
+            self.nums, self.den) == (other.nums, other.den)
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.nums, self.den))
 
     def __repr__(self):
         if self.is_zero:
@@ -86,43 +107,45 @@ class Polynomial:
         return "Polynomial(%s)" % " + ".join(terms)
 
     def __call__(self, x):
-        x = _q(x)
-        if not self.coeffs:
+        x = _q(x)  # p(n/q) = _homogeneous(nums, n, q) / (den q^degree)
+        if not self.nums:
             return Fraction(0)
-        acc = self.coeffs[-1]
-        for c in self.coeffs[-2::-1]:
-            acc = acc * x + c
-        return acc
+        q = x.denominator
+        return Fraction(_homogeneous(self.nums, x.numerator, q),
+                        self.den * q ** (len(self.nums) - 1))
 
     # -- ring operations ------------------------------------------------
 
     def __add__(self, other):
         if not isinstance(other, Polynomial):
             other = Polynomial.constant(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [Fraction(0)] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [Fraction(0)] * (n - len(other.coeffs))
-        return Polynomial(x + y for x, y in zip(a, b))
+        den = math.lcm(self.den, other.den)
+        a = [n * (den // self.den) for n in self.nums]
+        b = [n * (den // other.den) for n in other.nums]
+        if len(a) < len(b):
+            a, b = b, a
+        for i, n in enumerate(b):
+            a[i] += n
+        return Polynomial.from_ints(a, den)
 
     def __neg__(self):
-        return Polynomial(-c for c in self.coeffs)
+        return Polynomial.from_ints([-n for n in self.nums], self.den)
 
     def __sub__(self, other):
-        if not isinstance(other, Polynomial):
-            other = Polynomial.constant(other)
         return self + (-other)
 
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
             c = _q(other)
-            return Polynomial(a * c for a in self.coeffs)
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Polynomial(out)
+            return Polynomial.from_ints([n * c.numerator for n in self.nums],
+                                        self.den * c.denominator)
+        a, b = self.nums, other.nums
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, start=i):
+                    out[j] += x * y
+        return Polynomial.from_ints(out, self.den * other.den)
 
     __rmul__ = __mul__
     __radd__ = __add__
@@ -145,13 +168,16 @@ class Polynomial:
         """The k-th derivative: c_i y^i goes to c_i i!/(i-k)! y^(i-k)."""
         if k < 0:
             raise ValueError("derivative order must be >= 0")
-        return Polynomial(c * math.perm(i, k)
-                          for i, c in enumerate(self.coeffs[k:], start=k))
+        return Polynomial.from_ints(
+            [n * math.perm(i, k) for i, n in enumerate(self.nums[k:], start=k)],
+            self.den)
 
     def antiderivative(self) -> "Polynomial":
-        return Polynomial(
-            [Fraction(0)] + [c / (i + 1) for i, c in enumerate(self.coeffs)]
-        )
+        """c_i y^i goes to c_i / (i+1) y^(i+1), over den lcm(1..deg+1)."""
+        M = math.lcm(*range(1, len(self.nums) + 1))
+        return Polynomial.from_ints(
+            [0] + [n * (M // i) for i, n in enumerate(self.nums, start=1)],
+            self.den * M)
 
     def integral(self, a, b) -> Fraction:
         F = self.antiderivative()
@@ -169,17 +195,25 @@ class Polynomial:
 
     def divmod(self, other: "Polynomial"):
         """(q, r) with self = q * other + r and deg r < deg other, by long
-        division: step k clears the coefficient of y^(k + deg other)."""
+        division of the numerators A of self by B of other scaled by c =
+        lead(B)^steps, so each step divides exactly: c A = Q B + R on ints,
+        q = Q den(other) / (c den(self)) and r = R / (c den(self))."""
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        d, lead = other.degree, other.coeffs[-1]
-        rem = list(self.coeffs)
-        quot = [Fraction(0)] * max(0, len(rem) - d)
-        for k in range(len(quot) - 1, -1, -1):
-            f = quot[k] = rem[k + d] / lead
-            for i in range(d):
-                rem[k + i] -= f * other.coeffs[i]
-        return Polynomial(quot), Polynomial(rem[:d])
+        B, d = other.nums, other.degree
+        lead = B[-1]
+        steps = max(0, len(self.nums) - d)
+        c = lead ** steps
+        rem = [n * c for n in self.nums]
+        quot = [0] * steps
+        for k in range(steps - 1, -1, -1):
+            f = quot[k] = rem[k + d] // lead
+            if f:
+                for i in range(d):
+                    rem[k + i] -= f * B[i]
+        den = c * self.den
+        return (Polynomial.from_ints([n * other.den for n in quot], den),
+                Polynomial.from_ints(rem[:d], den))
 
     def __floordiv__(self, other):
         return self.divmod(other)[0]
@@ -204,13 +238,14 @@ def _sturm_chain(s: Polynomial):
     return chain
 
 
+def _scaled(p: Polynomial, x: Fraction) -> int:
+    """den q^degree p(x) for x = n/q: an int with the sign of p(x)."""
+    return _homogeneous(p.nums, x.numerator, x.denominator)
+
+
 def _variations(chain, x) -> int:
-    signs = []
-    for p in chain:
-        v = p(x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+    signs = [v > 0 for v in (_scaled(p, x) for p in chain) if v]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
 def _homogeneous(nums, p, q):
@@ -294,11 +329,11 @@ def isolate_roots(p: Polynomial, a, b) -> list:
     chain = _sturm_chain(p)
     if chain[-1].degree > 0:
         # repeated roots: divide out gcd(p, p'), the chain's monic last member
-        s = p // (chain[-1] * (1 / chain[-1].coeffs[-1]))
+        s = p // Polynomial.from_ints(chain[-1].nums, chain[-1].nums[-1])
     # deflate rational roots at the endpoints so Sturm counts are clean;
     # s is squarefree, so each endpoint is at most a simple root
     for endpoint in (a, b):
-        if s(endpoint) == 0:
+        if _scaled(s, endpoint) == 0:
             s = s // Polynomial((-endpoint, 1))
     found_interior = []
     while True:
@@ -316,7 +351,8 @@ def isolate_roots(p: Polynomial, a, b) -> list:
             split = []
             for lo, hi in brackets:
                 if lo < r < hi:
-                    side = (lo, r) if (s(lo) > 0) != (s(r) > 0) else (r, hi)
+                    side = ((lo, r) if (_scaled(s, lo) > 0) != (_scaled(s, r) > 0)
+                            else (r, hi))
                     split.append(side)
                 else:
                     split.append((lo, hi))
@@ -342,7 +378,7 @@ def _isolate_squarefree(s: Polynomial, chain, a: Fraction, b: Fraction):
             brackets.append((lo, hi))
             continue
         mid = (lo + hi) / 2
-        if s(mid) == 0:
+        if _scaled(s, mid) == 0:
             return mid, []  # caller deflates and restarts
         vm = _variations(chain, mid)
         stack.append((lo, vlo, mid, vm))
@@ -357,7 +393,7 @@ def refine_root(enc: RootEnclosure, width: Fraction) -> RootEnclosure:
     The bisection runs on ints over a shared denominator: the bracket is
     [A/Q, B/Q] with Q the lcm of its ends' denominators, each step doubles
     A, B and Q, and the witness's sign at p/q is that of its homogenised
-    Horner value on its coefficients with their denominators cleared.
+    Horner value on its numerators.
     ValueError when width <= 0, which no bisection reaches.
     """
     width = _q(width)
@@ -367,7 +403,7 @@ def refine_root(enc: RootEnclosure, width: Fraction) -> RootEnclosure:
         return enc
     s = enc.poly
     (A, B), Q = _cleared((enc.lo, enc.hi))
-    cs = _cleared(s.coeffs)[0]  # _homogeneous(cs, p, q) has the sign of s(p/q)
+    cs = s.nums  # _homogeneous(cs, p, q) has the sign of s(p/q)
     sign_lo = _homogeneous(cs, A, Q) > 0
     cand = None
     while (B - A) * width.denominator > width.numerator * Q:
@@ -394,10 +430,8 @@ def refine_root(enc: RootEnclosure, width: Fraction) -> RootEnclosure:
 
 def _coeff_bound(p: Polynomial, a: Fraction, b: Fraction) -> Fraction:
     """Upper bound sum |c_k| M^k for |p| on [a, b], M = max(|a|, |b|, 1)."""
-    m = max(abs(a), abs(b), Fraction(1))
-    nums, L = _cleared(abs(c) for c in p.coeffs or (0,))
-    return Fraction(_homogeneous(nums, m.numerator, m.denominator),
-                    L * m.denominator ** (len(nums) - 1))
+    bound = Polynomial.from_ints([abs(n) for n in p.nums], p.den)
+    return bound(max(abs(a), abs(b), Fraction(1)))
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +494,11 @@ def prefix_abs_integrals(p: Polynomial, a, ends, tol: Fraction = DEFAULT_TOL) ->
     [a, last b]. Each value is exact when the sign changes inside its
     interval are rational, and otherwise within `tol`: a bracketed root
     whose bracket starts below b costs at most 2 * width * bound there,
-    whichever side of b the root lies on.
+    whichever side of b the root lies on. The antiderivative F is read at
+    each b = E/D, the ends cleared over D, by the homogenised Horner rule:
+    F(b) = _homogeneous(nums, E, D) / K. With F = u / w at the last break
+    below b (a or a root's midpoint) and |p| integrated up to it s / t,
+    the integral to b is (|FE w - u K| t + s K w) / (K w t).
     """
     a = _q(a)
     ends = [_q(b) for b in ends]
@@ -478,12 +516,14 @@ def prefix_abs_integrals(p: Polynomial, a, ends, tol: Fraction = DEFAULT_TOL) ->
         width = budget / (2 * bound) if bound > 0 else Fraction(1)
         roots = [refine_root(enc, width) for enc in roots]
     F = p.antiderivative()
+    E, D = _cleared(ends)
+    K = F.den * D ** F.degree
     out = []
     passed = Fraction(0)  # integral of |p| from a to the last break below b
     F_break = F(a)
     cost = CertifiedValue(Fraction(0))  # of the brackets starting below b
     n_breaks = n_costed = 0
-    for b in ends:
+    for b, e in zip(ends, E):
         while n_breaks < len(roots) and roots[n_breaks].midpoint < b:
             F_mid = F(roots[n_breaks].midpoint)
             passed += abs(F_mid - F_break)
@@ -494,7 +534,10 @@ def prefix_abs_integrals(p: Polynomial, a, ends, tol: Fraction = DEFAULT_TOL) ->
             cost += CertifiedValue(Fraction(0), enc.exact is not None,
                                    2 * enc.width * bound)
             n_costed += 1
-        out.append(cost + CertifiedValue(passed + abs(F(b) - F_break)))
+        (u, w), (s, t) = F_break.as_integer_ratio(), passed.as_integer_ratio()
+        fe = _homogeneous(F.nums, e, D)
+        out.append(CertifiedValue(Fraction(abs(fe * w - u * K) * t + s * K * w,
+                                           K * w * t), cost.exact, cost.error))
     return out
 
 

@@ -784,3 +784,9 @@ class TestDegenerateCurves:
     def test_lift_of_different_domains_rejected(self):
         with pytest.raises(ValueError, match="domains differ"):
             lift(single(poly(0, 1)), single(poly(0, 1), 0, 2))
+
+
+def test_hermite_equal_ends_rejected():
+    # a == b leaves no gap to interpolate across
+    with pytest.raises(ValueError, match="distinct ends"):
+        hermite_two_point(F(1, 2), [0, 1], F(1, 2), [1, 0])

@@ -819,3 +819,222 @@ class TestPower:
                             lambda a, b: calls.append(1) or mul(a, b))
         P(1, 1) ** n
         assert len(calls) == bin(n).count("1") + n.bit_length() - 1
+
+
+# ---------------------------------------------------------------------------
+# the cleared form, against a plain Fraction-list reference
+# ---------------------------------------------------------------------------
+# The reference works on lists of Fractions, lowest power first, with
+# trailing zeros stripped, and uses nothing from heislusin.
+
+
+def ref_trim(cs):
+    cs = [F(c) for c in cs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def ref_add(a, b):
+    n = max(len(a), len(b))
+    return ref_trim([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
+                     for i in range(n)])
+
+
+def ref_scale(a, c):
+    return ref_trim([x * c for x in a])
+
+
+def ref_mul(a, b):
+    out = [F(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return ref_trim(out)
+
+
+def ref_pow(a, n):
+    out = [F(1)]
+    for _ in range(n):
+        out = ref_mul(out, a)
+    return out
+
+
+def ref_deriv(a, k):
+    out = []
+    for i in range(k, len(a)):
+        falling = 1
+        for j in range(i - k + 1, i + 1):
+            falling *= j
+        out.append(a[i] * falling)
+    return ref_trim(out)
+
+
+def ref_antideriv(a):
+    return ref_trim([F(0)] + [x / (i + 1) for i, x in enumerate(a)])
+
+
+def ref_eval(a, x):
+    return sum((c * F(x) ** k for k, c in enumerate(a)), F(0))
+
+
+def ref_divmod(a, b):
+    rem, quot = list(a), [F(0)] * max(len(a) - len(b) + 1, 0)
+    for k in range(len(quot) - 1, -1, -1):
+        f = quot[k] = rem[k + len(b) - 1] / b[-1]
+        for i, y in enumerate(b):
+            rem[k + i] -= f * y
+    return ref_trim(quot), ref_trim(rem)
+
+
+def ref_from_taylor(cs, x):
+    out = []
+    for k, c in enumerate(cs):
+        out = ref_add(out, ref_scale(ref_pow([-F(x), F(1)], k), F(c)))
+    return out
+
+
+points = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+
+
+class TestFractionReference:
+    """Every ring, calculus and evaluation operation of `Polynomial`
+    against the Fraction-list reference above."""
+
+    @given(coeffs, coeffs, points, points, st.integers(0, 4), st.integers(0, 7))
+    @example([], [F(1, 3)], F(0), F(1), 0, 0)  # the zero polynomial
+    @settings(max_examples=300, deadline=None)
+    def test_operations_match_the_reference(self, a, b, x, c, n, k):
+        p, q = Polynomial(a), Polynomial(b)
+        A, B = ref_trim(a), ref_trim(b)
+        assert p.coeffs == tuple(A) and all(type(v) is F for v in p.coeffs)
+        assert (p + q).coeffs == tuple(ref_add(A, B))
+        assert (p - q).coeffs == tuple(ref_add(A, ref_scale(B, -1)))
+        assert (-p).coeffs == tuple(ref_scale(A, -1))
+        assert (p + c).coeffs == tuple(ref_add(A, ref_trim([c])))
+        assert (p * q).coeffs == tuple(ref_mul(A, B))
+        assert (p * c).coeffs == (c * p).coeffs == tuple(ref_scale(A, c))
+        assert (p ** n).coeffs == tuple(ref_pow(A, n))
+        assert p.derivative(k).coeffs == tuple(ref_deriv(A, k))
+        assert p.antiderivative().coeffs == tuple(ref_antideriv(A))
+        got = p(x)
+        assert type(got) is F and got == ref_eval(A, x)
+        anti = ref_antideriv(A)
+        assert p.integral(x, c) == ref_eval(anti, c) - ref_eval(anti, x)
+        assert (Polynomial.from_taylor(a, x).coeffs
+                == tuple(ref_from_taylor(a, x)))
+        if B:
+            quot, rem = p.divmod(q)
+            assert (quot.coeffs, rem.coeffs) == tuple(map(tuple, ref_divmod(A, B)))
+
+    @given(coeffs)
+    @settings(max_examples=200, deadline=None)
+    def test_stored_form_is_cleared(self, cs):
+        p = Polynomial(cs)
+        assert all(type(v) is int for v in (*p.nums, p.den))
+        assert p.den > 0 and math.gcd(p.den, *p.nums) == 1
+        assert not p.nums or p.nums[-1] != 0
+        assert p.den == math.lcm(*(c.denominator for c in p.coeffs))
+        assert p.coeffs == tuple(F(v, p.den) for v in p.nums)
+
+    @given(coeffs, coeffs, points, st.integers(-9, 9).filter(bool),
+           st.fractions(min_value=-4, max_value=4, max_denominator=7).filter(bool))
+    @settings(max_examples=200, deadline=None)
+    def test_equal_polynomials_have_equal_forms(self, a, b, x, k, c):
+        p, q = Polynomial(a), Polynomial(b)
+        assume(not q.is_zero)
+        ways = [
+            Polynomial(list(a) + [0, F(0)]),
+            Polynomial.from_ints([v * k for v in p.nums], p.den * k),
+            (p * q) // q,
+            (p + q) - q,
+            (p * c) * (1 / c),
+            p.antiderivative().derivative(),
+            Polynomial.from_taylor(p.taylor_coeffs(x), x),
+        ]
+        for w in ways:
+            assert (w.nums, w.den) == (p.nums, p.den)
+            assert w == p and hash(w) == hash(p)
+
+    def test_zero_polynomial_form(self):
+        p = P(F(1, 3), -2, F(5, 7))
+        zeros = [
+            Polynomial(), Polynomial.zero(), Polynomial([0, F(0), 0.0]),
+            p - p, p * 0, 0 * p, p * Polynomial.zero(), p % P(F(2, 9)),
+            p.derivative(3), Polynomial.constant(F(2, 3)).derivative(),
+            Polynomial.from_ints([0, 0], -7), Polynomial.from_ints((), 5),
+        ]
+        for z in zeros:
+            assert z.degree == -1 and z.is_zero
+            assert (z.nums, z.den) == ((), 1)
+            assert z.coeffs == () and z(F(1, 2)) == 0
+            assert z == Polynomial.zero() and hash(z) == hash(Polynomial.zero())
+
+
+def sympy_inner_roots(poly, a, b, odd_only):
+    """The distinct real roots of the sympy Poly `poly` strictly between
+    the Rationals a and b, only those of odd multiplicity if `odd_only`,
+    in order: Rationals, and CRootOf objects for the irrational ones."""
+    sympy = pytest.importorskip("sympy")
+    roots = []
+    for factor, k in poly.factor_list()[1]:
+        if not (odd_only and k % 2 == 0):  # an irreducible factor's roots are simple
+            roots += [r for r in factor.real_roots() if a < r < b]
+    return sorted(roots, key=lambda r: sympy.N(r, 60))
+
+
+class TestCertifiedSympyOracle:
+    """`abs_integral` and `sup_norm` of random integer polynomials over
+    random rational intervals against sympy, which shares no code with
+    this package: equal when every sign change (critical point) inside
+    is rational, otherwise within the certified error of sympy's value at
+    50 digits. 10^-40 covers the rounding of that value itself."""
+
+    ints = st.lists(st.integers(-6, 6), min_size=1, max_size=6)
+    ends = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+    lengths = st.fractions(min_value=F(1, 8), max_value=4, max_denominator=8)
+
+    @staticmethod
+    def setup(cs, a, length):
+        sympy = pytest.importorskip("sympy")
+        p = Polynomial(cs)
+        assume(not p.is_zero)
+        poly = sympy.Poly([sympy.Integer(c) for c in reversed(cs)],
+                          sympy.Symbol("y"))
+        return sympy, p, poly, sympy.Rational(a), sympy.Rational(a + length)
+
+    @staticmethod
+    def check(sympy, got, want, exact):
+        value = sympy.Rational(got.value.numerator, got.value.denominator)
+        if exact:
+            assert want.is_Rational and value == want and got.exact
+        else:
+            error = sympy.Rational(got.error.numerator, got.error.denominator)
+            slack = sympy.Rational(1, 10**40)
+            assert abs(value - sympy.N(want, 50)) <= error + slack
+
+    @given(ints, ends, lengths)
+    @example([2, -9, 0, 4], F(-1), F(3))  # rational crossings -1/2 and 2
+    @example([-2, 0, 1], F(0), F(2))  # the crossing sqrt(2)
+    @example([0, 0, 1], F(-1), F(2))  # a double root: no sign change
+    @settings(max_examples=60, deadline=None)
+    def test_abs_integral(self, cs, a, length):
+        sympy, p, poly, A, B = self.setup(cs, a, length)
+        cuts = [A] + sympy_inner_roots(poly, A, B, odd_only=True) + [B]
+        anti = poly.integrate()
+        want = sum((abs(anti.eval(v) - anti.eval(u))
+                    for u, v in zip(cuts, cuts[1:])), sympy.Integer(0))
+        exact = all(c.is_Rational for c in cuts)
+        self.check(sympy, abs_integral(p, a, a + length), want, exact)
+
+    @given(ints, ends, lengths)
+    @example([0, -3, 0, 1], F(-2), F(3))  # critical points -1 and 1
+    @example([0, -2, 0, 1], F(0), F(2))  # the critical point sqrt(2/3)
+    @settings(max_examples=60, deadline=None)
+    def test_sup_norm(self, cs, a, length):
+        sympy, p, poly, A, B = self.setup(cs, a, length)
+        crits = sympy_inner_roots(poly.diff(), A, B, odd_only=False)
+        values = [abs(poly.eval(x)) for x in [A, B] + crits]
+        exact = all(c.is_Rational for c in crits)
+        want = max(values) if exact else max(sympy.N(v, 60) for v in values)
+        self.check(sympy, sup_norm(p, a, a + length), want, exact)
