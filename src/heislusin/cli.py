@@ -142,10 +142,18 @@ def _rats(s) -> tuple:
 
 
 def read_curve_csv(path):
+    """The f, g and h of a curve CSV (see `read_curve_columns`) as
+    piecewise-linear PiecewisePolynomial objects through the samples."""
+    ts, columns = read_curve_columns(path)
+    return tuple(PiecewisePolynomial.linear(ts, columns[c]) for c in "fgh")
+
+
+def read_curve_columns(path):
     """Rows t,f,g,h with strictly increasing t; values "p/q" or decimal.
 
-    Returns the three components as piecewise-linear PiecewisePolynomial
-    objects through the sample points.
+    Every entry is parsed and checked. Returns the t values and a dict
+    from "f", "g" and "h" to that column's values, so that a command
+    builds only the components it reads.
     """
     rows = []
     with open(path) as fh:
@@ -164,13 +172,10 @@ def read_curve_csv(path):
             rows.append((t, f, g, h))
     if len(rows) < 2:
         raise ValueError("need at least two sample rows")
-    ts = [r[0] for r in rows]
+    ts, *columns = zip(*rows)
     if any(t0 >= t1 for t0, t1 in zip(ts, ts[1:])):
         raise ValueError("t must be strictly increasing")
-    return tuple(
-        PiecewisePolynomial.linear(ts, [r[idx] for r in rows])
-        for idx in (1, 2, 3)
-    )
+    return ts, dict(zip("fgh", columns))
 
 
 def curve_to_csv(rows, fmt) -> str:
@@ -296,7 +301,8 @@ def _cmd_jets_check(args, fmt) -> int:
 
 
 def _cmd_curve_lift(args, fmt) -> int:
-    f, g, _h = read_curve_csv(args.input)
+    ts, columns = read_curve_columns(args.input)
+    f, g = (PiecewisePolynomial.linear(ts, columns[c]) for c in "fg")
     curve = lift(f, g, args.h0)
     rows = ((t, *curve(t)) for t in curve.breakpoints)
     _write(args.out, curve_to_csv(rows, fmt))
@@ -304,8 +310,8 @@ def _cmd_curve_lift(args, fmt) -> int:
 
 
 def _component(args):
-    comps = dict(zip("fgh", read_curve_csv(args.input)))
-    return comps[args.component]
+    ts, columns = read_curve_columns(args.input)
+    return PiecewisePolynomial.linear(ts, columns[args.component])
 
 
 def _cmd_diff_lp(args, fmt) -> int:

@@ -74,23 +74,28 @@ class PiecewisePolynomial:
         of the domain [0, 1].
 
         A centre on a breakpoint takes the right piece, as `piece_index`
-        does. Each piece is the homogenised Horner value of its numerators
-        at s / (2 grid), s = 2i+1, over its den (2 grid)^degree; int / int
+        does. Every centre is read in one homogenised Horner pass: its
+        piece's numerators, padded with zeros to the largest degree d, at
+        s / (2 grid), s = 2i+1, over that piece's den (2 grid)^d; int / int
         rounds correctly, as float(Fraction) does, and raises OverflowError
         past the float range.
         """
         if self.domain != (0, 1):
             raise ValueError("center_floats expects domain [0,1]")
         D = 2 * grid
-        # the first centre at or right of each inner breakpoint b: 2i+1 >= bD
-        firsts = [math.ceil((b * D - 1) / 2) for b in self.breakpoints[1:-1]]
-        out = []
-        for piece, lo, hi in zip(self.pieces, [0] + firsts, firsts + [grid]):
-            nums = piece.nums or (0,)
-            s = np.arange(2 * lo + 1, 2 * hi, 2).astype(object)
-            out.extend((_homogeneous(nums, s, D)
-                        / (piece.den * D ** (len(nums) - 1))).tolist())
-        return out
+        # the first centre at or right of each inner breakpoint b = p/q:
+        # 2i+1 >= bD, so i = ceil((pD - q) / 2q), on ints
+        firsts = [-((b.denominator - b.numerator * D) // (2 * b.denominator))
+                  for b in self.breakpoints[1:-1]]
+        per_piece = np.diff([0] + firsts + [grid])  # centres in each piece
+        width = max(len(p.nums) for p in self.pieces) or 1
+        nums = np.array([p.nums + (0,) * (width - len(p.nums))
+                         for p in self.pieces], dtype=object)
+        dens = np.array([p.den * D ** (width - 1) for p in self.pieces],
+                        dtype=object)
+        s = np.arange(1, D, 2).astype(object)
+        return (_homogeneous(list(np.repeat(nums, per_piece, axis=0).T), s, D)
+                / np.repeat(dens, per_piece)).tolist()
 
     def spans(self, a, b):
         """Yield (lo, hi, piece) for each piece that meets (a, b), in order,

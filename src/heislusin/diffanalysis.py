@@ -21,7 +21,7 @@ import numpy as np
 
 from .curves import PiecewisePolynomial
 from .intervalsets import Interval, IntervalSet, _pth_root, _q, rational_to_str
-from .jets import DEFAULT_LADDER, _check_scales, _jet_modulus, _remainder_sweep
+from .jets import DEFAULT_LADDER, _bins, _check_scales, _jet_modulus, _remainder_sweep
 from .polynomials import (
     DEFAULT_TOL,
     Polynomial,
@@ -325,13 +325,18 @@ def _first_bad_counts(xs, U, is_center, radii, n_max) -> np.ndarray:
     counts = np.zeros(math.prod(shape), dtype=np.int32)
     reach = max(rf, default=-1.0)
     weight = is_center.astype(np.int32)  # add.at's fast path needs one dtype
+    stride = shape[1] * shape[2]  # of the stage in the flat index
     for i, j, d, [(fwd, back)] in _remainder_sweep(xs, U, (0,), reach):
         thr = inv_n * d**m
-        gap_bin = np.searchsorted(rf, d)
-        # thr falls with n, so a pair stays bad from its first bad stage on;
-        # forward rems count the cell y = j at x = i, backward ones y = i at j
+        # the flat index of (last stage, radius bin), less the pair's x
+        last = np.multiply(_bins(d, rf[:, None]), shape[2], dtype=np.intp)
+        last += n_max * stride
+        # thr falls with n, so a pair stays bad from its first bad stage on,
+        # n_max - (stages it is bad at); forward rems count the cell y = j
+        # at x = i, backward ones y = i at j
         for x, y, rem in ((i, j, fwd), (j, i, back)):
-            stage = n_max - (rem > thr).sum(axis=0)
-            flat = (stage * shape[1] + gap_bin) * shape[2] + x
+            flat = np.multiply(_bins(rem, thr), -stride, dtype=np.intp)
+            flat += last
+            flat += x
             np.add.at(counts, flat, weight[y])
     return counts.reshape(shape)

@@ -46,6 +46,14 @@ def _check_scales(scales) -> None:
         raise ValueError("delta must be positive")
 
 
+def _bins(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """For each value, the number of rows of `edges` below it, counted by
+    comparisons and summed as int8 while the row count fits: for a column
+    of sorted edges e[:, None], np.searchsorted(e, values)."""
+    dtype = np.int8 if len(edges) < 2**7 else np.intp
+    return (values > edges).view(np.int8).sum(axis=0, dtype=dtype)
+
+
 def _remainder_sweep(xs: np.ndarray, U: np.ndarray, orders, reach):
     """Taylor remainders of a sampled jet over the pairs of sorted points.
 
@@ -94,14 +102,19 @@ def _remainder_sweep(xs: np.ndarray, U: np.ndarray, orders, reach):
             i, j, d = i[:cut], j[:cut], d[:cut]
             last = n  # no later lag has a gap <= reach either
         ci, cj = np.take(coef, i, axis=1), np.take(coef, j, axis=1)
+        neg = -d
         rems = []
         for k in orders:
             r = row[k]
-            fwd, back = ci[r + m - k], cj[r + m - k]
-            for ell in range(m - k - 1, -1, -1):  # Horner's rule
-                fwd = fwd * d + ci[r + ell]
-                back = back * -d + cj[r + ell]
-            rems.append((np.abs(cj[r] - fwd), np.abs(ci[r] - back)))
+            fwd, back = ci[r + m - k].copy(), cj[r + m - k].copy()
+            for ell in range(m - k - 1, -1, -1):  # Horner's rule, in place
+                fwd *= d
+                fwd += ci[r + ell]
+                back *= neg
+                back += cj[r + ell]
+            np.subtract(cj[r], fwd, out=fwd)
+            np.subtract(ci[r], back, out=back)
+            rems.append((np.abs(fwd, out=fwd), np.abs(back, out=back)))
         yield i, j, d, rems
         lag = last + 1
 
@@ -117,16 +130,20 @@ def _jet_modulus(xs: np.ndarray, U: np.ndarray, scales) -> list:
     """
     _check_scales(scales)
     m = len(U) - 1
-    bins = sorted({float(s) for s in scales})
+    bins = np.array(sorted({float(s) for s in scales}))
     best = np.zeros(len(bins) + 1)  # the last slot: gaps beyond every scale
-    reach = bins[-1] if bins else -1
+    reach = bins[-1] if len(bins) else -1
     for _, _, d, rems in _remainder_sweep(xs, U, range(m + 1), reach):
         # coincident points (an extra point on a centre) are no pair
         gap = np.where(d > 0, d, np.inf)
-        worst = np.max([r / gap ** (m - k)
-                        for k, pair in enumerate(rems) for r in pair], axis=0)
-        np.maximum.at(best, np.searchsorted(bins, d), worst)
-    return ladder_maxima(zip(bins, best.tolist()), map(float, scales), 0.0)
+        worst = np.maximum(*rems[m], out=rems[m][0])  # order m: gap^0
+        for k in range(m):
+            power = gap ** (m - k)
+            for r in rems[k]:
+                np.maximum(worst, np.divide(r, power, out=r), out=worst)
+        np.maximum.at(best, _bins(d, bins[:, None]), worst)
+    return ladder_maxima(zip(bins.tolist(), best.tolist()),
+                         map(float, scales), 0.0)
 
 
 @dataclass(frozen=True)
@@ -226,8 +243,11 @@ class Jet:
         best = [None] * (len(bins) + 1)  # (num, G^m) of each bin's worst pair
         for _, _, G, rems in _remainder_sweep(
                 xs, U, range(m + 1), floors[-1] if bins else -1):
-            worst = np.max([r * G ** k
-                            for k, pair in enumerate(rems) for r in pair], axis=0)
+            worst = np.maximum(*rems[0], out=rems[0][0])  # order 0: G^0
+            for k in range(1, m + 1):
+                power = G ** k
+                for r in rems[k]:
+                    np.maximum(worst, np.multiply(r, power, out=r), out=worst)
             for b, num, den in zip(np.searchsorted(floors, G).tolist(),
                                    worst.tolist(), (G ** m).tolist()):
                 top = best[b]

@@ -510,8 +510,8 @@ def prefix_abs_integrals(p: Polynomial, a, ends, tol: Fraction = DEFAULT_TOL) ->
     if p.is_zero:
         return [CertifiedValue(Fraction(0)) for _ in ends]
     roots = isolate_roots(p, a, last)
-    bound = _coeff_bound(p, a, last)
-    if roots:
+    if roots:  # the bound on |p| prices each root's bracket
+        bound = _coeff_bound(p, a, last)
         budget = tol / (2 * len(roots))
         width = budget / (2 * bound) if bound > 0 else Fraction(1)
         roots = [refine_root(enc, width) for enc in roots]

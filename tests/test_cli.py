@@ -655,6 +655,19 @@ class TestCurveLift:
             "1d1f1311c0b828b7d375c06f85b9db219e03899996ae8e58fc2f35839d9a141b"
         )
 
+    def test_lift_of_a_kink_and_a_square_is_pinned(self, capsys, tmp_path):
+        # f = |t - 1/3|, g = t^2 at t = i/64; recorded when the reader
+        # still built all three components
+        src = tmp_path / "kg.csv"
+        src.write_text("t,f,g,h\n" + "".join(
+            "%s,%s,%s,0\n" % (t, abs(t - F(1, 3)), t * t)
+            for t in (F(i, 64) for i in range(65))))
+        status, out, _ = invoke(capsys, "curve", "lift", "--input", str(src))
+        assert status == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "a984adb3c68d91f76ae2c4b5282e1a3011c003c3f5c3feb41c27fce2ecbdacd2"
+        )
+
     def test_h0_offset(self, capsys, tmp_path):
         src = tmp_path / "in.csv"
         src.write_text("t,f,g,h\n0,0,0,0\n1,1,1,0\n")
@@ -867,6 +880,30 @@ class TestMalformedCsv:
         status, out, err = invoke(capsys, *argv, "--input", str(src))
         assert status == 2 and out == ""
         assert "need at least two sample rows" in err
+
+    # each command with a column it never builds: f for diff and sieve
+    # read through --component, f and g for curve lift
+    UNREAD = pytest.mark.parametrize("argv, column", [
+        (("sieve", "--m", "1", "--grid", "64", "--component", "f"), "g"),
+        (("diff", "lp", "--x", "1/2", "--m", "1"), "h"),
+        (("diff", "density", "--x", "1/2", "--m", "1", "--eps", "1",
+          "--radius", "1/4"), "g"),
+        (("curve", "lift"), "h"),
+    ])
+
+    @UNREAD
+    @pytest.mark.parametrize("entry", ["abc", "1/0"])
+    def test_malformed_entry_in_an_unread_column_is_usage_error(
+            self, capsys, tmp_path, argv, column, entry):
+        # every entry is parsed and checked, also where no component is built
+        row = dict(t="1/2", f="1", g="0", h="0")
+        row[column] = entry
+        src = tmp_path / "bad-entry.csv"
+        src.write_text("t,f,g,h\n0,0,0,0\n%s\n1,0,0,0\n"
+                       % ",".join(row[c] for c in "tfgh"))
+        status, out, err = invoke(capsys, *argv, "--input", str(src))
+        assert status == 2 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
 
 
 class TestDecimalMode:

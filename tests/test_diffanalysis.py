@@ -358,6 +358,116 @@ class TestChunkedSweep:
             assert jet.modulus_profile(ladder) == profile
 
 
+def _array_power(x, k):
+    """x ** k as the kernels take it, on a float64 array: numpy squares
+    for k = 2 and may run its own SIMD pow, so Python's float pow can
+    differ from it in the last bit."""
+    return (np.array([x]) ** k)[0].item()
+
+
+def _reference_pairs(xs, reach):
+    """(i, j) for i < j in every lag whose smallest gap is at most
+    `reach`: the pairs the sweep reads, farther ones included."""
+    n = len(xs)
+    for lag in range(1, n):
+        if min(xs[i + lag] - xs[i] for i in range(n - lag)) > reach:
+            return
+        yield from ((i, i + lag) for i in range(n - lag))
+
+
+def _reference_remainders(xs, U, i, j, k):
+    """The gap and the forward and backward order-k remainders of the
+    pair i < j, by Horner's rule with the weights 1/ell!, float by float."""
+    m = len(U) - 1
+    d = xs[j] - xs[i]
+    ci = [U[k + ell][i] / math.factorial(ell) for ell in range(m - k + 1)]
+    cj = [U[k + ell][j] / math.factorial(ell) for ell in range(m - k + 1)]
+    fwd, back = ci[-1], cj[-1]
+    for ell in range(m - k - 1, -1, -1):
+        fwd = fwd * d + ci[ell]
+        back = back * -d + cj[ell]
+    return d, abs(cj[0] - fwd), abs(ci[0] - back)
+
+
+def _reference_first_bad_counts(xs, U, is_center, radii, n_max):
+    m = len(U) - 1
+    rf = [float(r) for r in radii]
+    counts = np.zeros((n_max + 1, len(rf) + 1, len(xs)), dtype=np.int32)
+    for i, j in _reference_pairs(xs, max(rf, default=-1.0)):
+        d, fwd, back = _reference_remainders(xs, U, i, j, 0)
+        thr = [(1.0 / n) * _array_power(d, m) for n in range(1, n_max + 1)]
+        gap_bin = bisect.bisect_left(rf, d)
+        for x, y, rem in ((i, j, fwd), (j, i, back)):
+            stage = n_max - sum(rem > t for t in thr)
+            counts[stage, gap_bin, x] += is_center[y]
+    return counts
+
+
+def _reference_jet_modulus(xs, U, scales):
+    m = len(U) - 1
+    bins = sorted({float(s) for s in scales})
+    best = [0.0] * (len(bins) + 1)
+    for i, j in _reference_pairs(xs, bins[-1]):
+        worst = 0.0
+        for k in range(m + 1):
+            d, fwd, back = _reference_remainders(xs, U, i, j, k)
+            power = _array_power(d if d > 0 else math.inf, m - k)
+            worst = max(worst, fwd / power, back / power)
+        b = bisect.bisect_left(bins, d)
+        best[b] = max(best[b], worst)
+    return [max((v for s, v in zip(bins, best) if s <= float(scale)),
+                default=0.0) for scale in scales]
+
+
+@st.composite
+def sieve_points(draw):
+    """The sieve's test points: the centres of a grid, most of them off
+    the dyadic ones, and extra points, some on a centre; sorted stably,
+    with derivative floats of order m <= 3 at each."""
+    grid = draw(st.integers(8, 48))
+    extras = draw(st.lists(st.one_of(
+        st.fractions(0, 1, max_denominator=3 * grid),
+        st.integers(0, grid - 1).map(lambda c: F(2 * c + 1, 2 * grid))),
+        max_size=4))
+    points = [F(2 * c + 1, 2 * grid) for c in range(grid)] + extras
+    order = np.argsort([float(t) for t in points], kind="stable")
+    xs = [float(points[o]) for o in order]
+    m = draw(st.integers(0, 3))
+    value = st.floats(-100, 100, allow_nan=False, allow_infinity=False)
+    U = [[draw(value) for _ in xs] for _ in range(m + 1)]
+    return xs, U, (order < grid).tolist()
+
+
+# a ladder longer than an int8 count can hold
+LONG_LADDER = tuple(F(1, k) for k in range(200, 0, -1))
+
+
+class TestFloatReference:
+    """The sieve kernels against per-pair Python loops that take the same
+    float expressions in the same order, so every value is equal."""
+
+    ladders = st.one_of(
+        st.just(LONG_LADDER),
+        st.lists(st.fractions(F(1, 100), 1, max_denominator=100),
+                 min_size=1, max_size=12).map(lambda s: sorted(set(s))))
+
+    @given(sieve_points(), ladders, st.integers(1, 32))
+    @settings(max_examples=60, deadline=None)
+    def test_first_bad_counts(self, case, radii, n_max):
+        xs, U, is_center = case
+        got = _first_bad_counts(np.array(xs), np.array(U),
+                                np.array(is_center), radii, n_max)
+        want = _reference_first_bad_counts(xs, U, is_center, radii, n_max)
+        assert np.array_equal(got, want)
+
+    @given(sieve_points(), ladders)
+    @settings(max_examples=60, deadline=None)
+    def test_jet_modulus(self, case, scales):
+        xs, U, _ = case
+        got = _jet_modulus(np.array(xs), np.array(U), scales)
+        assert got == _reference_jet_modulus(xs, U, scales)
+
+
 def _cube():
     return single(CUBE), 2, 2**9
 
@@ -374,20 +484,38 @@ def _quartic():
     return single(poly(0, 0, 0, 0, 1)), 3, 2**9
 
 
+def _cube_off_dyadic():
+    """y^3 at m = 3 on 1000 cells, with extra points 1/3 and 1/2."""
+    return single(CUBE), 3, 1000, F(1, 3), F(1, 2)
+
+
+def _kink_off_dyadic():
+    """The kink on 700 cells, with the kink itself as an extra point."""
+    return kink(F(1201, 2048)), 1, 700, F(1201, 2048)
+
+
 @pytest.mark.parametrize("case, digest", [
     (_cube, "49e5650e94ca4e6c943203129152b925706c82a72731dc4c16b4c856563a78d4"),
     (_jump, "a94ebe4e5a3ae7e2c99d261692e47f3bc4ac6c127f5f477b8ad008be13aaf89b"),
     (_kink, "6009f10fe6178f35834d3b34dfdd4f95d21fb8bfda5bb1cc6b7e19ec3c81689e"),
     (_quartic,
      "6c109f542e8dac1a5b56f2d19e894d67c23a1b26ae06bc56874b79d8699cb6a2"),
+    (_cube_off_dyadic,
+     "eec67cbc398dd12ac962ed9e90aad05d6f72eb65f4994c7b16e7cd9b8c1389fa"),
+    (_kink_off_dyadic,
+     "4f21020c5636591bcaf6fcaf8b37e97a82ae6492589d4c251639e6880a92569c"),
 ])
 def test_sieve_output_is_pinned(case, digest):
     """sha256 of the sorted-key JSON of the whole sieve result, recorded
     from the earlier implementation that reran the lag loop for every
     (stage, radius) and built the modulus as a dense matrix; any change
-    to retention, defects or modulus values changes it."""
-    u, m, grid = case()
-    obj = whitney_sieve(u, m, F(5, 100), grid=grid).to_json_obj()
+    to retention, defects or modulus values changes it. The two cases
+    off dyadic grids, where the gaps of one lag differ by ulps, were
+    recorded on the sweep before its in-place Horner steps and its
+    comparison-count bins."""
+    u, m, grid, *extras = case()
+    obj = whitney_sieve(u, m, F(5, 100), grid=grid,
+                        extra_points=extras).to_json_obj()
     text = json.dumps(obj, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
