@@ -35,7 +35,6 @@ from .counterexample import (
     CounterexampleCurve,
     default_params,
     check_params,
-    build_intervals,
     build_curve,
     component_increments,
     measure_report,

@@ -205,7 +205,7 @@ def _cmd_ce_build(args, fmt) -> int:
     rows = C.vertices()
     if args.samples:
         ts = [Fraction(i, args.samples) for i in range(args.samples + 1)]
-        rows = ((t, *C(t)) for t in ts)
+        rows = ((t, *C.curve(t)) for t in ts)
     _write(os.path.join(outdir, "curve.csv"), curve_to_csv(rows, fmt))
     _write_meta(outdir, args)
     print("wrote intervals.json and curve.csv to %s" % outdir)

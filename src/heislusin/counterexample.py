@@ -88,20 +88,24 @@ def default_params(depth: int = 10) -> CounterexampleParams:
     )
 
 
+def _open_keys(ts, pairs) -> list:
+    """The key list of the open intervals (ts[a], ts[b]) for the sorted,
+    disjoint vertex pairs (a, b)."""
+    return [key for a, b in pairs for key in ((ts[a], 2), (ts[b], 0))]
+
+
 @dataclass(frozen=True)
 class CounterexampleCurve:
-    """The built curve as integer vertex tables, with its interval levels
-    and their running unions.
+    """The built curve as integer vertex tables.
 
     Vertex i is t = ts[i]/T, f = fs[i]/L, g = gs[i]/L and h = hs[i]/L^2,
     and f, g and h are linear between vertices; components[n-1] holds the
     (first, last) vertex index of each level-n component, in order. The
-    piecewise curve is built from the tables when `curve` is first read.
+    piecewise curve, and the open components as interval sets, are
+    decoded from the tables when first read.
     """
 
     params: CounterexampleParams
-    I_levels: tuple  # IntervalSet per level 1..depth
-    I_unions: tuple  # I_unions[n-1] = I_1 u ... u I_n
     T: int
     L: int
     ts: tuple
@@ -110,9 +114,25 @@ class CounterexampleCurve:
     hs: tuple
     components: tuple
 
+    @cached_property
+    def _sets(self) -> tuple:
+        """(I_levels, I_union) over T; a key shared by several sets is
+        decoded once."""
+        over_T = cache(lambda key: (Fraction(key[0], self.T), key[1]))
+
+        def decoded(pairs):
+            return IntervalSet._of(list(map(over_T, _open_keys(self.ts, pairs))))
+
+        return (tuple(map(decoded, self.components)),
+                decoded(sorted(chain.from_iterable(self.components))))
+
+    @property
+    def I_levels(self) -> tuple:  # IntervalSet per level 1..depth
+        return self._sets[0]
+
     @property
     def I_union(self) -> IntervalSet:  # the union of all levels
-        return self.I_unions[-1]
+        return self._sets[1]
 
     @cached_property
     def curve(self) -> PiecewiseCurve:
@@ -127,9 +147,6 @@ class CounterexampleCurve:
         T, L, LL = self.T, self.L, self.L**2
         for t, f, g, h in zip(self.ts, self.fs, self.gs, self.hs):
             yield Fraction(t, T), Fraction(f, L), Fraction(g, L), Fraction(h, LL)
-
-    def __call__(self, t):
-        return self.curve(t)
 
 
 # ---------------------------------------------------------------------------
@@ -233,29 +250,6 @@ def _level_rows(params: CounterexampleParams) -> tuple:
     return rows, D
 
 
-def _level_sets(rows: list, D: int) -> tuple:
-    """(levels, unions): the level-n rows as the IntervalSet I_n, and
-    unions[n-1] = I_1 u ... u I_n, the union level n+1 must miss.
-
-    The sets are made and united on the rows' int keys, then decoded
-    over D; a key shared by several sets is decoded once."""
-    levels, unions = [], [IntervalSet.empty()]
-    for kept in rows:
-        levels.append(IntervalSet._of([key for lo, hi in kept
-                                       for key in ((lo, 2), (hi, 0))]))
-        unions.append(unions[-1].union(levels[-1]))
-    over_D = cache(lambda key: (Fraction(key[0], D), key[1]))
-    return tuple(tuple(IntervalSet._of(list(map(over_D, s._keys))) for s in sets)
-                 for sets in (levels, unions[1:]))
-
-
-def build_intervals(params: CounterexampleParams) -> tuple:
-    """(levels, unions): level n, I_n, keeps the open interval of radius
-    w_n around each dyadic centre k/2^n that misses all earlier levels,
-    and unions[n-1] = I_1 u ... u I_n is the union level n+1 must miss."""
-    return _level_sets(*_level_rows(params))
-
-
 def build_curve(params: CounterexampleParams) -> CounterexampleCurve:
     """Assemble (f, g, h) on [0,1]: the four-piece square pattern of side
     h_n on every level-n component, zero in the gaps.
@@ -285,9 +279,8 @@ def build_curve(params: CounterexampleParams) -> CounterexampleCurve:
         ts, fs, gs = ts + [4 * D], fs + [0], gs + [0]
     hs = accumulate((2 * (f1 * g0 - f0 * g1) for f0, f1, g0, g1
                      in zip(fs, fs[1:], gs, gs[1:])), initial=0)
-    levels, unions = _level_sets(rows, D)
     return CounterexampleCurve(
-        params, levels, unions, 4 * D, L, tuple(ts),
+        params, 4 * D, L, tuple(ts),
         tuple(fs), tuple(gs), tuple(hs), tuple(map(tuple, components)))
 
 
@@ -322,8 +315,7 @@ def measure_report(C: CounterexampleCurve) -> dict:
     ts = [t * R[0] for t in C.ts]  # the vertex times over M
     over_M = cache(lambda x: Fraction(x, M))  # shared by the shells
     everything = sorted(chain.from_iterable(C.components))
-    I_all = IntervalSet._of([key for a, b in everything
-                             for key in ((ts[a], 2), (ts[b], 0))])
+    I_all = IntervalSet._of(_open_keys(ts, everything))
     shells, partial = [], []
     for n, (level, r) in enumerate(zip(C.components, R[1:]), start=1):
         lam = params.lam(n)
@@ -369,10 +361,11 @@ def good_pair_search(E: IntervalSet, C: CounterexampleCurve,
     _check_level(C, n)
     free = E.subtract(C.I_union)
     half = Fraction(1, 2 ** (n + 1))
-    for iv in C.I_levels[n].intervals:
-        c = (iv.lo + iv.hi) / 2
-        liv = free.last_piece(c - half, iv.lo)
-        riv = free.first_piece(iv.hi, c + half)
+    for a, b in C.components[n]:
+        lo, hi = Fraction(C.ts[a], C.T), Fraction(C.ts[b], C.T)
+        c = (lo + hi) / 2
+        liv = free.last_piece(c - half, lo)
+        riv = free.first_piece(hi, c + half)
         if liv is None or riv is None:
             continue
         x = liv.hi if liv.hi_closed else (liv.lo + liv.hi) / 2

@@ -14,7 +14,6 @@ from fractions import Fraction as F
 
 from heislusin.counterexample import (
     build_curve,
-    build_intervals,
     check_params,
     component_increments,
     default_params,
@@ -68,7 +67,7 @@ def test_criterion_02_measure_bound(capsys):
     p = default_params(12)
     partial = F(0)
     ok = True
-    levels, _ = build_intervals(p)
+    levels = build_curve(p).I_levels
     union = IntervalSet.empty()
     for n in range(1, 13):
         partial += 2**n * p.w(n)

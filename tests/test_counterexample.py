@@ -9,7 +9,6 @@ import pytest
 from heislusin.counterexample import (
     CounterexampleParams,
     build_curve,
-    build_intervals,
     check_params,
     component_increments,
     default_params,
@@ -204,18 +203,18 @@ class TestCheckParamsGeometricOracle:
 class TestIntervals:
     def test_first_level(self):
         p = default_params(3)
-        levels, _ = build_intervals(p)
+        levels = build_curve(p).I_levels
         iv = levels[0].intervals[0]
         assert (iv.lo, iv.hi) == (F(1, 2) - p.w(1), F(1, 2) + p.w(1))
         assert not iv.lo_closed and not iv.hi_closed
 
     def test_component_count_bound(self):
-        levels, _ = build_intervals(default_params(10))
+        levels = build_curve(default_params(10)).I_levels
         for n, lev in enumerate(levels, start=1):
             assert len(lev.intervals) <= 2 ** (n - 1)
 
     def test_all_odd_centers_accepted_through_level_six(self):
-        levels, _ = build_intervals(default_params(10))
+        levels = build_curve(default_params(10)).I_levels
         for n, lev in enumerate(levels[:6], start=1):
             assert len(lev.intervals) == 2 ** (n - 1)
 
@@ -230,7 +229,7 @@ class TestIntervals:
         d = default_params(7)
         p = CounterexampleParams(d.h_seq, d.lambda_seq, w_seq, 7)
         chosen, rejected = [], 0
-        for n, lev in enumerate(build_intervals(p)[0], start=1):
+        for n, lev in enumerate(build_curve(p).I_levels, start=1):
             w = p.w(n)
             kept = []
             for k in range(1, 2**n):
@@ -246,7 +245,7 @@ class TestIntervals:
         assert rejected > 0  # some odd centres meet an earlier component
 
     def test_levels_pairwise_disjoint(self):
-        levels, _ = build_intervals(default_params(8))
+        levels = build_curve(default_params(8)).I_levels
         union = IntervalSet.empty()
         total = F(0)
         for lev in levels:
@@ -256,11 +255,8 @@ class TestIntervals:
         assert union.measure() == total
 
     def test_unions_are_the_partial_unions(self, curve10):
-        assert len(curve10.I_unions) == len(curve10.I_levels) == 10
-        for n in range(1, 11):
-            assert curve10.I_unions[n - 1] == reduce(
-                IntervalSet.union, curve10.I_levels[:n])
-        assert curve10.I_union == curve10.I_unions[-1]
+        assert len(curve10.I_levels) == 10
+        assert curve10.I_union == reduce(IntervalSet.union, curve10.I_levels)
 
 
 def pieces_digest(c):
@@ -276,7 +272,7 @@ def pieces_digest(c):
 class TestCurve:
     def test_zero_off_components(self, curve10):
         for t in (0, F(1, 7), F(9, 10), 1):
-            f, g, _ = curve10(t)
+            f, g, _ = curve10.curve(t)
             assert f == 0 and g == 0
 
     def test_center_value(self, curve10):
@@ -284,7 +280,7 @@ class TestCurve:
         for n, lev in ((1, curve10.I_levels[0]), (3, curve10.I_levels[2])):
             iv = lev.intervals[0]
             c = (iv.lo + iv.hi) / 2
-            f, g, _ = curve10(c)
+            f, g, _ = curve10.curve(c)
             assert f == p.h(n) and g == p.h(n)
 
     def test_f_slope_on_second_quarter(self, curve10):
@@ -339,7 +335,7 @@ class TestCurve:
 
     def test_outside_domain_rejected(self, curve10):
         with pytest.raises(ValueError):
-            curve10(F(3, 2))
+            curve10.curve(F(3, 2))
 
 
 class TestIncrements:
@@ -379,16 +375,16 @@ class TestMeasureReport:
 
     @pytest.mark.parametrize("depth", [1, 4, 8])
     def test_each_partial_union_is_built_once(self, depth, monkeypatch):
-        # the build keeps its running unions, and the shells and I read
-        # them: one union per level, none in the report or in I_union
+        # the build, the shells and I_union merge sorted rows or vertex
+        # pairs; none unites two sets
         calls = []
         union = IntervalSet.union
         monkeypatch.setattr(IntervalSet, "union",
-                            lambda a, b: calls.append(1) or union(a, b))
+                            lambda *a: calls.append(1) or union(*a))
         C = build_curve(default_params(depth))
         measure_report(C)
         C.I_union
-        assert len(calls) == depth
+        assert len(calls) == 0
 
     def test_depth8_shells_are_pinned(self):
         # sorted-key JSON of every shell's set and exact measure;
@@ -568,6 +564,32 @@ class TestTablesMatchCurve:
                 (iv.lo, iv.hi) for iv in lev.intervals]
         assert C.curve.h.pieces == lift(C.curve.f, C.curve.g, 0).h.pieces
 
+    @pytest.mark.parametrize("E", [
+        IntervalSet.unit(), IntervalSet.closed(0, F(1, 3)),
+        IntervalSet.from_pairs([(F(1, 5), 1)], False, True),
+    ], ids=["unit", "first-third", "half-open"])
+    def test_pairs_match_a_walk_over_the_level_sets(self, tabled, E):
+        C = tabled
+
+        def walk(n):
+            free = E.subtract(C.I_union)
+            half = F(1, 2 ** (n + 1))
+            for iv in C.I_levels[n].intervals:
+                c = (iv.lo + iv.hi) / 2
+                liv = free.last_piece(c - half, iv.lo)
+                riv = free.first_piece(iv.hi, c + half)
+                if liv is None or riv is None:
+                    continue
+                x = liv.hi if liv.hi_closed else (liv.lo + liv.hi) / 2
+                y = riv.lo if riv.lo_closed else (riv.lo + riv.hi) / 2
+                if y - x <= F(1, 2**n):
+                    return x, y
+            return None
+
+        pairs = [good_pair_search(E, C, n) for n in range(C.params.depth)]
+        assert pairs == [walk(n) for n in range(C.params.depth)]
+        assert any(pairs)
+
     def test_vertices_are_the_curve_at_its_breakpoints(self, tabled):
         C = tabled
         assert list(C.vertices()) == [
@@ -582,7 +604,8 @@ class TestTablesMatchCurve:
         C = build_curve(params)
         rep = measure_report(C)
         assert rep["measure_I"] == C.I_union.measure()
-        for shell, partial in zip(rep["shells"], C.I_unions):
+        for shell in rep["shells"]:
+            partial = reduce(IntervalSet.union, C.I_levels[:shell["n"]])
             A_n = partial.dilate(params.lam(shell["n"])).subtract(C.I_union)
             assert shell["set"] == A_n
             assert shell["measure"] == A_n.measure()
@@ -594,7 +617,9 @@ def test_reports_leave_the_curve_unbuilt():
     measure_report(C)
     straddle_jets(C, 2)
     straddle_ratio(C, 3)
+    assert "_sets" not in vars(C)  # the level sets are still undecoded
     for n in range(6):
         good_pair_search(IntervalSet.unit(), C, n)
     assert "curve" not in vars(C)
+    assert C.I_levels is C.I_levels and C.I_union is C.I_union
     assert C.curve is C.curve
