@@ -20,9 +20,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
+from functools import cache
 
 from .counterexample import (
     build_curve,
@@ -34,27 +36,36 @@ from .counterexample import (
 )
 from .curves import PiecewisePolynomial, extendability_report, lift
 from .diffanalysis import approx_density, lp_remainder_ladder, whitney_sieve
-from .intervalsets import _q, parse_rational, rational_to_str
+from .intervalsets import _q, parse_rational
 from .jets import DEFAULT_LADDER, JetTriple
 from .polynomials import Polynomial
 
 
 class _Fmt:
+    """The text of a rational: "p/q" in lowest terms, or with
+    `decimal_digits` = k the fixed-point decimal with k digits, rounded
+    half to even as round(x 10^k) is. Floats print as their repr."""
+
     def __init__(self, decimal_digits=None):
         self.decimal_digits = decimal_digits
 
-    def __call__(self, x) -> str:
-        if isinstance(x, float):
-            return repr(x)
-        x = _q(x)
-        if self.decimal_digits is None:
-            return rational_to_str(x)
-        q = round(x * 10**self.decimal_digits)
-        s = "%0*d" % (self.decimal_digits + 1, abs(q))
-        sign = "-" if q < 0 else ""
-        return "%s%s.%s" % (
-            sign, s[: -self.decimal_digits] or "0", s[-self.decimal_digits:]
-        )
+    def __call__(self, x, d=1) -> str:
+        """The text of x / d, for a rational x and an int d > 0: one gcd,
+        or one divmod, on the int pair."""
+        if not isinstance(x, int):
+            if isinstance(x, float):
+                return repr(x)
+            x = _q(x)
+            x, d = x.numerator, x.denominator * d
+        k = self.decimal_digits
+        if k is None:
+            g = math.gcd(x, d)
+            return "%d/%d" % (x // g, d // g)
+        q, r = divmod(x * 10**k, d)
+        if 2 * r > d or (2 * r == d and q & 1):
+            q += 1
+        s = "%0*d" % (k + 1, abs(q))
+        return "%s%s.%s" % ("-" if q < 0 else "", s[:-k], s[-k:])
 
 
 def _write(path, text):
@@ -178,10 +189,11 @@ def read_curve_columns(path):
     return ts, dict(zip("fgh", columns))
 
 
-def curve_to_csv(rows, fmt) -> str:
-    """The curve CSV of the value rows (t, f, g, h): the one CSV writer."""
+def curve_to_csv(rows, fmt, dens=(1, 1, 1, 1)) -> str:
+    """The curve CSV of the rows (t, f, g, h), each entry over its
+    column's denominator in `dens`: the one CSV writer."""
     lines = ["t,f,g,h"]
-    lines += [",".join(map(fmt, row)) for row in rows]
+    lines += [",".join(map(fmt, row, dens)) for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -194,19 +206,26 @@ def _cmd_ce_build(args, fmt) -> int:
     C = build_curve(default_params(args.depth))
     outdir = args.out
     os.makedirs(outdir, exist_ok=True)
+    # each component is the open interval between its end vertices, and
+    # its JSON is that of `Interval.to_json_obj`
+    ratio = _Fmt()
     levels = {
         "depth": args.depth,
-        "levels": [lev.to_json_obj() for lev in C.I_levels],
+        "levels": [[{"lo": ratio(C.ts[a], C.T), "hi": ratio(C.ts[b], C.T),
+                     "lo_closed": False, "hi_closed": False}
+                    for a, b in level] for level in C.components],
     }
     with open(os.path.join(outdir, "intervals.json"), "w") as fh:
         json.dump(levels, fh, indent=2)
         fh.write("\n")
     # the breakpoint rows are the vertex tables; samples read the curve
-    rows = C.vertices()
     if args.samples:
         ts = [Fraction(i, args.samples) for i in range(args.samples + 1)]
-        rows = ((t, *C.curve(t)) for t in ts)
-    _write(os.path.join(outdir, "curve.csv"), curve_to_csv(rows, fmt))
+        text = curve_to_csv(((t, *C.curve(t)) for t in ts), fmt)
+    else:
+        rows, dens = C.vertex_rows()
+        text = curve_to_csv(rows, fmt, dens)
+    _write(os.path.join(outdir, "curve.csv"), text)
     _write_meta(outdir, args)
     print("wrote intervals.json and curve.csv to %s" % outdir)
     return 0
@@ -224,9 +243,10 @@ def _cmd_ce_verify(args, fmt) -> int:
             failures += 1
 
     incs = component_increments(C)
+    four_h2 = {n: 4 * params.h(n) ** 2 for n in range(1, params.depth + 1)}
     check(
         "component increments equal 4 h_n^2 (%d components)" % len(incs),
-        all(v == 4 * params.h(n) ** 2 for n, _, v in incs),
+        all(v == four_h2[n] for n, _, v in incs),
     )
     mrep = measure_report(C)
     check(
@@ -423,8 +443,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first `run`: it holds
+    no mutable default, and its handlers look up the module's names when
+    they are called."""
+    return _build_parser()
+
+
 def run(argv=None) -> int:
-    ap = _build_parser()
+    ap = _parser()
     try:
         args = ap.parse_args(argv)
     except SystemExit as exc:

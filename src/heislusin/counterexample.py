@@ -115,6 +115,10 @@ class CounterexampleCurve:
     components: tuple
 
     @cached_property
+    def _pairs(self) -> list:  # every component's vertex pair, in order
+        return sorted(chain.from_iterable(self.components))
+
+    @cached_property
     def _sets(self) -> tuple:
         """(I_levels, I_union) over T; a key shared by several sets is
         decoded once."""
@@ -123,8 +127,7 @@ class CounterexampleCurve:
         def decoded(pairs):
             return IntervalSet._of(list(map(over_T, _open_keys(self.ts, pairs))))
 
-        return (tuple(map(decoded, self.components)),
-                decoded(sorted(chain.from_iterable(self.components))))
+        return tuple(map(decoded, self.components)), decoded(self._pairs)
 
     @property
     def I_levels(self) -> tuple:  # IntervalSet per level 1..depth
@@ -142,11 +145,12 @@ class CounterexampleCurve:
             for ys, M in ((self.fs, self.L), (self.gs, self.L),
                           (self.hs, self.L**2))))
 
-    def vertices(self):
-        """Yield (t, f, g, h) at each vertex: the curve at its breakpoints."""
-        T, L, LL = self.T, self.L, self.L**2
-        for t, f, g, h in zip(self.ts, self.fs, self.gs, self.hs):
-            yield Fraction(t, T), Fraction(f, L), Fraction(g, L), Fraction(h, LL)
+    def vertex_rows(self) -> tuple:
+        """(rows, dens): the int rows (t, f, g, h) of the vertices, the
+        curve at its breakpoints, and the denominators (T, L, L, L^2) of
+        the four columns."""
+        return (zip(self.ts, self.fs, self.gs, self.hs),
+                (self.T, self.L, self.L, self.L**2))
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +309,8 @@ def measure_report(C: CounterexampleCurve) -> dict:
 
     The shells are dilated, cut and measured on the int keys of the
     components' ends over one M, the lcm of T and the lambda_n
-    denominators, and each is decoded to its Fraction set once."""
+    denominators. Each shell keeps its int key list, "keys", over the
+    report's "M"; `shell_set` decodes it."""
     params = C.params
     N = params.depth
     two_pow_w = sum(
@@ -313,9 +318,7 @@ def measure_report(C: CounterexampleCurve) -> dict:
     )
     R, M = _cleared([Fraction(1, C.T)] + [params.lam(n) for n in range(1, N + 1)])
     ts = [t * R[0] for t in C.ts]  # the vertex times over M
-    over_M = cache(lambda x: Fraction(x, M))  # shared by the shells
-    everything = sorted(chain.from_iterable(C.components))
-    I_all = IntervalSet._of(_open_keys(ts, everything))
+    I_all = IntervalSet._of(_open_keys(ts, C._pairs))
     shells, partial = [], []
     for n, (level, r) in enumerate(zip(C.components, R[1:]), start=1):
         lam = params.lam(n)
@@ -331,7 +334,7 @@ def measure_report(C: CounterexampleCurve) -> dict:
             "measure": measure,
             "bound": bound,
             "within_bound": measure <= bound,
-            "set": IntervalSet._of([(over_M(x), t) for x, t in A_n._keys]),
+            "keys": A_n._keys,
         })
     measure_I = I_all.measure() / M
     return {
@@ -339,8 +342,17 @@ def measure_report(C: CounterexampleCurve) -> dict:
         "sum_2n_wn_le_1_31": two_pow_w <= Fraction(1, 31),
         "measure_I": measure_I,
         "measure_le_sum": measure_I <= two_pow_w,
+        "M": M,
         "shells": shells,
     }
+
+
+def shell_set(report: dict, n: int) -> IntervalSet:
+    """The level-n shell of a `measure_report` report as a set of
+    Fractions, decoded from its int keys over the report's M."""
+    M = report["M"]
+    return IntervalSet._of([(Fraction(x, M), t)
+                            for x, t in report["shells"][n - 1]["keys"]])
 
 
 def _check_level(C: CounterexampleCurve, n: int) -> None:
@@ -357,15 +369,40 @@ def good_pair_search(E: IntervalSet, C: CounterexampleCurve,
     point nearest the component is chosen (interval endpoint when closed,
     midpoint otherwise). Returns (x, y) or None when no component admits
     a pair.
+
+    E minus the components is read only in the window of radius
+    2^-(n+1) around each component: on each side, the piece nearest it
+    is the one of E in the nearest gap between components where E meets
+    the window, so no set of components is subtracted.
     """
     _check_level(C, n)
-    free = E.subtract(C.I_union)
-    half = Fraction(1, 2 ** (n + 1))
+    pairs, ts, T = C._pairs, C.ts, C.T
+    end = len(pairs)
+    # exact over T: T = 4D is a multiple of 2^(depth+2), and the ends of
+    # a component are multiples of 4, so its centre is an int
+    reach = T >> (n + 1)
+
+    def nearest(gaps, wlo, whi, piece):
+        """piece(E, lo, hi) for the first closed gap [lo, hi] in `gaps`,
+        clipped to the window [wlo, whi], where it is not None; gap g
+        is the one before sorted component g, and ends are ints over T."""
+        for g in gaps:
+            lo = max(ts[pairs[g - 1][1]], wlo) if g else wlo
+            hi = min(ts[pairs[g][0]], whi) if g < end else whi
+            if lo > hi:  # the gaps from here on miss the window
+                return None
+            iv = piece(E, Fraction(lo, T), Fraction(hi, T))
+            if iv is not None:
+                return iv
+        return None
+
     for a, b in C.components[n]:
-        lo, hi = Fraction(C.ts[a], C.T), Fraction(C.ts[b], C.T)
-        c = (lo + hi) / 2
-        liv = free.last_piece(c - half, lo)
-        riv = free.first_piece(hi, c + half)
+        j = bisect.bisect_left(pairs, (a, b))
+        c = (ts[a] + ts[b]) // 2
+        liv = nearest(range(j, -1, -1), c - reach, c + reach,
+                      IntervalSet.last_piece)
+        riv = nearest(range(j + 1, end + 1), c - reach, c + reach,
+                      IntervalSet.first_piece)
         if liv is None or riv is None:
             continue
         x = liv.hi if liv.hi_closed else (liv.lo + liv.hi) / 2

@@ -54,6 +54,13 @@ def parse_rational(s) -> Fraction:
     bool, or on a decimal exponent above MAX_EXPONENT in magnitude."""
     if isinstance(s, bool):
         raise ValueError("%r is not a rational" % s)
+    if isinstance(s, str) and s.isascii():
+        # plain [-]digits[/digits] through int; every other form goes to
+        # Fraction(s), which gives the same value on this one
+        num, slash, den = s.partition("/")
+        if ((num[1:] if num[:1] == "-" else num).isdigit()
+                and (den.isdigit() or not slash)):
+            return Fraction(int(num), int(den)) if slash else Fraction(int(num))
     if isinstance(s, str) and ("e" in s or "E" in s):
         try:
             exponent = int(s.lower().rpartition("e")[2])

@@ -1,10 +1,16 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heislusin import cli
 from heislusin.cli import (
@@ -15,7 +21,7 @@ from heislusin.counterexample import (
     CounterexampleParams, build_curve, default_params, straddle_jets,
     straddle_ratio,
 )
-from heislusin.intervalsets import rational_to_str
+from heislusin.intervalsets import IntervalSet, rational_to_str
 from heislusin.jets import Jet, JetTriple
 from heislusin.polynomials import Polynomial
 
@@ -468,6 +474,7 @@ class TestBuild:
                               "5", "--out", str(tmp_path))
         assert status == 0
         assert "curve" not in vars(built[0])
+        assert "_sets" not in vars(built[0])  # nor the level sets decoded
 
 
 class TestJetsCheck:
@@ -915,3 +922,170 @@ class TestDecimalMode:
         )
         assert status == 0
         assert out.splitlines()[1] == "0.000,0.000,0.000,0.000"
+
+
+def decimal_text(x, k):
+    """The k-digit decimal of the rational x by the Fraction rule: round
+    x 10^k to an int, half to even, and put the point k digits in."""
+    q = round(x * 10**k)
+    digits = str(abs(q)).rjust(k + 1, "0")
+    return "%s%s.%s" % ("-" if q < 0 else "", digits[:-k], digits[-k:])
+
+
+class TestFormat:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(-10**40, 10**40), st.integers(1, 10**30),
+           st.integers(1, MAX_DECIMAL))
+    def test_int_rounding_matches_the_fraction_rule(self, n, d, k):
+        fmt = cli._Fmt(k)
+        assert fmt(n, d) == fmt(F(n, d)) == decimal_text(F(n, d), k)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(-10**40, 10**40), st.integers(1, MAX_DECIMAL))
+    def test_ties_round_half_to_even(self, j, k):
+        # (2j + 1) / (2 10^k) lies halfway between two k-digit decimals
+        n, d = 2 * j + 1, 2 * 10**k
+        text = cli._Fmt(k)(n, d)
+        assert text == decimal_text(F(n, d), k)
+        assert int(text[-1]) % 2 == 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(-10**40, 10**40), st.integers(1, 10**30),
+           st.integers(1, 10**6))
+    def test_fraction_over_d_is_one_rational(self, n, d, m):
+        # a Fraction x over an int d is x / d, reduced once
+        assert cli._Fmt()(F(n, d), m) == rational_to_str(F(n, d * m))
+        assert cli._Fmt()(n, d) == rational_to_str(F(n, d))
+
+    @pytest.mark.parametrize("k, x, text", [
+        (1, F(1, 20), "0.0"), (1, F(3, 20), "0.2"), (1, F(-1, 20), "0.0"),
+        (1, F(-3, 20), "-0.2"), (2, F(-1, 3), "-0.33"), (3, F(5, 2), "2.500"),
+    ])
+    def test_pinned_decimals(self, k, x, text):
+        assert cli._Fmt(k)(x) == text
+
+    def test_floats_print_their_repr(self):
+        assert cli._Fmt()(0.1) == cli._Fmt(3)(0.1) == "0.1"
+
+
+def reference_build(depth, decimal, samples):
+    """(intervals.json, curve.csv) of `counterexample build`, written from
+    the piecewise curve and the decoded level sets by the Fraction rule."""
+    C = build_curve(default_params(depth))
+    intervals = json.dumps({
+        "depth": depth,
+        "levels": [lev.to_json_obj() for lev in C.I_levels],
+    }, indent=2) + "\n"
+    ts = (C.curve.breakpoints if not samples
+          else [F(i, samples) for i in range(samples + 1)])
+    text = rational_to_str if decimal is None else (
+        lambda x: decimal_text(x, decimal))
+    csv = "t,f,g,h\n" + "".join(
+        ",".join(map(text, (t, *C.curve(t)))) + "\n" for t in ts)
+    return intervals, csv
+
+
+class TestBuildFromTables:
+    """`build` writes both files from the int tables; each is what the
+    curve and the level sets give through the Fraction rule."""
+
+    @pytest.mark.parametrize("samples", [0, 8])
+    @pytest.mark.parametrize("decimal", [None, 30])
+    @pytest.mark.parametrize("depth", range(1, 9))
+    def test_matches_the_fraction_reference(self, capsys, tmp_path, depth,
+                                            decimal, samples):
+        argv = [] if decimal is None else ["--decimal", str(decimal)]
+        argv += ["counterexample", "build", "--depth", str(depth),
+                 "--out", str(tmp_path)]
+        if samples:
+            argv += ["--samples", str(samples)]
+        status, _, _ = invoke(capsys, *argv)
+        assert status == 0
+        intervals, csv = reference_build(depth, decimal, samples)
+        assert (tmp_path / "intervals.json").read_bytes() == intervals.encode()
+        assert (tmp_path / "curve.csv").read_bytes() == csv.encode()
+
+
+class TestVerifyDecodesNothing:
+    def test_no_set_of_fractions_is_made(self, capsys, monkeypatch):
+        made = []
+        of = IntervalSet._of
+
+        def recording_of(keys):
+            made.append(any(isinstance(k[0], F) for k in keys))
+            return of(keys)
+
+        monkeypatch.setattr(IntervalSet, "_of", staticmethod(recording_of))
+        status, out, _ = invoke(capsys, "counterexample", "verify",
+                                "--depth", "7")
+        assert status == 0 and "FAIL" not in out
+        assert made and not any(made)
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def fresh_process(*args):
+    """(status, stdout, stderr) of `python *args` in a new process with
+    this checkout's src first on the path, at 80 columns."""
+    path = os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=path, COLUMNS="80"))
+    return done.returncode, done.stdout, done.stderr
+
+
+class TestOneParserPerProcess:
+    """The parser is built on the first `run` and reused: each call in
+    one process prints what a new process prints, and no flag value
+    carries over to the next call."""
+
+    SEQUENCE = [
+        ("frobnicate",),
+        ("--help",),
+        ("counterexample", "build", "--help"),
+        ("--decimal", "12", "counterexample", "straddle", "--n", "5",
+         "--depth", "8"),
+        ("counterexample", "straddle", "--n", "5", "--depth", "8"),
+        ("counterexample", "verify", "--depth", "5", "--p-max", "99"),
+        ("counterexample", "verify", "--depth", "5"),
+        ("--decimal", "12", "counterexample", "verify", "--depth", "5"),
+        ("counterexample", "straddle", "--n", "2", "--depth", "4"),
+    ]
+
+    def test_in_process_calls_match_fresh_processes(self, capsys,
+                                                    monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        for argv in self.SEQUENCE:
+            assert invoke(capsys, *argv) == fresh_process(
+                "-m", "heislusin.cli", *argv), argv
+
+    def test_decimal_does_not_carry_over(self, capsys):
+        _, out, _ = invoke(capsys, "--decimal", "12", "counterexample",
+                           "straddle", "--n", "7", "--depth", "9")
+        ratio = F(1073741824, 43046721)
+        assert "ratio: %s\n" % decimal_text(ratio, 12) in out
+        status, out, _ = invoke(capsys, "counterexample", "straddle", "--n",
+                                "7", "--depth", "9")
+        assert status == 0
+        assert "ratio: 1073741824/43046721\n" in out
+
+    def test_parser_is_built_once(self, capsys, monkeypatch):
+        invoke(capsys, "--help")
+
+        def no_rebuild():
+            raise AssertionError("the parser was built again")
+
+        monkeypatch.setattr(cli, "_build_parser", no_rebuild)
+        assert cli._parser() is cli._parser()
+        status, out, _ = invoke(capsys, "counterexample", "straddle", "--n",
+                                "2", "--depth", "4")
+        assert status == 0 and out.startswith("n: 2\n")
+
+    def test_parser_is_not_built_at_import(self):
+        status, out, _ = fresh_process(
+            "-c", "import heislusin.cli as c; "
+            "print(c._parser.cache_info().currsize)")
+        assert (status, out) == (0, "0\n")
+

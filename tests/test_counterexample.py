@@ -14,6 +14,7 @@ from heislusin.counterexample import (
     default_params,
     good_pair_search,
     measure_report,
+    shell_set,
     straddle_jets,
     straddle_ratio,
 )
@@ -371,7 +372,7 @@ class TestMeasureReport:
                 2 ** shell["n"] - 1
             )
             # shells live off I by construction
-            assert not shell["set"].intersects(curve10.I_union)
+            assert not shell_set(rep, shell["n"]).intersects(curve10.I_union)
 
     @pytest.mark.parametrize("depth", [1, 4, 8])
     def test_each_partial_union_is_built_once(self, depth, monkeypatch):
@@ -389,10 +390,11 @@ class TestMeasureReport:
     def test_depth8_shells_are_pinned(self):
         # sorted-key JSON of every shell's set and exact measure;
         # recorded when interval algebra still ran on open/closed flags
+        rep = measure_report(build_curve(default_params(8)))
         shells = [
-            {"n": s["n"], "set": s["set"].to_json_obj(),
+            {"n": s["n"], "set": shell_set(rep, s["n"]).to_json_obj(),
              "measure": rational_to_str(s["measure"])}
-            for s in measure_report(build_curve(default_params(8)))["shells"]
+            for s in rep["shells"]
         ]
         text = json.dumps(shells, sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == (
@@ -590,9 +592,27 @@ class TestTablesMatchCurve:
         assert pairs == [walk(n) for n in range(C.params.depth)]
         assert any(pairs)
 
+    @pytest.mark.parametrize("E", [
+        IntervalSet.unit(), IntervalSet.closed(0, F(1, 3)),
+        IntervalSet.from_pairs([(F(1, 5), 1)], False, True),
+    ], ids=["unit", "first-third", "half-open"])
+    def test_no_search_subtracts_the_union(self, tabled, E, monkeypatch):
+        C, sizes = tabled, []
+        subtract = IntervalSet.subtract
+
+        def recording(s, other):
+            sizes.append(len(other._keys))
+            return subtract(s, other)
+
+        monkeypatch.setattr(IntervalSet, "subtract", recording)
+        for n in range(C.params.depth):
+            good_pair_search(E, C, n)
+        assert all(size < len(C.I_union._keys) for size in sizes)
+
     def test_vertices_are_the_curve_at_its_breakpoints(self, tabled):
         C = tabled
-        assert list(C.vertices()) == [
+        rows, dens = C.vertex_rows()
+        assert [tuple(map(F, row, dens)) for row in rows] == [
             (t, *C.curve(t)) for t in C.curve.breakpoints]
 
     @pytest.mark.parametrize(
@@ -607,7 +627,7 @@ class TestTablesMatchCurve:
         for shell in rep["shells"]:
             partial = reduce(IntervalSet.union, C.I_levels[:shell["n"]])
             A_n = partial.dilate(params.lam(shell["n"])).subtract(C.I_union)
-            assert shell["set"] == A_n
+            assert shell_set(rep, shell["n"]) == A_n
             assert shell["measure"] == A_n.measure()
 
 

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heislusin.intervalsets import Interval, IntervalSet, rational_to_str
+from heislusin.intervalsets import (
+    Interval, IntervalSet, parse_rational, rational_to_str,
+)
 
 
 def iset(*pairs, lo_closed=True, hi_closed=True):
@@ -278,3 +280,41 @@ class TestSerialization:
         assert obj == [
             {"lo": "0/1", "hi": "1/3", "lo_closed": True, "hi_closed": True}
         ]
+
+
+def outcome(parse, s):
+    """The value parse(s), or the type of the exception it raises."""
+    try:
+        return parse(s)
+    except Exception as exc:  # noqa: BLE001  (the type is the outcome)
+        return type(exc)
+
+
+class TestParseRational:
+    """The int fast path for plain [-]digits[/digits] entries gives what
+    Fraction(str) gives, also on the strings it passes on."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.from_regex(r"-?[0-9]{1,40}(/[0-9]{1,40})?", fullmatch=True))
+    def test_plain_entries_match_fraction(self, s):
+        assert outcome(parse_rational, s) == outcome(F, s)
+
+    # signs, '+', whitespace, underscores, a non-ASCII digit, decimals and
+    # /0; no exponent, which parse_rational bounds and Fraction does not
+    @settings(max_examples=500, deadline=None)
+    @given(st.text(alphabet="0123456789-+/ _.\t\u0663", max_size=12))
+    def test_other_strings_match_fraction(self, s):
+        assert outcome(parse_rational, s) == outcome(F, s)
+
+    @pytest.mark.parametrize("s", [
+        "1/0", "-0", "007/010", "+1/2", " 1/2", "1_0/3", "\u0663/4", "3/",
+        "-", "", "1/-2", "--1",
+    ])
+    def test_edge_entries_match_fraction(self, s):
+        assert outcome(parse_rational, s) == outcome(F, s)
+
+    def test_bool_and_exponent_checks_stay(self):
+        with pytest.raises(ValueError, match="not a rational"):
+            parse_rational(True)
+        with pytest.raises(ValueError, match="exponent"):
+            parse_rational("1e10000000")
