@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from fractions import Fraction
@@ -36,7 +35,12 @@ from .counterexample import (
 )
 from .curves import PiecewisePolynomial, extendability_report, lift
 from .diffanalysis import approx_density, lp_remainder_ladder, whitney_sieve
-from .intervalsets import _q, parse_rational
+from .intervalsets import (
+    _q,
+    interval_json_obj,
+    parse_rational,
+    rational_to_str,
+)
 from .jets import DEFAULT_LADDER, JetTriple
 from .polynomials import Polynomial
 
@@ -50,17 +54,16 @@ class _Fmt:
         self.decimal_digits = decimal_digits
 
     def __call__(self, x, d=1) -> str:
-        """The text of x / d, for a rational x and an int d > 0: one gcd,
-        or one divmod, on the int pair."""
-        if not isinstance(x, int):
-            if isinstance(x, float):
-                return repr(x)
-            x = _q(x)
-            x, d = x.numerator, x.denominator * d
+        """The text of x / d, for a rational x and an int d > 0: the
+        `rational_to_str` of the pair, or one divmod on it."""
+        if isinstance(x, float):
+            return repr(x)
         k = self.decimal_digits
         if k is None:
-            g = math.gcd(x, d)
-            return "%d/%d" % (x // g, d // g)
+            return rational_to_str(x, d)
+        if not isinstance(x, int):
+            x = _q(x)
+            x, d = x.numerator, x.denominator * d
         q, r = divmod(x * 10**k, d)
         if 2 * r > d or (2 * r == d and q & 1):
             q += 1
@@ -206,14 +209,11 @@ def _cmd_ce_build(args, fmt) -> int:
     C = build_curve(default_params(args.depth))
     outdir = args.out
     os.makedirs(outdir, exist_ok=True)
-    # each component is the open interval between its end vertices, and
-    # its JSON is that of `Interval.to_json_obj`
-    ratio = _Fmt()
+    # each component is the open interval between its end vertices
     levels = {
         "depth": args.depth,
-        "levels": [[{"lo": ratio(C.ts[a], C.T), "hi": ratio(C.ts[b], C.T),
-                     "lo_closed": False, "hi_closed": False}
-                    for a, b in level] for level in C.components],
+        "levels": [[interval_json_obj(C.ts[a], C.ts[b], False, False, C.T)
+                     for a, b in level] for level in C.components],
     }
     with open(os.path.join(outdir, "intervals.json"), "w") as fh:
         json.dump(levels, fh, indent=2)

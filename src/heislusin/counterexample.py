@@ -370,39 +370,26 @@ def good_pair_search(E: IntervalSet, C: CounterexampleCurve,
     midpoint otherwise). Returns (x, y) or None when no component admits
     a pair.
 
-    E minus the components is read only in the window of radius
-    2^-(n+1) around each component: on each side, the piece nearest it
-    is the one of E in the nearest gap between components where E meets
-    the window, so no set of components is subtracted.
+    Only the components that meet the window [c - 2^-(n+1), c + 2^-(n+1)]
+    around a component's centre c are subtracted from E: the others do
+    not change E minus the components in that window.
     """
     _check_level(C, n)
     pairs, ts, T = C._pairs, C.ts, C.T
-    end = len(pairs)
-    # exact over T: T = 4D is a multiple of 2^(depth+2), and the ends of
-    # a component are multiples of 4, so its centre is an int
+    # the radius over T is an int: T = 4D is a multiple of 2^(depth+2),
+    # and the ends of a component are multiples of 4, so c is an int too
     reach = T >> (n + 1)
-
-    def nearest(gaps, wlo, whi, piece):
-        """piece(E, lo, hi) for the first closed gap [lo, hi] in `gaps`,
-        clipped to the window [wlo, whi], where it is not None; gap g
-        is the one before sorted component g, and ends are ints over T."""
-        for g in gaps:
-            lo = max(ts[pairs[g - 1][1]], wlo) if g else wlo
-            hi = min(ts[pairs[g][0]], whi) if g < end else whi
-            if lo > hi:  # the gaps from here on miss the window
-                return None
-            iv = piece(E, Fraction(lo, T), Fraction(hi, T))
-            if iv is not None:
-                return iv
-        return None
-
     for a, b in C.components[n]:
-        j = bisect.bisect_left(pairs, (a, b))
         c = (ts[a] + ts[b]) // 2
-        liv = nearest(range(j, -1, -1), c - reach, c + reach,
-                      IntervalSet.last_piece)
-        riv = nearest(range(j + 1, end + 1), c - reach, c + reach,
-                      IntervalSet.first_piece)
+        # the components that stop after the window starts and start
+        # before it stops
+        i = bisect.bisect_right(pairs, c - reach, key=lambda p: ts[p[1]])
+        j = bisect.bisect_left(pairs, c + reach, key=lambda p: ts[p[0]])
+        free = E.subtract(IntervalSet._of(
+            [(Fraction(t, T), flag) for t, flag in _open_keys(ts, pairs[i:j])]))
+        lo, hi = Fraction(ts[a], T), Fraction(ts[b], T)
+        liv = free.last_piece(Fraction(c - reach, T), lo)
+        riv = free.first_piece(hi, Fraction(c + reach, T))
         if liv is None or riv is None:
             continue
         x = liv.hi if liv.hi_closed else (liv.lo + liv.hi) / 2

@@ -54,13 +54,6 @@ def parse_rational(s) -> Fraction:
     bool, or on a decimal exponent above MAX_EXPONENT in magnitude."""
     if isinstance(s, bool):
         raise ValueError("%r is not a rational" % s)
-    if isinstance(s, str) and s.isascii():
-        # plain [-]digits[/digits] through int; every other form goes to
-        # Fraction(s), which gives the same value on this one
-        num, slash, den = s.partition("/")
-        if ((num[1:] if num[:1] == "-" else num).isdigit()
-                and (den.isdigit() or not slash)):
-            return Fraction(int(num), int(den)) if slash else Fraction(int(num))
     if isinstance(s, str) and ("e" in s or "E" in s):
         try:
             exponent = int(s.lower().rpartition("e")[2])
@@ -72,9 +65,23 @@ def parse_rational(s) -> Fraction:
     return Fraction(s)
 
 
-def rational_to_str(x: Fraction) -> str:
-    x = _q(x)
-    return "%d/%d" % (x.numerator, x.denominator)
+def rational_to_str(x, d=1) -> str:
+    """The text "p/q" of x / d in lowest terms, for a rational x and an
+    int d > 0: an int pair pays one gcd and builds no Fraction."""
+    if not isinstance(x, int):
+        x = _q(x)
+        if d == 1:
+            return "%d/%d" % (x.numerator, x.denominator)
+        x, d = x.numerator, x.denominator * d
+    g = math.gcd(x, d)
+    return "%d/%d" % (x // g, d // g)
+
+
+def interval_json_obj(lo, hi, lo_closed=True, hi_closed=True, d=1) -> dict:
+    """The JSON object of the interval from lo / d to hi / d, for
+    rationals lo and hi and an int d > 0: the one spelling of its layout."""
+    return {"lo": rational_to_str(lo, d), "hi": rational_to_str(hi, d),
+            "lo_closed": lo_closed, "hi_closed": hi_closed}
 
 
 def _pth_root(power: Fraction, p: int) -> float:
@@ -118,12 +125,7 @@ class Interval:
         return start <= (_q(x), 1) < stop
 
     def to_json_obj(self) -> dict:
-        return {
-            "lo": rational_to_str(self.lo),
-            "hi": rational_to_str(self.hi),
-            "lo_closed": self.lo_closed,
-            "hi_closed": self.hi_closed,
-        }
+        return interval_json_obj(self.lo, self.hi, self.lo_closed, self.hi_closed)
 
     @staticmethod
     def from_json_obj(obj: dict) -> "Interval":

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heislusin.intervalsets import (
-    Interval, IntervalSet, parse_rational, rational_to_str,
+    Interval, IntervalSet, interval_json_obj, parse_rational, rational_to_str,
 )
 
 
@@ -281,40 +281,18 @@ class TestSerialization:
             {"lo": "0/1", "hi": "1/3", "lo_closed": True, "hi_closed": True}
         ]
 
-
-def outcome(parse, s):
-    """The value parse(s), or the type of the exception it raises."""
-    try:
-        return parse(s)
-    except Exception as exc:  # noqa: BLE001  (the type is the outcome)
-        return type(exc)
-
-
-class TestParseRational:
-    """The int fast path for plain [-]digits[/digits] entries gives what
-    Fraction(str) gives, also on the strings it passes on."""
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(-10**40, 10**40), st.integers(1, 10**30),
+           st.integers(1, 10**6))
+    def test_an_int_pair_is_its_fraction(self, n, d, m):
+        # an int over d, or a Fraction over m, is one rational in lowest terms
+        assert rational_to_str(n, d) == rational_to_str(F(n, d))
+        assert rational_to_str(F(n, d), m) == rational_to_str(F(n, d * m))
 
     @settings(max_examples=200, deadline=None)
-    @given(st.from_regex(r"-?[0-9]{1,40}(/[0-9]{1,40})?", fullmatch=True))
-    def test_plain_entries_match_fraction(self, s):
-        assert outcome(parse_rational, s) == outcome(F, s)
+    @given(st.integers(-10**20, 10**20), st.integers(-10**20, 10**20),
+           st.integers(1, 10**12), st.booleans(), st.booleans())
+    def test_interval_json_over_a_denominator(self, a, b, d, lc, hc):
+        assert interval_json_obj(a, b, lc, hc, d) == (
+            Interval(F(a, d), F(b, d), lc, hc).to_json_obj())
 
-    # signs, '+', whitespace, underscores, a non-ASCII digit, decimals and
-    # /0; no exponent, which parse_rational bounds and Fraction does not
-    @settings(max_examples=500, deadline=None)
-    @given(st.text(alphabet="0123456789-+/ _.\t\u0663", max_size=12))
-    def test_other_strings_match_fraction(self, s):
-        assert outcome(parse_rational, s) == outcome(F, s)
-
-    @pytest.mark.parametrize("s", [
-        "1/0", "-0", "007/010", "+1/2", " 1/2", "1_0/3", "\u0663/4", "3/",
-        "-", "", "1/-2", "--1",
-    ])
-    def test_edge_entries_match_fraction(self, s):
-        assert outcome(parse_rational, s) == outcome(F, s)
-
-    def test_bool_and_exponent_checks_stay(self):
-        with pytest.raises(ValueError, match="not a rational"):
-            parse_rational(True)
-        with pytest.raises(ValueError, match="exponent"):
-            parse_rational("1e10000000")
