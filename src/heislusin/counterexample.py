@@ -370,26 +370,19 @@ def good_pair_search(E: IntervalSet, C: CounterexampleCurve,
     midpoint otherwise). Returns (x, y) or None when no component admits
     a pair.
 
-    Only the components that meet the window [c - 2^-(n+1), c + 2^-(n+1)]
-    around a component's centre c are subtracted from E: the others do
-    not change E minus the components in that window.
+    Each component reads E and the union of the components only in the
+    window [c - 2^-(n+1), c + 2^-(n+1)] around its centre c, both clipped
+    by bisection, so no call subtracts the whole union or walks all of E.
     """
     _check_level(C, n)
-    pairs, ts, T = C._pairs, C.ts, C.T
-    # the radius over T is an int: T = 4D is a multiple of 2^(depth+2),
-    # and the ends of a component are multiples of 4, so c is an int too
-    reach = T >> (n + 1)
+    half = Fraction(1, 2 ** (n + 1))
     for a, b in C.components[n]:
-        c = (ts[a] + ts[b]) // 2
-        # the components that stop after the window starts and start
-        # before it stops
-        i = bisect.bisect_right(pairs, c - reach, key=lambda p: ts[p[1]])
-        j = bisect.bisect_left(pairs, c + reach, key=lambda p: ts[p[0]])
-        free = E.subtract(IntervalSet._of(
-            [(Fraction(t, T), flag) for t, flag in _open_keys(ts, pairs[i:j])]))
-        lo, hi = Fraction(ts[a], T), Fraction(ts[b], T)
-        liv = free.last_piece(Fraction(c - reach, T), lo)
-        riv = free.first_piece(hi, Fraction(c + reach, T))
+        lo, hi = Fraction(C.ts[a], C.T), Fraction(C.ts[b], C.T)
+        c = (lo + hi) / 2
+        wlo, whi = c - half, c + half
+        free = E.clip(wlo, whi).subtract(C.I_union.clip(wlo, whi))
+        liv = free.last_piece(wlo, lo)
+        riv = free.first_piece(hi, whi)
         if liv is None or riv is None:
             continue
         x = liv.hi if liv.hi_closed else (liv.lo + liv.hi) / 2

@@ -312,7 +312,19 @@ class IntervalSet:
             for start, stop in ranges))
 
     def clip(self, a, b) -> "IntervalSet":
-        return self.intersect(IntervalSet.closed(a, b))
+        """self ∩ [a, b], O(log N + K) for the K ranges that meet [a, b]:
+        they are found by bisection, as in `first_piece` and `last_piece`,
+        and the first and the last are cut to the window."""
+        lo, hi = (_q(a), 0), (_q(b), 2)
+        keys = self._keys
+        # from the first range that stops after the window starts to the
+        # last range that starts before it stops
+        out = keys[bisect.bisect(keys, lo) & -2:(bisect.bisect_left(keys, hi) + 1) & -2]
+        if out:
+            out[0], out[-1] = max(out[0], lo), min(out[-1], hi)
+            if out[0] >= out[-1]:  # one range, and it misses the window
+                out = []
+        return IntervalSet._of(out)
 
     def first_piece(self, a, b) -> Optional[Interval]:
         """First interval of self.clip(a, b), or None; O(log N) by bisection."""

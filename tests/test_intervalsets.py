@@ -182,6 +182,14 @@ class TestAlgebra:
         assert s.first_piece(F(1, 2), F(1, 2)) is None
         assert s.last_piece(F(1, 2), F(1, 2)) is None
 
+    @given(raw_intervals, st.fractions(min_value=-1, max_value=2, max_denominator=8),
+           st.fractions(min_value=-1, max_value=2, max_denominator=8))
+    @settings(max_examples=500, deadline=None)
+    def test_clip_is_the_meet_with_the_window(self, raw, a, b):
+        # also for a > b, where the window is empty
+        s = IntervalSet(raw)
+        assert s.clip(a, b) == s.intersect(IntervalSet.closed(a, b))
+
     @given(interval_sets(), rationals, rationals)
     @settings(max_examples=300, deadline=None)
     def test_first_and_last_piece_match_clip(self, s, a, b):
