@@ -13,11 +13,8 @@ from .polynomials import (
     CertifiedValue,
     abs_integral,
     sup_norm,
-    intmax_ratio,
-    truncate_shifted,
-    degiorgi_ratio,
 )
-from .jets import Jet, JetTriple, integrate_jet, vertical_jet
+from .jets import Jet, JetTriple
 from .curves import (
     PiecewisePolynomial,
     PiecewiseCurve,

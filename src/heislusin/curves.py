@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .intervalsets import _cleared, _pth_root, _q, rational_to_str
-from .jets import DEFAULT_LADDER, Jet, JetTriple, area_rate, ladder_maxima
+from .jets import DEFAULT_LADDER, JetTriple, area_rate, ladder_maxima
 from .polynomials import (
     DEFAULT_TOL,
     CertifiedValue,
@@ -130,26 +130,14 @@ class PiecewisePolynomial:
             self.breakpoints, [p.derivative(k) for p in self.pieces]
         )
 
-    def integral(self, a, b) -> Fraction:
-        a, b = _q(a), _q(b)
-        if a > b:
-            return -self.integral(b, a)
-        return sum(
-            (p.integral(lo, hi) for lo, hi, p in self.spans(a, b)), Fraction(0)
-        )
-
-    def abs_power_integral(self, q: Polynomial, a, b, p: int,
-                           tol: Fraction = DEFAULT_TOL) -> CertifiedValue:
-        """integral over [a,b] of |self - q|^p, p a positive integer."""
-        return self.abs_power_integrals(q, ((a, b),), p, tol)[0]
-
     def abs_power_integrals(self, q: Polynomial, intervals, p: int,
                             tol: Fraction = DEFAULT_TOL) -> list:
-        """`abs_power_integral` over each (a, b) of `intervals`.
+        """Integral of |self - q|^p, p a positive integer, over each (a, b)
+        of `intervals`.
 
         A piece span met by several intervals, such as a whole piece
         inside nested balls, is integrated once; each piece span is
-        certified to tol / (number of pieces), as in a single call.
+        certified to tol / (number of pieces), however many intervals.
         """
         if p < 1:
             raise ValueError("p must be a positive integer")

@@ -23,7 +23,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 
 def _q(x) -> Fraction:
@@ -200,12 +200,6 @@ class IntervalSet:
     # -- constructors ---------------------------------------------------
 
     @staticmethod
-    def from_pairs(pairs: Sequence, lo_closed=True, hi_closed=True) -> "IntervalSet":
-        return IntervalSet(
-            Interval(_q(a), _q(b), lo_closed, hi_closed) for a, b in pairs
-        )
-
-    @staticmethod
     def empty() -> "IntervalSet":
         return IntervalSet(())
 
@@ -249,13 +243,6 @@ class IntervalSet:
 
     def intersects(self, other: "IntervalSet") -> bool:
         return bool(self.intersect(other))
-
-    def distance(self, x) -> Fraction:
-        """Infimum distance from x to the set (error on empty set)."""
-        if not self._keys:
-            raise ValueError("distance to empty set is undefined")
-        x = _q(x)
-        return min(max(iv.lo - x, x - iv.hi, Fraction(0)) for iv in self.intervals)
 
     # -- set algebra ----------------------------------------------------
 

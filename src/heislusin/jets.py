@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .intervalsets import _cleared, _q, parse_rational, rational_to_str
-from .polynomials import Polynomial, truncate_shifted
+from .polynomials import Polynomial
 
 DEFAULT_LADDER = tuple(Fraction(1, 2**j) for j in range(13))
 
@@ -372,20 +372,3 @@ def area_rate(p: Polynomial, q: Polynomial) -> Polynomial:
     signed area, and so the h' of its horizontal lift."""
     return 2 * (p.derivative() * q - q.derivative() * p)
 
-
-def integrate_jet(p: Polynomial, f_at_x, x) -> Polynomial:
-    """Q(y) = f(x) + integral from x to y of p."""
-    x = _q(x)
-    F = p.antiderivative()
-    return F - F(x) + Polynomial.constant(_q(f_at_x))
-
-
-def vertical_jet(p: Polynomial, q: Polynomial, h_at_x, x, m: int) -> Polynomial:
-    """Degree-<=m truncation at x of h(x) + 2 int_x^y (p'q - q'p).
-
-    This is the vertical component forced on an order-m jet by the
-    horizontal data (p, q).
-    """
-    x = _q(x)
-    r = integrate_jet(area_rate(p, q), _q(h_at_x), x)
-    return truncate_shifted(r, x, m)

@@ -3,7 +3,8 @@
 Root-dependent quantities (integral of |P|, sup norm on an interval) are
 computed on an exact path when the relevant roots are rational, and
 otherwise fall back to certified enclosures with a configurable absolute
-error bound.
+error bound. Each comes back as a `CertifiedValue`, and `+` is the one
+way to combine them.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .intervalsets import IntervalSet, _cleared, _q
+from .intervalsets import _cleared, _q
 
 DEFAULT_TOL = Fraction(1, 10**12)
 
@@ -59,13 +60,6 @@ class Polynomial:
     def constant(c) -> "Polynomial":
         c = _q(c)
         return Polynomial.from_ints((c.numerator,), c.denominator)
-
-    @staticmethod
-    def from_roots(leading, roots) -> "Polynomial":
-        p = Polynomial.constant(leading)
-        for r in roots:
-            p = p * Polynomial((-_q(r), 1))
-        return p
 
     @staticmethod
     def from_taylor(coeffs, center) -> "Polynomial":
@@ -183,16 +177,6 @@ class Polynomial:
         F = self.antiderivative()
         return F(b) - F(a)
 
-    def taylor_coeffs(self, x) -> list:
-        """Coefficients c_k with P(y) = sum c_k (y - x)^k: the remainders
-        of repeated division by y - x."""
-        shift = Polynomial((-_q(x), 1))
-        p, out = self, []
-        while not p.is_zero:
-            p, rem = p.divmod(shift)
-            out.append(rem(0))
-        return out
-
     def divmod(self, other: "Polynomial"):
         """(q, r) with self = q * other + r and deg r < deg other, by long
         division of the numerators A of self by B of other scaled by c =
@@ -258,15 +242,6 @@ def _homogeneous(nums, p, q):
         acc = acc * p + c * power
         power *= q
     return acc
-
-
-def simplest_between(a: Fraction, b: Fraction) -> Fraction:
-    """Fraction with the smallest denominator in the closed interval [a, b]."""
-    a, b = _q(a), _q(b)
-    if a > b:
-        raise ValueError("empty interval")
-    (A, B), Q = _cleared((a, b))
-    return Fraction(*_simplest(A, B, Q))
 
 
 def _simplest(A: int, B: int, Q: int):
@@ -442,8 +417,8 @@ def _coeff_bound(p: Polynomial, a: Fraction, b: Fraction) -> Fraction:
 @dataclass
 class CertifiedValue:
     """A rational value plus an exactness flag and error bound;
-    `CertifiedValue(x)` is exact. `+` and `/` carry both: the result is
-    exact only when both operands are, and its bound covers theirs."""
+    `CertifiedValue(x)` is exact. `+` carries both: the sum is exact
+    only when both operands are, and its bound covers theirs."""
 
     value: Fraction
     exact: bool = True
@@ -456,21 +431,6 @@ class CertifiedValue:
         return CertifiedValue(self.value + other.value,
                               self.exact and other.exact,
                               self.error + other.error)
-
-    def __truediv__(self, other: "CertifiedValue") -> "CertifiedValue":
-        """self / other for other > 0, with the error bound propagated
-        from both: |n/d - n'/d'| <= e_n / d_lo + n e_d / (d_lo d),
-        d_lo = d - e_d; ValueError when d_lo <= 0, as other is then not
-        certified positive."""
-        ratio = self.value / other.value
-        if self.exact and other.exact:
-            return CertifiedValue(ratio)
-        den_lo = other.value - other.error
-        if den_lo <= 0:
-            raise ValueError("denominator not certified positive")
-        error = (self.error / den_lo
-                 + self.value * other.error / (den_lo * other.value))
-        return CertifiedValue(ratio, False, error)
 
 
 def abs_integral(p: Polynomial, a, b, tol: Fraction = DEFAULT_TOL) -> CertifiedValue:
@@ -562,52 +522,3 @@ def sup_norm(p: Polynomial, a, b, tol: Fraction = DEFAULT_TOL) -> CertifiedValue
                 candidates.append(abs(p(enc.midpoint)))
     return CertifiedValue(max(candidates), exact, error)
 
-
-def intmax_ratio(p: Polynomial, a, b, tol: Fraction = DEFAULT_TOL) -> CertifiedValue:
-    """Ratio of the average of |p| on [a, b] to its sup norm there.
-
-    For p of degree n the ratio lies in [1/(8 n^2), 1]; constants have
-    ratio exactly 1. ValueError when the sup norm is not certified > 0.
-    """
-    a, b = _q(a), _q(b)
-    if p.is_zero:
-        raise ValueError("ratio undefined for the zero polynomial")
-    if a >= b:
-        raise ValueError("require a < b")
-    return (abs_integral(p, a, b, tol=tol * (b - a) / 4)
-            / CertifiedValue(b - a) / sup_norm(p, a, b, tol=tol / 4))
-
-
-def truncate_shifted(p: Polynomial, x, m: int) -> Polynomial:
-    """Degree-<=m polynomial agreeing with p's Taylor expansion at x: the
-    remainder of p divided by (y - x)^(m+1)."""
-    if m < 0:
-        return Polynomial.zero()
-    return p % Polynomial((-_q(x), 1)) ** (m + 1)
-
-
-def degiorgi_ratio(
-    p: Polynomial, x, r, E: IntervalSet, k: int, tol: Fraction = DEFAULT_TOL
-) -> CertifiedValue:
-    """Diagnostic r^(1+k) |D^k p(x)| / integral_E |p|.
-
-    Boundedness of this quantity over polynomials of fixed degree, for
-    subsets E of [x-r, x+r] of measure at least A*r, is the content of
-    the one-dimensional De Giorgi inequality. The constant itself is not
-    asserted; callers record empirical maxima. ValueError when the
-    integral over E is not certified positive.
-    """
-    x, r = _q(x), _q(r)
-    if r <= 0:
-        raise ValueError("require r > 0")
-    ball = IntervalSet.closed(x - r, x + r)
-    if E.subtract(ball):
-        raise ValueError("E must be contained in [x-r, x+r]")
-    if E.measure() == 0:
-        raise ValueError("E must have positive measure")
-    parts = E.intervals  # nonempty, as E has positive measure
-    total = sum((abs_integral(p, iv.lo, iv.hi, tol=tol / len(parts))
-                 for iv in parts), CertifiedValue(Fraction(0)))
-    if total.value == 0:
-        raise ValueError("integral of |p| over E vanishes")
-    return CertifiedValue(r ** (1 + k) * abs(p.derivative(k)(x))) / total

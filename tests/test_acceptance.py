@@ -32,8 +32,8 @@ from heislusin.curves import (
 )
 from heislusin.diffanalysis import lp_remainder_ladder, whitney_sieve
 from heislusin.intervalsets import IntervalSet
-from heislusin.jets import DEFAULT_LADDER, Jet, JetTriple, integrate_jet, vertical_jet
-from heislusin.polynomials import Polynomial, intmax_ratio
+from heislusin.jets import DEFAULT_LADDER, Jet, JetTriple
+from heislusin.polynomials import DEFAULT_TOL, Polynomial, abs_integral, sup_norm
 
 
 def record(capsys, label, ok):
@@ -128,6 +128,15 @@ def test_criterion_05_horizontality_identities(capsys):
 
 
 def test_criterion_06_integral_max_bound(capsys):
+    # 1/(8n^2) (b-a) sup|P| <= integral of |P| <= (b-a) sup|P| on [a, b],
+    # cross-multiplied, with the certified errors as the slack
+    def within(P, a, b, tol=DEFAULT_TOL):
+        I, S = abs_integral(P, a, b, tol=tol), sup_norm(P, a, b, tol=tol)
+        n = max(P.degree, 1)
+        return I, S, ((b - a) * (S.value - S.error)
+                      <= 8 * n * n * (I.value + I.error)
+                      and I.value - I.error <= (b - a) * (S.value + S.error))
+
     rng = random.Random(7)
     ok = True
     # exact path: c (y-a)^i (y-b)^j has rational critical points
@@ -136,18 +145,15 @@ def test_criterion_06_integral_max_bound(capsys):
         b = a + F(rng.randint(1, 8), rng.randint(1, 4))
         i, j = rng.randint(0, 5), rng.randint(0, 5)
         c = F(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
-        P = Polynomial.from_roots(c, [a] * i + [b] * j)
-        n = max(P.degree, 1)
-        r = intmax_ratio(P, a, b)
-        ok = ok and r.exact and F(1, 8 * n * n) <= r.value <= 1
-    # certified path: arbitrary coefficients, bound checked to 1e-9
+        P = c * Polynomial((-a, 1)) ** i * Polynomial((-b, 1)) ** j
+        I, S, bound = within(P, a, b)
+        ok = ok and I.exact and S.exact and bound
+    # certified path: arbitrary coefficients
     for _ in range(500):
         P = rand_poly(rng, rng.randint(0, 10))
         if P.is_zero:
             P = P + Polynomial((1,))
-        n = max(P.degree, 1)
-        r = intmax_ratio(P, 0, 1, tol=F(1, 10**10))
-        ok = ok and F(1, 8 * n * n) - F(1, 10**9) <= r.value <= 1 + F(1, 10**9)
+        ok = ok and within(P, 0, 1, tol=F(1, 10**10))[2]
     record(capsys, "06: averaged |P| vs sup norm stays in [1/(8n^2), 1]", ok)
 
 
@@ -156,14 +162,16 @@ def test_criterion_07_jet_constructions(capsys):
     ok = True
     for _ in range(100):
         p = rand_poly(rng, rng.randint(0, 6))
-        x = F(rng.randint(-3, 3), rng.randint(1, 5))
-        ok = ok and integrate_jet(p, F(rng.randint(-5, 5)), x).derivative() == p
+        rng.randint(-3, 3), rng.randint(1, 5)  # a base point: keeps the stream
+        c = F(rng.randint(-5, 5))
+        ok = ok and (p.antiderivative() + c).derivative() == p
     binom = [[1], [1, 1], [1, 2, 1], [1, 3, 3, 1]]
     for m in (2, 3):
         for _ in range(50):
             P, Q = rand_poly(rng, m), rand_poly(rng, m)
             x = F(rng.randint(-2, 2), rng.randint(1, 4))
-            Rt = vertical_jet(P, Q, F(rng.randint(-5, 5)), x, m)
+            h = lift(single(P, x, x + 1), single(Q, x, x + 1),
+                     F(rng.randint(-5, 5))).h.pieces[0]
             for k in range(1, m + 1):
                 want = 2 * sum(
                     binom[k - 1][i]
@@ -171,7 +179,9 @@ def test_criterion_07_jet_constructions(capsys):
                        - Q.derivative(k - i)(x) * P.derivative(i)(x))
                     for i in range(k)
                 )
-                ok = ok and Rt.derivative(k)(x) == want
+                ok = ok and h.derivative(k)(x) == want
+            t = JetTriple(*(Jet.from_polynomial(u, [x], m) for u in (P, Q, h)))
+            ok = ok and all(t.ode_residual(x, k) == 0 for k in range(1, m + 1))
     record(capsys, "07: jet integration and vertical-jet ODE constraints exact", ok)
 
 

@@ -19,7 +19,7 @@ from heislusin.counterexample import (
     straddle_ratio,
 )
 from heislusin.curves import horizontality_residual, lift
-from heislusin.intervalsets import IntervalSet, rational_to_str
+from heislusin.intervalsets import Interval, IntervalSet, rational_to_str
 
 
 class TestParams:
@@ -470,11 +470,10 @@ class TestGoodPair:
                     return x, y
             return None
 
-        holes = IntervalSet.from_pairs(
-            [(F(k, 64), F(4 * k + 1, 256)) for k in range(64)], False, False
-        )
+        holes = IntervalSet(Interval(F(k, 64), F(4 * k + 1, 256), False, False)
+                            for k in range(64))
         for E in (IntervalSet.unit(), IntervalSet.unit().subtract(holes),
-                  IntervalSet.from_pairs([(F(1, 8), F(3, 8))], True, False)):
+                  IntervalSet([Interval(F(1, 8), F(3, 8), True, False)])):
             for n in range(6):
                 assert good_pair_search(E, C, n) == by_clip(E, n)
 
@@ -568,7 +567,7 @@ class TestTablesMatchCurve:
 
     @pytest.mark.parametrize("E", [
         IntervalSet.unit(), IntervalSet.closed(0, F(1, 3)),
-        IntervalSet.from_pairs([(F(1, 5), 1)], False, True),
+        IntervalSet([Interval(F(1, 5), 1, False, True)]),
     ], ids=["unit", "first-third", "half-open"])
     def test_pairs_match_a_walk_over_the_level_sets(self, tabled, E):
         C = tabled
@@ -594,7 +593,7 @@ class TestTablesMatchCurve:
 
     @pytest.mark.parametrize("E", [
         IntervalSet.unit(), IntervalSet.closed(0, F(1, 3)),
-        IntervalSet.from_pairs([(F(1, 5), 1)], False, True),
+        IntervalSet([Interval(F(1, 5), 1, False, True)]),
     ], ids=["unit", "first-third", "half-open"])
     def test_no_search_subtracts_the_union(self, tabled, E, monkeypatch):
         C, sizes = tabled, []

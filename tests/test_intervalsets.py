@@ -11,7 +11,7 @@ from heislusin.intervalsets import (
 
 
 def iset(*pairs, lo_closed=True, hi_closed=True):
-    return IntervalSet.from_pairs(pairs, lo_closed, hi_closed)
+    return IntervalSet(Interval(a, b, lo_closed, hi_closed) for a, b in pairs)
 
 
 rationals = st.fractions(min_value=0, max_value=1, max_denominator=64)
@@ -120,9 +120,8 @@ class TestAlgebra:
         assert not s.contains(1)
 
     def test_subtract_one_wide_by_many_small(self):
-        holes = IntervalSet.from_pairs(
-            [(F(k, 16), F(2 * k + 1, 32)) for k in range(16)], False, True
-        )
+        holes = iset(*[(F(k, 16), F(2 * k + 1, 32)) for k in range(16)],
+                     lo_closed=False)
         s = IntervalSet.unit().subtract(holes)
         assert s.intervals == (Interval(0, 0),) + tuple(
             Interval(F(2 * k + 1, 32), F(k + 1, 16), False, True)
@@ -207,27 +206,6 @@ class TestAlgebra:
     @settings(max_examples=200, deadline=None)
     def test_contains_consistency(self, s, x):
         assert s.contains(x) == any(iv.contains(x) for iv in s.intervals)
-
-
-class TestDistance:
-    def test_inside(self):
-        assert iset((0, F(1, 2))).distance(F(1, 4)) == 0
-
-    def test_nearest_endpoint(self):
-        w = F(1, 2**7)
-        s = iset((F(1, 2) - w, F(1, 2) + w))
-        assert s.distance(F(1, 3)) == F(1, 6) - w
-
-    def test_empty_errors(self):
-        with pytest.raises(ValueError):
-            IntervalSet.empty().distance(0)
-
-    @given(interval_sets(), rationals, rationals)
-    @settings(max_examples=200, deadline=None)
-    def test_lipschitz(self, s, x, y):
-        if not s:
-            return
-        assert abs(s.distance(x) - s.distance(y)) <= abs(x - y)
 
 
 class TestDilate:

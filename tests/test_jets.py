@@ -7,13 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from heislusin.jets import (
-    Jet,
-    JetTriple,
-    area_rate,
-    integrate_jet,
-    vertical_jet,
-)
+from heislusin.curves import PiecewisePolynomial, lift
+from heislusin.jets import Jet, JetTriple, area_rate
 from heislusin.polynomials import Polynomial
 
 
@@ -285,13 +280,19 @@ class TestOdeResidual:
             t.ode_residual(0, 0)
 
 
+def lifted_h(p, q, h0, x):
+    """The h of the horizontal lift of (p, q) on [x, x + 1], h(x) = h0:
+    the vertical jet that the horizontal data force."""
+    f, g = (PiecewisePolynomial([x, x + 1], [u]) for u in (p, q))
+    return lift(f, g, h0).h.pieces[0]
+
+
 class TestJetConstructions:
     def test_integrate_jet_example(self):
-        q = integrate_jet(poly(0, 2), 1, 0)
-        assert q == poly(1, 0, 1)
+        assert poly(0, 2).antiderivative() + 1 == poly(1, 0, 1)
 
     def test_integrate_jet_constant(self):
-        assert integrate_jet(Polynomial.zero(), F(3, 7), F(1, 2)) == poly(F(3, 7))
+        assert Polynomial.zero().antiderivative() + F(3, 7) == poly(F(3, 7))
 
     def test_integrate_then_differentiate(self):
         rng = random.Random(11)
@@ -299,25 +300,26 @@ class TestJetConstructions:
             p = Polynomial([F(rng.randint(-9, 9), rng.randint(1, 4))
                             for _ in range(rng.randint(1, 7))])
             x = F(rng.randint(-3, 3), rng.randint(1, 5))
-            q = integrate_jet(p, F(rng.randint(-5, 5)), x)
-            assert q.derivative() == p
+            c, A = F(rng.randint(-5, 5)), p.antiderivative()
+            q = A + (c - A(x))
+            assert q.derivative() == p and q(x) == c
 
     def test_vertical_jet_antisymmetric_cancellation(self):
         x = F(1, 3)
         shift = Polynomial.from_taylor([0, 1], x)
-        assert vertical_jet(shift, shift, F(2, 5), x, 3) == poly(F(2, 5))
+        assert lifted_h(shift, shift, F(2, 5), x) == poly(F(2, 5))
 
     def test_vertical_jet_zero_pair(self):
         z = Polynomial.zero()
-        assert vertical_jet(z, z, 4, 0, 2) == poly(4)
+        assert lifted_h(z, z, 4, 0) == poly(4)
 
     def test_vertical_jet_low_degree_no_truncation(self):
         p, q = poly(1, 2), poly(-1, 3)
         x = F(1, 4)
-        full = integrate_jet(
-            2 * (p.derivative() * q - q.derivative() * p), F(1, 2), x
-        )
-        assert vertical_jet(p, q, F(1, 2), x, 3) == full
+        h = lifted_h(p, q, F(1, 2), x)
+        assert h(x) == F(1, 2) and h.derivative() == area_rate(p, q)
+        t = JetTriple(*(Jet.from_polynomial(u, [x], 3) for u in (p, q, h)))
+        assert t.max_ode_residual() == 0
 
 
 class TestSerialization:
