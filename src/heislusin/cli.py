@@ -178,8 +178,12 @@ def read_curve_columns(path):
             line = line.strip()
             if not line:
                 continue
+            fields = line.split(",")
+            if len(fields) != 4:
+                raise ValueError("curve CSV row %r has %d fields, not 4"
+                                 % (line, len(fields)))
             try:
-                t, f, g, h = map(parse_rational, line.split(","))
+                t, f, g, h = map(parse_rational, fields)
             except ZeroDivisionError:
                 raise ValueError("zero denominator in curve CSV row %r"
                                  % line) from None

@@ -21,7 +21,7 @@ import bisect
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cached_property
 from itertools import accumulate, chain
 from typing import Callable, Optional
 
@@ -32,7 +32,7 @@ from .curves import (
     area_discrepancy,
     velocity,
 )
-from .intervalsets import IntervalSet, _cleared, _merge, _q
+from .intervalsets import IntervalSet, _cleared, _q
 from .jets import Jet, JetTriple
 
 
@@ -88,12 +88,6 @@ def default_params(depth: int = 10) -> CounterexampleParams:
     )
 
 
-def _open_keys(ts, pairs) -> list:
-    """The key list of the open intervals (ts[a], ts[b]) for the sorted,
-    disjoint vertex pairs (a, b)."""
-    return [key for a, b in pairs for key in ((ts[a], 2), (ts[b], 0))]
-
-
 @dataclass(frozen=True)
 class CounterexampleCurve:
     """The built curve as integer vertex tables.
@@ -118,24 +112,17 @@ class CounterexampleCurve:
     def _pairs(self) -> list:  # every component's vertex pair, in order
         return sorted(chain.from_iterable(self.components))
 
+    def _open(self, pairs) -> IntervalSet:  # (ts[a], ts[b]) / T, each open
+        ts = self.ts
+        return IntervalSet.open_ranges((ts[a], ts[b]) for a, b in pairs).over(self.T)
+
     @cached_property
-    def _sets(self) -> tuple:
-        """(I_levels, I_union) over T; a key shared by several sets is
-        decoded once."""
-        over_T = cache(lambda key: (Fraction(key[0], self.T), key[1]))
-
-        def decoded(pairs):
-            return IntervalSet._of(list(map(over_T, _open_keys(self.ts, pairs))))
-
-        return tuple(map(decoded, self.components)), decoded(self._pairs)
-
-    @property
     def I_levels(self) -> tuple:  # IntervalSet per level 1..depth
-        return self._sets[0]
+        return tuple(map(self._open, self.components))
 
-    @property
+    @cached_property
     def I_union(self) -> IntervalSet:  # the union of all levels
-        return self._sets[1]
+        return self._open(self._pairs)
 
     @cached_property
     def curve(self) -> PiecewiseCurve:
@@ -307,10 +294,9 @@ def measure_report(C: CounterexampleCurve) -> dict:
     A_n = (lambda_n-neighborhood of I_1..I_n) minus I, with the
     2 lambda_n (2^n - 1) upper bound checked per level.
 
-    The shells are dilated, cut and measured on the int keys of the
-    components' ends over one M, the lcm of T and the lambda_n
-    denominators. Each shell keeps its int key list, "keys", over the
-    report's "M"; `shell_set` decodes it."""
+    The shells are dilated, clipped to [0, 1] and measured as sets of ints
+    over M, the lcm of T and the lambda_n denominators; each keeps its
+    set, "int_set", over the report's "M" for `shell_set` to decode."""
     params = C.params
     N = params.depth
     two_pow_w = sum(
@@ -318,23 +304,19 @@ def measure_report(C: CounterexampleCurve) -> dict:
     )
     R, M = _cleared([Fraction(1, C.T)] + [params.lam(n) for n in range(1, N + 1)])
     ts = [t * R[0] for t in C.ts]  # the vertex times over M
-    I_all = IntervalSet._of(_open_keys(ts, C._pairs))
+    I_all = IntervalSet.open_ranges((ts[a], ts[b]) for a, b in C._pairs)
     shells, partial = [], []
     for n, (level, r) in enumerate(zip(C.components, R[1:]), start=1):
-        lam = params.lam(n)
-        partial = list(heapq.merge(partial, level))
-        # the open r-neighbourhood clipped to [0, 1], as `dilate` makes it
-        A_n = IntervalSet._of(_merge(
-            (max((ts[a] - r, 2), (0, 0)), min((ts[b] + r, 0), (M, 2)))
-            for a, b in partial)).subtract(I_all)
+        partial = list(heapq.merge(partial, ((ts[a], ts[b]) for a, b in level)))
+        A_n = IntervalSet.open_ranges(partial).dilate(r).clip(0, M).subtract(I_all)
         measure = A_n.measure() / M
-        bound = 2 * lam * Fraction(2**n - 1)
+        bound = 2 * params.lam(n) * Fraction(2**n - 1)
         shells.append({
             "n": n,
             "measure": measure,
             "bound": bound,
             "within_bound": measure <= bound,
-            "keys": A_n._keys,
+            "int_set": A_n,
         })
     measure_I = I_all.measure() / M
     return {
@@ -348,11 +330,11 @@ def measure_report(C: CounterexampleCurve) -> dict:
 
 
 def shell_set(report: dict, n: int) -> IntervalSet:
-    """The level-n shell of a `measure_report` report as a set of
-    Fractions, decoded from its int keys over the report's M."""
-    M = report["M"]
-    return IntervalSet._of([(Fraction(x, M), t)
-                            for x, t in report["shells"][n - 1]["keys"]])
+    """The level-n shell of a `measure_report` report, 1 <= n <= depth,
+    as a set of Fractions, decoded from its ints over the report's M."""
+    if not 1 <= n <= len(report["shells"]):
+        raise ValueError("need 1 <= n <= depth")
+    return report["shells"][n - 1]["int_set"].over(report["M"])
 
 
 def _check_level(C: CounterexampleCurve, n: int) -> None:

@@ -31,6 +31,10 @@ def _q(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
+def _end(x):  # a key's end: an int as it is, so that int keys stay ints
+    return x if isinstance(x, int) else _q(x)
+
+
 def _cleared(values) -> tuple:
     """(nums, D) with values[i] = nums[i] / D, D the lcm of the
     denominators of the rationals `values`: the one place where exact
@@ -146,7 +150,6 @@ def _decode(start, stop) -> Interval:
     return Interval(start[0], stop[0], start[1] == 0, stop[1] == 2)
 
 
-_UNIT_START, _UNIT_STOP = (0, 0), (1, 2)  # the key range of [0, 1]
 _BELOW, _ABOVE = (-math.inf, 0), (math.inf, 0)  # below and above every key
 
 
@@ -178,8 +181,8 @@ def _merge(ranges) -> list:
 
 class IntervalSet:
     """Normalized finite disjoint union of intervals, immutable: it is its
-    strictly increasing key list `_keys`. Only input from outside the
-    class is normalized; every set operation builds its keys in order."""
+    strictly increasing key list `_keys`. Intervals from outside are
+    normalized; `open_ranges` and every set operation build keys in order."""
 
     __slots__ = ("_keys",)
 
@@ -214,6 +217,13 @@ class IntervalSet:
     @staticmethod
     def unit() -> "IntervalSet":
         return IntervalSet.closed(0, 1)
+
+    @staticmethod
+    def open_ranges(pairs) -> "IntervalSet":
+        """The union of the open intervals (lo, hi) of sorted, disjoint pairs
+        of ints or rationals, lo < hi, taken as given: no sort, merge or cast."""
+        return IntervalSet._of([key for lo, hi in pairs
+                                for key in ((lo, 2), (hi, 0))])
 
     # -- basic queries --------------------------------------------------
 
@@ -285,24 +295,27 @@ class IntervalSet:
         return IntervalSet._of(out)
 
     def dilate(self, lam) -> "IntervalSet":
-        """Open lam-neighborhood of the set, clipped to [0,1]."""
-        lam = _q(lam)
+        """The open lam-neighbourhood of the set, lam >= 0, unclipped: int
+        ends and an int lam give int ends, and `clip` cuts to a window."""
+        lam = _end(lam)
         if lam < 0:
             raise ValueError("dilation radius must be nonnegative")
-        ranges = _ranges(self._keys)
-        if lam:
-            ranges = (((start[0] - lam, 2), (stop[0] + lam, 0))
-                      for start, stop in ranges)
-        # dilation and the clip keep the ranges sorted by start
-        return IntervalSet._of(_merge(
-            (max(start, _UNIT_START), min(stop, _UNIT_STOP))
-            for start, stop in ranges))
+        if not lam:
+            return self
+        # dilation keeps the ranges sorted by start
+        return IntervalSet._of(_merge(((start[0] - lam, 2), (stop[0] + lam, 0))
+                                      for start, stop in _ranges(self._keys)))
+
+    def over(self, d: int) -> "IntervalSet":
+        """The set with every end divided by the int d > 0: a set of ints
+        over d decodes to its Fractions."""
+        return IntervalSet._of([(Fraction(x, d), t) for x, t in self._keys])
 
     def clip(self, a, b) -> "IntervalSet":
         """self ∩ [a, b], O(log N + K) for the K ranges that meet [a, b]:
         they are found by bisection, as in `first_piece` and `last_piece`,
-        and the first and the last are cut to the window."""
-        lo, hi = (_q(a), 0), (_q(b), 2)
+        and the first and the last are cut to the window; int ends stay ints."""
+        lo, hi = (_end(a), 0), (_end(b), 2)
         keys = self._keys
         # from the first range that stops after the window starts to the
         # last range that starts before it stops

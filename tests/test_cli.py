@@ -474,7 +474,9 @@ class TestBuild:
                               "5", "--out", str(tmp_path))
         assert status == 0
         assert "curve" not in vars(built[0])
-        assert "_sets" not in vars(built[0])  # nor the level sets decoded
+        # nor the level sets or their union decoded
+        assert "I_levels" not in vars(built[0])
+        assert "I_union" not in vars(built[0])
 
 
 class TestJetsCheck:
@@ -821,6 +823,17 @@ class TestMalformedCsv:
         assert out == ""
         assert "t must be strictly increasing" in err
         assert "Traceback" not in err
+
+    @READERS
+    @pytest.mark.parametrize("row", ["1/2,1,0", "1/2,1,0,0,0"])
+    def test_row_of_other_than_four_fields_is_usage_error(
+            self, capsys, tmp_path, argv, row):
+        src = tmp_path / "short-or-long-row.csv"
+        src.write_text("t,f,g,h\n0,0,0,0\n%s\n1,0,0,0\n" % row)
+        status, out, err = invoke(capsys, *argv, "--input", str(src))
+        assert status == 2 and out == ""
+        assert err == "error: curve CSV row %r has %d fields, not 4\n" % (
+            row, row.count(",") + 1)
 
     @READERS
     def test_huge_exponent_is_usage_error(self, capsys, tmp_path, argv):

@@ -387,6 +387,14 @@ class TestMeasureReport:
         C.I_union
         assert len(calls) == 0
 
+    def test_shell_set_takes_levels_1_to_depth(self):
+        rep = measure_report(build_curve(default_params(4)))
+        for n in (0, -1, 5):
+            with pytest.raises(ValueError, match="1 <= n <= depth"):
+                shell_set(rep, n)
+        assert [shell_set(rep, n).measure() for n in (1, 4)] == [
+            rep["shells"][0]["measure"], rep["shells"][3]["measure"]]
+
     def test_depth8_shells_are_pinned(self):
         # sorted-key JSON of every shell's set and exact measure;
         # recorded when interval algebra still ran on open/closed flags
@@ -627,7 +635,8 @@ class TestTablesMatchCurve:
         assert rep["measure_I"] == C.I_union.measure()
         for shell in rep["shells"]:
             partial = reduce(IntervalSet.union, C.I_levels[:shell["n"]])
-            A_n = partial.dilate(params.lam(shell["n"])).subtract(C.I_union)
+            A_n = (partial.dilate(params.lam(shell["n"])).clip(0, 1)
+                   .subtract(C.I_union))
             assert shell_set(rep, shell["n"]) == A_n
             assert shell["measure"] == A_n.measure()
 
@@ -638,9 +647,11 @@ def test_reports_leave_the_curve_unbuilt():
     measure_report(C)
     straddle_jets(C, 2)
     straddle_ratio(C, 3)
-    assert "_sets" not in vars(C)  # the level sets are still undecoded
+    # the level sets and their union are still undecoded
+    assert "I_levels" not in vars(C) and "I_union" not in vars(C)
     for n in range(6):
         good_pair_search(IntervalSet.unit(), C, n)
+    assert "I_union" in vars(C) and "I_levels" not in vars(C)  # I_union alone
     assert "curve" not in vars(C)
     assert C.I_levels is C.I_levels and C.I_union is C.I_union
     assert C.curve is C.curve

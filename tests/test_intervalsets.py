@@ -43,6 +43,13 @@ raw_intervals = st.lists(
     max_size=6,
 )
 radii = st.fractions(min_value=0, max_value=F(1, 4), max_denominator=32)
+divisors = st.integers(1, 6)
+
+
+def open_pieces(s):
+    """The open interval between the ends of each nondegenerate piece of
+    s: sorted, disjoint pairs, the input that `open_ranges` takes."""
+    return [(iv.lo, iv.hi) for iv in s.intervals if iv.lo < iv.hi]
 
 
 def assert_canonical(s):
@@ -128,19 +135,21 @@ class TestAlgebra:
             for k in range(16)
         )
 
-    @given(interval_sets(), interval_sets(), radii)
+    @given(interval_sets(), interval_sets(), radii, divisors)
     @settings(max_examples=300, deadline=None)
-    def test_membership_oracle(self, s, t, lam):
-        """union, subtract, intersect and dilate agree with pointwise set
-        logic at every endpoint, every endpoint moved by +-lam, 0 and 1,
-        and at every midpoint between consecutive such points."""
+    def test_membership_oracle(self, s, t, lam, k):
+        """union, subtract, intersect, dilate (unclipped and clipped to
+        [0, 1]), open_ranges and over agree with pointwise set logic at
+        every endpoint, every endpoint moved by +-lam, 0 and 1, and at
+        every midpoint between consecutive such points."""
         ends = {x for iv in s.intervals + t.intervals for x in (iv.lo, iv.hi)}
         ends = sorted(ends | {x + d for x in ends for d in (lam, -lam)}
                       | {F(0), F(1)})
         points = ends + [(a + b) / 2 for a, b in zip(ends, ends[1:])]
         join, diff, meet = s.union(t), s.subtract(t), s.intersect(t)
-        grown = s.dilate(lam)
-        for out in (join, diff, meet, grown):
+        near_set, grown = s.dilate(lam), s.dilate(lam).clip(0, 1)
+        opened, shrunk = IntervalSet.open_ranges(open_pieces(t)), s.over(k)
+        for out in (join, diff, meet, near_set, grown, opened, shrunk):
             # built in order: re-normalizing the output changes nothing
             assert all(a < b for a, b in zip(out._keys, out._keys[1:]))
             again = IntervalSet(out.intervals)
@@ -156,16 +165,25 @@ class TestAlgebra:
             assert join.contains(x) == (s.contains(x) or t.contains(x))
             assert diff.contains(x) == (s.contains(x) and not t.contains(x))
             assert meet.contains(x) == (s.contains(x) and t.contains(x))
+            assert near_set.contains(x) == near(x)
             assert grown.contains(x) == (0 <= x <= 1 and near(x))
+            assert opened.contains(x) == any(iv.lo < x < iv.hi
+                                             for iv in t.intervals)
+            # x is in s.over(k) exactly when k x is in s
+            assert shrunk.contains(x / k) == s.contains(x)
+            assert shrunk.contains(x) == s.contains(k * x)
 
     @given(raw_intervals, raw_intervals, radii,
            st.fractions(min_value=-1, max_value=2, max_denominator=8),
-           st.fractions(min_value=-1, max_value=2, max_denominator=8))
+           st.fractions(min_value=-1, max_value=2, max_denominator=8),
+           divisors)
     @settings(max_examples=300, deadline=None)
-    def test_every_output_is_canonical(self, raw_s, raw_t, lam, a, b):
+    def test_every_output_is_canonical(self, raw_s, raw_t, lam, a, b, d):
         s, t = IntervalSet(raw_s), IntervalSet(raw_t)
         for out in (s, t, s.union(t), s.intersect(t), s.subtract(t),
                     t.subtract(s), s.dilate(lam), s.clip(a, b),
+                    s.dilate(lam).clip(a, b), s.over(d),
+                    IntervalSet.open_ranges(open_pieces(s)),
                     IntervalSet(raw_s + raw_t),
                     IntervalSet.from_json_obj(s.to_json_obj())):
             assert_canonical(out)
@@ -218,8 +236,22 @@ class TestDilate:
         assert s.intervals == (Interval(F(1, 8), F(5, 8), False, False),)
 
     def test_clips_to_unit(self):
-        s = iset((0, F(1, 2))).dilate(F(1, 4))
+        s = iset((0, F(1, 2))).dilate(F(1, 4)).clip(0, 1)
         assert s.intervals == (Interval(0, F(3, 4), True, False),)
+        # unclipped, the neighbourhood reaches below 0
+        s = iset((0, F(1, 2))).dilate(F(1, 4))
+        assert s.intervals == (Interval(F(-1, 4), F(3, 4), False, False),)
+
+    def test_int_ends_stay_ints(self):
+        # dilate and clip keep a set of ints over 8 a set of ints over 8,
+        # and over(8) decodes it to what the Fraction algebra gives
+        ints = IntervalSet.open_ranges([(1, 3), (7, 8)]).dilate(2).clip(0, 8)
+        assert all(type(x) is int for x, _ in ints._keys)
+        assert repr(ints) == "IntervalSet{[0, 5) u (5, 8]}"
+        fracs = IntervalSet.open_ranges([(F(1, 8), F(3, 8)), (F(7, 8), 1)])
+        assert ints.over(8) == fracs.dilate(F(1, 4)).clip(0, 1)
+        assert ints.over(8).intervals == (Interval(0, F(5, 8), True, False),
+                                          Interval(F(5, 8), 1, False, True))
 
     @given(interval_sets(), st.fractions(min_value=0, max_value=F(1, 4),
                                          max_denominator=32))

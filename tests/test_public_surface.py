@@ -1,6 +1,7 @@
 """The public surface: every name that `heislusin/__init__.py` imports is
 read outside the tests, by another module of the package, a demo or the
-benchmark, so a name that nothing calls cannot stay exported."""
+benchmark, so a name that nothing calls cannot stay exported; and the
+interval-set key encoding is named only where it is defined."""
 
 import ast
 import io
@@ -26,14 +27,36 @@ def referenced_names():
     seen = set()
     for path in files:
         prev = None
-        for tok in tokenize.generate_tokens(io.StringIO(path.read_text()).readline):
+        for tok in tokens(path):
             if tok.type == tokenize.NAME and prev not in ("def", "class"):
                 seen.add(tok.string)
             prev = tok.string
     return seen
 
 
+def tokens(path):
+    return tokenize.generate_tokens(io.StringIO(path.read_text()).readline)
+
+
+def name_tokens(path):
+    """Every NAME token of a file, comments and strings left out."""
+    return {tok.string for tok in tokens(path) if tok.type == tokenize.NAME}
+
+
 def test_every_exported_name_has_a_caller_outside_the_tests():
     exported = exported_names()
     assert {"Polynomial", "lift", "build_curve"} <= exported  # the parse works
     assert sorted(exported - referenced_names()) == []
+
+
+KEY_INTERNALS = {"_keys", "_of", "_merge", "_ranges", "_encode", "_decode"}
+
+
+def test_only_intervalsets_names_the_key_encoding():
+    # other modules build, dilate, clip and decode sets through the
+    # public methods of IntervalSet, never through its key lists
+    assert KEY_INTERNALS <= name_tokens(PACKAGE / "intervalsets.py")
+    named = {path.name: sorted(KEY_INTERNALS & name_tokens(path))
+             for path in PACKAGE.glob("*.py") if path.name != "intervalsets.py"}
+    assert "counterexample.py" in named  # the glob works
+    assert {name: used for name, used in named.items() if used} == {}
