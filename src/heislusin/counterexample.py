@@ -296,7 +296,8 @@ def measure_report(C: CounterexampleCurve) -> dict:
 
     The shells are dilated, clipped to [0, 1] and measured as sets of ints
     over M, the lcm of T and the lambda_n denominators; each keeps its
-    set, "int_set", over the report's "M" for `shell_set` to decode."""
+    set of ints, "int_set", and shell["int_set"].over(report["M"]) is the
+    shell as a set of Fractions."""
     params = C.params
     N = params.depth
     two_pow_w = sum(
@@ -327,14 +328,6 @@ def measure_report(C: CounterexampleCurve) -> dict:
         "M": M,
         "shells": shells,
     }
-
-
-def shell_set(report: dict, n: int) -> IntervalSet:
-    """The level-n shell of a `measure_report` report, 1 <= n <= depth,
-    as a set of Fractions, decoded from its ints over the report's M."""
-    if not 1 <= n <= len(report["shells"]):
-        raise ValueError("need 1 <= n <= depth")
-    return report["shells"][n - 1]["int_set"].over(report["M"])
 
 
 def _check_level(C: CounterexampleCurve, n: int) -> None:

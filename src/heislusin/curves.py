@@ -213,31 +213,23 @@ class PiecewiseCurve:
 def lift(f: PiecewisePolynomial, g: PiecewisePolynomial, h0=0) -> PiecewiseCurve:
     """Horizontal lift: h' = 2 (f'g - g'f) with h(t0) = h0, exactly.
 
-    When f and g share their breakpoints (as the staircase, CSV curves and
-    the Hermite fill do) they are used as they are; otherwise both are
-    re-expressed on the union of their breakpoints. Continuity of f and g
-    is checked once, by the curve.
+    f and g must share their breakpoints, as the staircase, CSV curves and
+    the Hermite fill do; ValueError otherwise. Continuity of f and g is
+    checked once, by the curve.
     """
-    if f.breakpoints == g.breakpoints:
-        bps, fr, gr = f.breakpoints, f, g
-    elif f.domain != g.domain:
-        raise ValueError("domains differ")
-    else:
-        bps = tuple(sorted(set(f.breakpoints) | set(g.breakpoints)))
-        fr, gr = (
-            PiecewisePolynomial(
-                bps, [u.pieces[u.piece_index(lo)] for lo in bps[:-1]]
-            )
-            for u in (f, g)
-        )
+    bps = f.breakpoints
+    if g.breakpoints != bps:
+        raise ValueError("lift needs f and g on the same breakpoints, not "
+                         "[%s] and [%s]" % (", ".join(map(str, bps)),
+                                            ", ".join(map(str, g.breakpoints))))
     h_pieces = []
     acc = _q(h0)
-    for i, (fp, gp) in enumerate(zip(fr.pieces, gr.pieces)):
+    for i, (fp, gp) in enumerate(zip(f.pieces, g.pieces)):
         A = area_rate(fp, gp).antiderivative()
         h_pieces.append(A + (acc - A(bps[i])))
         acc = h_pieces[-1](bps[i + 1])
     try:
-        return PiecewiseCurve(fr, gr, PiecewisePolynomial(bps, h_pieces))
+        return PiecewiseCurve(f, g, PiecewisePolynomial(bps, h_pieces))
     except ValueError as exc:
         raise ValueError(
             "lift requires continuous horizontal components"

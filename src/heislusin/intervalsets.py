@@ -1,8 +1,9 @@
 """Exact algebra of finite unions of intervals with rational endpoints.
 
 Endpoint open/closed flags are tracked exactly: measure does not care,
-but membership tests do, and the interval families used by the
-counterexample construction mix open and closed pieces.
+but membership does (x is in s iff s.clip(x, x) is not empty), and the
+interval families used by the counterexample construction mix open and
+closed pieces.
 
 Every flag rule is settled by one encoding, which turns each endpoint
 into a comparable key (x, t). A point x sits at (x, 1); a closed start
@@ -18,7 +19,6 @@ start, stop, ..., and its algebra compares keys and nothing else.
 from __future__ import annotations
 
 import bisect
-import heapq
 import math
 import sys
 from dataclasses import dataclass
@@ -55,9 +55,12 @@ MAX_EXPONENT = 4300
 
 def parse_rational(s) -> Fraction:
     """Fraction(s) for a flag, CSV entry or JSON value; ValueError on a
-    bool, or on a decimal exponent above MAX_EXPONENT in magnitude."""
+    bool, a float that is not finite (JSON NaN, Infinity), or a decimal
+    exponent above MAX_EXPONENT in magnitude."""
     if isinstance(s, bool):
         raise ValueError("%r is not a rational" % s)
+    if isinstance(s, float) and not math.isfinite(s):
+        raise ValueError("%r is not a finite number" % s)
     if isinstance(s, str) and ("e" in s or "E" in s):
         try:
             exponent = int(s.lower().rpartition("e")[2])
@@ -119,25 +122,8 @@ class Interval:
         object.__setattr__(self, "lo", _q(self.lo))
         object.__setattr__(self, "hi", _q(self.hi))
 
-    @property
-    def empty(self) -> bool:
-        start, stop = _encode(self)
-        return start >= stop
-
-    def contains(self, x) -> bool:
-        start, stop = _encode(self)
-        return start <= (_q(x), 1) < stop
-
     def to_json_obj(self) -> dict:
         return interval_json_obj(self.lo, self.hi, self.lo_closed, self.hi_closed)
-
-    @staticmethod
-    def from_json_obj(obj: dict) -> "Interval":
-        flags = obj["lo_closed"], obj["hi_closed"]
-        if not all(isinstance(f, bool) for f in flags):
-            raise ValueError("lo_closed and hi_closed must be JSON booleans")
-        return Interval(parse_rational(obj["lo"]), parse_rational(obj["hi"]),
-                        *flags)
 
 
 def _encode(iv: Interval) -> tuple:
@@ -182,7 +168,8 @@ def _merge(ranges) -> list:
 class IntervalSet:
     """Normalized finite disjoint union of intervals, immutable: it is its
     strictly increasing key list `_keys`. Intervals from outside are
-    normalized; `open_ranges` and every set operation build keys in order."""
+    normalized, so IntervalSet(s.intervals + t.intervals) is the union of
+    s and t; `open_ranges` and every set operation build keys in order."""
 
     __slots__ = ("_keys",)
 
@@ -203,16 +190,8 @@ class IntervalSet:
     # -- constructors ---------------------------------------------------
 
     @staticmethod
-    def empty() -> "IntervalSet":
-        return IntervalSet(())
-
-    @staticmethod
     def closed(a, b) -> "IntervalSet":
         return IntervalSet([Interval(_q(a), _q(b), True, True)])
-
-    @staticmethod
-    def open(a, b) -> "IntervalSet":
-        return IntervalSet([Interval(_q(a), _q(b), False, False)])
 
     @staticmethod
     def unit() -> "IntervalSet":
@@ -247,19 +226,10 @@ class IntervalSet:
         # a normalized set holds no empty range; on int keys the sum is an int
         return _q(sum(stop[0] - start[0] for start, stop in _ranges(self._keys)))
 
-    def contains(self, x) -> bool:
-        """x is in the set iff an odd number of keys lie below (x, 1)."""
-        return bisect.bisect(self._keys, (_q(x), 1)) % 2 == 1
-
     def intersects(self, other: "IntervalSet") -> bool:
         return bool(self.intersect(other))
 
     # -- set algebra ----------------------------------------------------
-
-    def union(self, other: "IntervalSet") -> "IntervalSet":
-        """One merge of both key lists by start, O(N + M)."""
-        return IntervalSet._of(_merge(heapq.merge(
-            _ranges(self._keys), _ranges(other._keys))))
 
     def intersect(self, other: "IntervalSet") -> "IntervalSet":
         """self minus the complement of other, O(N + M)."""
@@ -349,7 +319,3 @@ class IntervalSet:
 
     def to_json_obj(self) -> list:
         return [iv.to_json_obj() for iv in self.intervals]
-
-    @staticmethod
-    def from_json_obj(obj: list) -> "IntervalSet":
-        return IntervalSet(Interval.from_json_obj(o) for o in obj)

@@ -196,19 +196,6 @@ class Jet:
             self.sites[i],
         )
 
-    def remainder(self, a, b, k: int) -> Fraction:
-        """Taylor remainder of order k at b, expanded at a."""
-        if not 0 <= k <= self.m:
-            raise ValueError("order k out of range")
-        ia, ib = self._index(a), self._index(b)
-        a, b = self.sites[ia], self.sites[ib]
-        acc = self.values[ib][k]
-        for ell in range(self.m - k + 1):
-            acc -= (
-                self.values[ia][k + ell] * (b - a) ** ell / math.factorial(ell)
-            )
-        return acc
-
     def whitney_modulus(self, delta) -> Fraction:
         """max over k and site pairs with 0 < |b-a| <= delta of
         |remainder| / |b-a|^(m-k); 0 if no pair qualifies."""
@@ -289,8 +276,7 @@ class Jet:
         try:
             sites = tuple(parse_rational(rec["x"]) for rec in recs)
             values = tuple(tuple(map(parse_rational, rec[key])) for rec in recs)
-        except (TypeError, OverflowError, ZeroDivisionError):
-            # null, a list, an infinity, "1/0"
+        except (TypeError, ZeroDivisionError):  # null, a list, "1/0"
             raise ValueError("jet JSON values must be finite numbers or "
                              "rational strings") from None
         return Jet(m, sites, values)

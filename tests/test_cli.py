@@ -551,6 +551,10 @@ class TestJetsCheck:
                          + obj["sites"][1:]),
         lambda obj: dict(obj, sites=[dict(obj["sites"][0], F=[0, math.inf])]
                          + obj["sites"][1:]),
+        lambda obj: dict(obj, sites=[dict(obj["sites"][0], F=[0, math.nan])]
+                         + obj["sites"][1:]),
+        lambda obj: dict(obj, sites=[dict(obj["sites"][0], x=-math.inf)]
+                         + obj["sites"][1:]),
         lambda obj: dict(obj, sites=[dict(obj["sites"][0], F=["1/0", "0"])]
                          + obj["sites"][1:]),
         lambda obj: dict(obj, sites=[dict(obj["sites"][0],
@@ -562,7 +566,8 @@ class TestJetsCheck:
         lambda obj: dict(obj, sites=[dict(obj["sites"][0], F=[False, "0"])]
                          + obj["sites"][1:]),
     ], ids=["top-level list", "sites string", "m float", "m bool",
-            "m negative", "x null", "F infinite", "F zero denominator",
+            "m negative", "x null", "F infinite", "F NaN", "x -Infinity",
+            "F zero denominator",
             "F huge exponent", "x bool", "F bool"])
     def test_malformed_json_is_a_usage_error(self, capsys, tmp_path, edit):
         # exit 1 means "failed check", so a malformed file must not reach it

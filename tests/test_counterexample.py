@@ -2,7 +2,6 @@ import hashlib
 import json
 import random
 from fractions import Fraction as F
-from functools import reduce
 
 import pytest
 
@@ -14,12 +13,16 @@ from heislusin.counterexample import (
     default_params,
     good_pair_search,
     measure_report,
-    shell_set,
     straddle_jets,
     straddle_ratio,
 )
 from heislusin.curves import horizontality_residual, lift
 from heislusin.intervalsets import Interval, IntervalSet, rational_to_str
+
+
+def union_of(sets):
+    # the normalizing constructor merges the pieces of all the sets
+    return IntervalSet([iv for s in sets for iv in s.intervals])
 
 
 class TestParams:
@@ -247,17 +250,17 @@ class TestIntervals:
 
     def test_levels_pairwise_disjoint(self):
         levels = build_curve(default_params(8)).I_levels
-        union = IntervalSet.empty()
+        union = IntervalSet()
         total = F(0)
         for lev in levels:
             assert not union.intersects(lev)
-            union = union.union(lev)
+            union = union_of((union, lev))
             total += lev.measure()
         assert union.measure() == total
 
     def test_unions_are_the_partial_unions(self, curve10):
         assert len(curve10.I_levels) == 10
-        assert curve10.I_union == reduce(IntervalSet.union, curve10.I_levels)
+        assert curve10.I_union == union_of(curve10.I_levels)
 
 
 def pieces_digest(c):
@@ -372,35 +375,28 @@ class TestMeasureReport:
                 2 ** shell["n"] - 1
             )
             # shells live off I by construction
-            assert not shell_set(rep, shell["n"]).intersects(curve10.I_union)
+            A_n = shell["int_set"].over(rep["M"])
+            assert not A_n.intersects(curve10.I_union)
 
     @pytest.mark.parametrize("depth", [1, 4, 8])
     def test_each_partial_union_is_built_once(self, depth, monkeypatch):
         # the build, the shells and I_union merge sorted rows or vertex
-        # pairs; none unites two sets
+        # pairs; none unites two sets through the normalizing constructor
         calls = []
-        union = IntervalSet.union
-        monkeypatch.setattr(IntervalSet, "union",
-                            lambda *a: calls.append(1) or union(*a))
+        init = IntervalSet.__init__
+        monkeypatch.setattr(IntervalSet, "__init__",
+                            lambda *a: calls.append(1) or init(*a))
         C = build_curve(default_params(depth))
         measure_report(C)
         C.I_union
         assert len(calls) == 0
-
-    def test_shell_set_takes_levels_1_to_depth(self):
-        rep = measure_report(build_curve(default_params(4)))
-        for n in (0, -1, 5):
-            with pytest.raises(ValueError, match="1 <= n <= depth"):
-                shell_set(rep, n)
-        assert [shell_set(rep, n).measure() for n in (1, 4)] == [
-            rep["shells"][0]["measure"], rep["shells"][3]["measure"]]
 
     def test_depth8_shells_are_pinned(self):
         # sorted-key JSON of every shell's set and exact measure;
         # recorded when interval algebra still ran on open/closed flags
         rep = measure_report(build_curve(default_params(8)))
         shells = [
-            {"n": s["n"], "set": shell_set(rep, s["n"]).to_json_obj(),
+            {"n": s["n"], "set": s["int_set"].over(rep["M"]).to_json_obj(),
              "measure": rational_to_str(s["measure"])}
             for s in rep["shells"]
         ]
@@ -423,7 +419,7 @@ class TestGoodPair:
             assert pair is not None
             x, y = pair
             assert y - x <= F(1, 2**n)
-            assert not I.contains(x) and not I.contains(y)
+            assert not I.clip(x, x) and not I.clip(y, y)
             # the components are open, so a pair touching the closure
             # endpoints still lies outside I on opposite sides
             assert any(
@@ -448,7 +444,8 @@ class TestGoodPair:
         E = IntervalSet.unit()
         for iv in curve10.I_levels[1].intervals:
             c = (iv.lo + iv.hi) / 2
-            E = E.subtract(IntervalSet.open(c - F(1, 2), c + F(1, 2)))
+            E = E.subtract(IntervalSet([Interval(c - F(1, 2), c + F(1, 2),
+                                              False, False)]))
         assert good_pair_search(E, curve10, 1) is None
 
     def test_negative_level_rejected(self, curve10):
@@ -634,10 +631,10 @@ class TestTablesMatchCurve:
         rep = measure_report(C)
         assert rep["measure_I"] == C.I_union.measure()
         for shell in rep["shells"]:
-            partial = reduce(IntervalSet.union, C.I_levels[:shell["n"]])
+            partial = union_of(C.I_levels[:shell["n"]])
             A_n = (partial.dilate(params.lam(shell["n"])).clip(0, 1)
                    .subtract(C.I_union))
-            assert shell_set(rep, shell["n"]) == A_n
+            assert shell["int_set"].over(rep["M"]) == A_n
             assert shell["measure"] == A_n.measure()
 
 

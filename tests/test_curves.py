@@ -292,20 +292,28 @@ class TestLift:
 
     def test_discontinuous_rejected(self):
         jump = PiecewisePolynomial([0, F(1, 2), 1], [poly(0), poly(1)])
+        line = PiecewisePolynomial([0, F(1, 2), 1], [poly(0, 1)] * 2)
         with pytest.raises(ValueError, match="lift requires continuous"):
-            lift(jump, single(poly(0, 1)))
+            lift(jump, line)
 
     def test_discontinuous_g_rejected(self):
         jump = PiecewisePolynomial([0, F(1, 2), 1], [poly(0), poly(1)])
+        line = PiecewisePolynomial([0, F(1, 2), 1], [poly(0, 1)] * 2)
         with pytest.raises(ValueError, match="lift requires continuous"):
-            lift(single(poly(0, 1)), jump)
+            lift(line, jump)
 
-    def test_different_breakpoints_are_merged(self):
-        f = PiecewisePolynomial([0, F(1, 3), 1], [poly(0, 1), poly(0, 1)])
-        g = PiecewisePolynomial([0, F(1, 2), 1], [poly(0, 0, 1), poly(0, 0, 1)])
-        c = lift(f, g)
-        assert c.breakpoints == (0, F(1, 3), F(1, 2), 1)
-        assert c.h(1) == lifted(poly(0, 1), poly(0, 0, 1)).h(1) == F(-2, 3)
+    @pytest.mark.parametrize("f, g", [
+        (PiecewisePolynomial([0, F(1, 3), 1], [poly(0, 1)] * 2),
+         PiecewisePolynomial([0, F(1, 2), 1], [poly(0, 0, 1)] * 2)),
+        (single(poly(0, 1)), single(poly(0, 1), 0, 2)),
+    ], ids=["inner breakpoints", "domains"])
+    def test_different_breakpoints_rejected(self, f, g):
+        # f and g are lifted piece by piece, so they must share breakpoints
+        with pytest.raises(ValueError, match="same breakpoints") as exc:
+            lift(f, g)
+        for u in (f, g):
+            assert "[%s]" % ", ".join(map(str, u.breakpoints)) in str(exc.value)
+        assert "continuous" not in str(exc.value)
 
     def test_components_built_once(self):
         c = lifted(poly(0, 1), poly(0, 0, 1))
@@ -663,12 +671,8 @@ class TestPairSweep:
             counts["taylor_poly"] += 1
             return taylor(self, a)
 
-        def no_remainder(self, *args):
-            raise AssertionError("modulus_profile called Jet.remainder")
-
         monkeypatch.setattr(polynomials, "isolate_roots", counted_isolate)
         monkeypatch.setattr(Jet, "taylor_poly", counted_taylor)
-        monkeypatch.setattr(Jet, "remainder", no_remainder)
         extendability_report(t)
         assert 0 < counts["isolate_roots"] <= 2 * (n - 1)
         assert 0 < counts["taylor_poly"] <= 2 * n
@@ -780,10 +784,6 @@ class TestDegenerateCurves:
         for fn in (extendability_report, hermite_gap_fill):
             with pytest.raises(ValueError, match="at least two sites"):
                 fn(t)
-
-    def test_lift_of_different_domains_rejected(self):
-        with pytest.raises(ValueError, match="domains differ"):
-            lift(single(poly(0, 1)), single(poly(0, 1), 0, 2))
 
 
 def test_hermite_equal_ends_rejected():

@@ -208,7 +208,8 @@ class TestWhitneySieve:
     def test_jump_excludes_neighborhood(self):
         u = PiecewisePolynomial([0, F(1, 2), 1], [poly(0), poly(1)])
         res = whitney_sieve(u, 1, F(5, 100), grid=2**10)
-        nbhd = IntervalSet.open(F(1, 2) - F(1, 64), F(1, 2) + F(1, 64))
+        nbhd = IntervalSet([Interval(F(1, 2) - F(1, 64), F(1, 2) + F(1, 64),
+                                 False, False)])
         assert not res.retained.intersects(nbhd)
 
     def test_eps_only_affects_budget_reporting(self):

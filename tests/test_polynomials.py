@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from heislusin.curves import PiecewisePolynomial
 from heislusin.diffanalysis import approx_density
-from heislusin.intervalsets import IntervalSet, _cleared
+from heislusin.intervalsets import Interval, IntervalSet, _cleared
 from heislusin.polynomials import (
     DEFAULT_TOL,
     CertifiedValue,
@@ -581,11 +581,11 @@ class TestCertifiedPins:
          "3893256795390674870049f0453e1cc97d71ba3c8ab8dad3e65b63d19d9eb9e8"),
         (lambda: over_parts(SQ2, IntervalSet.closed(0, 2)),
          "e84584687a153592fa71dd6a5b27ee279918bab31a685d0336906816b1f85032"),
-        (lambda: over_parts(CUBIC, IntervalSet.closed(-2, -1).union(
-            IntervalSet.closed(0, 2))),
+        (lambda: over_parts(CUBIC, IntervalSet([Interval(-2, -1),
+                                                Interval(0, 2)])),
          "995ad076e04cd1a06ac0e031e63f385ed786550c6745e8242ee0602ef780dc69"),
-        (lambda: over_parts(CUBIC, IntervalSet.closed(-2, -1).union(
-            IntervalSet.closed(F(-1, 2), 0))),
+        (lambda: over_parts(CUBIC, IntervalSet([Interval(-2, -1),
+                                                Interval(F(-1, 2), 0)])),
          "78ff178467aad6abbca8802e92649ef4cd82913966da4aa05541ec7cf43509d0"),
         (lambda: prefix_abs_integrals(CUBIC, -2, (-1, 0, F(1, 2), 1, 2)),
          "b40eb4b3feb7a9c960650072dc7f5527b42ffc64996c4a18875cb911caa1f513"),

@@ -1,10 +1,13 @@
-"""The public surface: every name that `heislusin/__init__.py` imports is
-read outside the tests, by another module of the package, a demo or the
-benchmark, so a name that nothing calls cannot stay exported; and the
-interval-set key encoding is named only where it is defined."""
+"""The public surface: every name that `heislusin/__init__.py` imports,
+and every public function and method of the package, is read outside the
+tests, by another module of the package, a demo or the benchmark, so a
+name that nothing calls cannot stay; and the interval-set key encoding is
+named only where it is defined."""
 
 import ast
+import importlib.util
 import io
+import sys
 import tokenize
 from pathlib import Path
 
@@ -47,6 +50,42 @@ def test_every_exported_name_has_a_caller_outside_the_tests():
     exported = exported_names()
     assert {"Polynomial", "lift", "build_curve"} <= exported  # the parse works
     assert sorted(exported - referenced_names()) == []
+
+
+def public_functions():
+    """(module, name) of every function or method that a module of the
+    package defines at module or class level, dunders and _ names left out."""
+    found = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            body = node.body if isinstance(node, ast.ClassDef) else [node]
+            found |= {(path.stem, f.name) for f in body
+                      if isinstance(f, ast.FunctionDef)
+                      and not f.name.startswith("_")}
+    return found
+
+
+def traced_names():
+    """The last part of each span name in `bench/tracer.py`'s `_FUNCTIONS`:
+    the benchmark wraps those functions by name."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_tracer", ROOT / "bench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    # read-only: no bytecode cache is written next to the benchmark
+    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(tracer)
+    finally:
+        sys.dont_write_bytecode = dont_write
+    return {span.rpartition(".")[2] for span in tracer._FUNCTIONS.values()}
+
+
+def test_every_public_function_has_a_caller_outside_the_tests():
+    # a method is matched by its name alone, as the tokens carry no type
+    defined = public_functions()
+    assert {("intervalsets", "clip"), ("curves", "lift")} <= defined
+    read = referenced_names() | traced_names()
+    assert sorted(f for f in defined if f[1] not in read) == []
 
 
 KEY_INTERNALS = {"_keys", "_of", "_merge", "_ranges", "_encode", "_decode"}
