@@ -130,14 +130,14 @@ class PiecewisePolynomial:
             self.breakpoints, [p.derivative(k) for p in self.pieces]
         )
 
-    def abs_power_integrals(self, q: Polynomial, intervals, p: int,
-                            tol: Fraction = DEFAULT_TOL) -> list:
+    def abs_power_integrals(self, q: Polynomial, intervals, p: int) -> list:
         """Integral of |self - q|^p, p a positive integer, over each (a, b)
         of `intervals`.
 
         A piece span met by several intervals, such as a whole piece
         inside nested balls, is integrated once; each piece span is
-        certified to tol / (number of pieces), however many intervals.
+        certified to DEFAULT_TOL / (number of pieces), however many
+        intervals.
         """
         if p < 1:
             raise ValueError("p must be a positive integer")
@@ -151,7 +151,7 @@ class PiecewisePolynomial:
                     d = (piece - q) ** p
                     spans[lo, hi] = (
                         CertifiedValue(d.integral(lo, hi)) if p % 2 == 0
-                        else abs_integral(d, lo, hi, tol=tol / n))
+                        else abs_integral(d, lo, hi, tol=DEFAULT_TOL / n))
                 total += spans[lo, hi]
             out.append(total)
         return out
@@ -199,7 +199,6 @@ class PiecewiseCurve:
                 raise ValueError("curve component %s must be continuous" % name)
 
     breakpoints = property(lambda self: self.f.breakpoints)
-    domain = property(lambda self: self.f.domain)
     f_pieces = property(lambda self: self.f.pieces)
     g_pieces = property(lambda self: self.g.pieces)
     h_pieces = property(lambda self: self.h.pieces)
@@ -236,8 +235,7 @@ def lift(f: PiecewisePolynomial, g: PiecewisePolynomial, h0=0) -> PiecewiseCurve
         ) from exc
 
 
-def higher_horizontality_residual(curve: PiecewiseCurve, k: int,
-                                  tol: Fraction = DEFAULT_TOL) -> Fraction:
+def higher_horizontality_residual(curve: PiecewiseCurve, k: int) -> Fraction:
     """Defect of the order-k differentiated horizontality identity.
 
     Max over pieces of the certified sup of (h' - area_rate(f, g))^(k-1),
@@ -252,15 +250,14 @@ def higher_horizontality_residual(curve: PiecewiseCurve, k: int,
         zip(curve.f_pieces, curve.g_pieces, curve.h_pieces)
     ):
         d = (hp.derivative() - area_rate(fp, gp)).derivative(k - 1)
-        sv = sup_norm(d, bps[i], bps[i + 1], tol=tol)
+        sv = sup_norm(d, bps[i], bps[i + 1])
         best = max(best, sv.value + sv.error)
     return best
 
 
-def horizontality_residual(curve: PiecewiseCurve,
-                           tol: Fraction = DEFAULT_TOL) -> Fraction:
+def horizontality_residual(curve: PiecewiseCurve) -> Fraction:
     """Max sup-norm over pieces of h' - 2(f'g - g'f); 0 iff horizontal."""
-    return higher_horizontality_residual(curve, 1, tol)
+    return higher_horizontality_residual(curve, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -290,11 +287,10 @@ def _discrepancies(triple: JetTriple, a, TF: Polynomial, TG: Polynomial,
             - Fraction(_homogeneous(nums, e, D), K) for b, e in zip(ends, E)]
 
 
-def _velocities(m: int, a, TF: Polynomial, TG: Polynomial, ends,
-                tol: Fraction) -> list:
+def _velocities(m: int, a, TF: Polynomial, TG: Polynomial, ends) -> list:
     """V(a, b) for every b in the nondecreasing `ends`, each > a."""
-    dF = prefix_abs_integrals(TF.derivative(), a, ends, tol)
-    dG = prefix_abs_integrals(TG.derivative(), a, ends, tol)
+    dF = prefix_abs_integrals(TF.derivative(), a, ends)
+    dG = prefix_abs_integrals(TG.derivative(), a, ends)
     return [
         (b - a) ** (2 * m) + (b - a) ** m * (f.value + g.value)
         for b, f, g in zip(ends, dF, dG)
@@ -310,12 +306,12 @@ def area_discrepancy(triple: JetTriple, a, b) -> Fraction:
     return _discrepancies(triple, a, *_taylor_pair(triple, a), (b,))[0]
 
 
-def velocity(triple: JetTriple, a, b, tol: Fraction = DEFAULT_TOL) -> Fraction:
+def velocity(triple: JetTriple, a, b) -> Fraction:
     """Normalizer V(a,b) = (b-a)^{2m} + (b-a)^m int_a^b (|TF'| + |TG'|)."""
     a, b = _q(a), _q(b)
     if a >= b:
         raise ValueError("require a < b")
-    return _velocities(triple.m, a, *_taylor_pair(triple, a), (b,), tol)[0]
+    return _velocities(triple.m, a, *_taylor_pair(triple, a), (b,))[0]
 
 
 @dataclass
@@ -362,16 +358,16 @@ def extendability_report(
     triple: JetTriple,
     ladder=DEFAULT_LADDER,
     tolerance: Fraction = Fraction(1, 10**6),
-    tol: Fraction = DEFAULT_TOL,
 ) -> ExtendabilityReport:
     """Check the three jet conditions for extension to a C^m horizontal curve.
 
     Condition profiles are evaluated over a geometric delta-ladder, in the
-    ladder's order; the pass rules read them from the largest scale down.
-    The uniform-vanishing condition on A/V passes when the ratio at the
-    smallest populated scale is below `tolerance` and the profile is
-    non-increasing over its last three populated steps; with no populated
-    scale it fails, as no data is no evidence.
+    ladder's order; none falls as delta grows. A Whitney or A/V profile
+    passes when its value at the smallest populated scale is at most
+    `tolerance`, and fails with no populated scale, as no data is no
+    evidence. A Whitney profile reads 0 at a scale with no pair, so only
+    an A/V profile can be unpopulated. The ODE condition passes when the
+    largest residual is at most `tolerance`.
     """
     ladder = tuple(_q(d) for d in ladder)
     if not ladder:
@@ -391,25 +387,23 @@ def extendability_report(
         ends = sites[i + 1:]
         TF, TG = _taylor_pair(triple, a)
         areas = _discrepancies(triple, a, TF, TG, ends)
-        speeds = _velocities(triple.m, a, TF, TG, ends, tol)
+        speeds = _velocities(triple.m, a, TF, TG, ends)
         pairs.extend(
             (b - a, abs(av) / vv) for b, av, vv in zip(ends, areas, speeds)
         )
     ratio_profile = ladder_maxima(pairs, ladder)
 
-    down = sorted(range(len(ladder)), key=ladder.__getitem__, reverse=True)
-    populated = [ratio_profile[i] for i in down if ratio_profile[i] is not None]
-    tail = populated[-3:]
-    ratio_pass = bool(populated) and populated[-1] <= tolerance and all(
-        x >= y for x, y in zip(tail, tail[1:])
-    )
-    whitney_pass = all(
-        profile[down[-1]] <= tolerance for profile in profiles.values()
-    )
-    ode_pass = ode_max <= tolerance
+    up = sorted(range(len(ladder)), key=ladder.__getitem__)
+
+    def passes(profile) -> bool:
+        smallest = next((profile[i] for i in up if profile[i] is not None),
+                        None)
+        return smallest is not None and smallest <= tolerance
+
     return ExtendabilityReport(
         ladder, profiles, ode_max, ratio_profile,
-        whitney_pass, ode_pass, ratio_pass,
+        all(map(passes, profiles.values())), ode_max <= tolerance,
+        passes(ratio_profile),
     )
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .curves import PiecewisePolynomial
 from .intervalsets import Interval, IntervalSet, _pth_root, _q, rational_to_str
-from .jets import DEFAULT_LADDER, _bins, _check_scales, _jet_modulus, _remainder_sweep
+from .jets import DEFAULT_LADDER, _bins, _jet_modulus, _remainder_sweep
 from .polynomials import (
     DEFAULT_TOL,
     Polynomial,
@@ -39,8 +39,7 @@ class LadderReport:
     cross-exponent comparisons should use the powers. They are exact for
     even p and whenever u - P changes sign only at rational points;
     for odd p with irrational crossings each is certified only to within
-    tol / (2 rho^(1+mp)) of the true power, tol that of
-    `lp_remainder_ladder`.
+    DEFAULT_TOL / (2 rho^(1+mp)) of the true power.
     """
 
     scales: tuple
@@ -61,14 +60,14 @@ def lp_remainder_ladder(
     m: int,
     p: int,
     ladder=None,
-    tol: Fraction = DEFAULT_TOL,
 ) -> LadderReport:
     """[avg over B(x,rho) of |u - P|^p]^(1/p) / rho^m per ladder scale.
 
     Exact path: u piecewise polynomial, integer p. The report stores the
     normalized p-th powers alongside float values: exact, except for odd
     p when u - P changes sign at irrational points, where the integral
-    is certified to `tol` and so each power to tol / (2 rho^(1+mp)).
+    is certified to DEFAULT_TOL and so each power to
+    DEFAULT_TOL / (2 rho^(1+mp)).
     """
     if p < 1:
         raise ValueError("p must be a positive integer")
@@ -89,7 +88,7 @@ def lp_remainder_ladder(
         raise ValueError("x too close to the boundary for the largest scale")
 
     integrals = u.abs_power_integrals(
-        P, [(x - rho, x + rho) for rho in ladder], p, tol)
+        P, [(x - rho, x + rho) for rho in ladder], p)
     powers, values = [], []
     for rho, integ in zip(ladder, integrals):
         power = (integ.value / (2 * rho)) / rho ** (m * p)
@@ -110,13 +109,12 @@ def approx_density(
     m: int,
     eps,
     R,
-    tol: Fraction = DEFAULT_TOL,
 ) -> Fraction:
     """Fraction of B(x,R), clipped to the domain, where
     |u(y) - P(y)| <= eps |y - x|^m.
 
     Exact when the boundary crossings are rational (piecewise-linear u,
-    low-degree P); otherwise correct up to tol per crossing.
+    low-degree P); otherwise correct up to DEFAULT_TOL per crossing.
     """
     x, eps, R = _q(x), _q(eps), _q(R)
     if eps <= 0 or R <= 0:
@@ -140,20 +138,21 @@ def approx_density(
             # good set: d - e <= 0 and -(d + e) <= 0
             over, under = d - e, -(d + e)
             n_roots = max(1, over.degree) + max(1, under.degree)
-            step = tol / (2 * n_roots)
-            total += _intersection_measure(over, under, lo, hi, step)
+            width = DEFAULT_TOL / (2 * n_roots)
+            total += _intersection_measure(over, under, lo, hi, width)
     return total / (b - a)
 
 
 def _intersection_measure(q1: Polynomial, q2: Polynomial,
-                          a: Fraction, b: Fraction, tol: Fraction) -> Fraction:
-    """Measure of {y in [a,b] : q1(y) <= 0 and q2(y) <= 0}."""
+                          a: Fraction, b: Fraction, width: Fraction) -> Fraction:
+    """Measure of {y in [a,b] : q1(y) <= 0 and q2(y) <= 0}, each crossing
+    refined to a bracket no wider than `width`."""
     cuts = [a, b]
     for q in (q1, q2):
         if q.degree <= 0:
             continue
         for enc in isolate_roots(q, a, b):
-            enc = refine_root(enc, tol)
+            enc = refine_root(enc, width)
             cuts.append(enc.midpoint)
     cuts = sorted(set(cuts))
     total = Fraction(0)
@@ -212,7 +211,6 @@ def whitney_sieve(
     n_max: int = 6,
     extra_points: Sequence = (),
     modulus_cap: int = 1024,
-    ladder=DEFAULT_LADDER,
 ) -> SieveResult:
     """Retain the grid cells whose test points pass the W-measure test
     at every stage and radius, and report the Whitney modulus of the
@@ -234,8 +232,8 @@ def whitney_sieve(
     newly excluded measure at each stage against eps/2^n.
 
     The modulus is `jets._jet_modulus` of the kept points, defined
-    there. The stage tests read the order-0 remainders of the same
-    sweep.
+    there, at the scales of `DEFAULT_LADDER`. The stage tests read the
+    order-0 remainders of the same sweep.
     """
     eps = _q(eps)
     if eps <= 0:
@@ -245,8 +243,6 @@ def whitney_sieve(
     dlo, dhi = u.domain
     if (dlo, dhi) != (Fraction(0), Fraction(1)):
         raise ValueError("sieve expects domain [0,1]")
-    profile_scales = tuple(_q(s) for s in ladder)
-    _check_scales(profile_scales)
 
     cell = Fraction(1, grid)
     extras = sorted(_q(t) for t in extra_points)
@@ -269,7 +265,7 @@ def whitney_sieve(
 
     # radii tested: ladder values representable on the grid, up to the
     # radius 1 of the first stage
-    radii = sorted({r for r in profile_scales if 4 * cell <= r <= 1})
+    radii = sorted({r for r in DEFAULT_LADDER if 4 * cell <= r <= 1})
     first_bad = _first_bad_counts(xs, U, is_center, radii, n_max)
     # measure(W(x,r)) <= r/4 holds when at most this many cells are bad
     caps = [math.floor(r * grid / 4) for r in radii]
@@ -309,8 +305,8 @@ def whitney_sieve(
     keep = np.flatnonzero(alive & cell_alive[last])
     if len(keep) > modulus_cap:
         keep = keep[::-(-len(keep) // modulus_cap)]
-    profile = _jet_modulus(xs[keep], U[:, keep], profile_scales)
-    return SieveResult(retained, cell, defects, profile_scales, profile)
+    profile = _jet_modulus(xs[keep], U[:, keep], DEFAULT_LADDER)
+    return SieveResult(retained, cell, defects, DEFAULT_LADDER, profile)
 
 
 def _first_bad_counts(xs, U, is_center, radii, n_max) -> np.ndarray:

@@ -2,9 +2,10 @@
 
 Root-dependent quantities (integral of |P|, sup norm on an interval) are
 computed on an exact path when the relevant roots are rational, and
-otherwise fall back to certified enclosures with a configurable absolute
-error bound. Each comes back as a `CertifiedValue`, and `+` is the one
-way to combine them.
+otherwise fall back to certified enclosures with an absolute error bound
+`tol`. Each comes back as a `CertifiedValue`, and `+` is the one way to
+combine them. These primitives are the only functions that take `tol`;
+every caller elsewhere splits the one budget `DEFAULT_TOL` into them.
 """
 
 from __future__ import annotations
@@ -416,20 +417,19 @@ def _coeff_bound(p: Polynomial, a: Fraction, b: Fraction) -> Fraction:
 
 @dataclass
 class CertifiedValue:
-    """A rational value plus an exactness flag and error bound;
-    `CertifiedValue(x)` is exact. `+` carries both: the sum is exact
-    only when both operands are, and its bound covers theirs."""
+    """A rational value within `error` of the true one; exact when the
+    error bound is 0, as for `CertifiedValue(x)`. The bound of a sum is
+    the sum of the bounds."""
 
     value: Fraction
-    exact: bool = True
     error: Fraction = Fraction(0)
 
-    def __float__(self):
-        return float(self.value)
+    @property
+    def exact(self) -> bool:
+        return self.error == 0
 
     def __add__(self, other: "CertifiedValue") -> "CertifiedValue":
         return CertifiedValue(self.value + other.value,
-                              self.exact and other.exact,
                               self.error + other.error)
 
 
@@ -470,10 +470,9 @@ def prefix_abs_integrals(p: Polynomial, a, ends, tol: Fraction = DEFAULT_TOL) ->
     if p.is_zero:
         return [CertifiedValue(Fraction(0)) for _ in ends]
     roots = isolate_roots(p, a, last)
-    if roots:  # the bound on |p| prices each root's bracket
+    if roots:  # the bound on |p|, > 0 as p is not zero, prices a bracket
         bound = _coeff_bound(p, a, last)
-        budget = tol / (2 * len(roots))
-        width = budget / (2 * bound) if bound > 0 else Fraction(1)
+        width = tol / (4 * len(roots) * bound)
         roots = [refine_root(enc, width) for enc in roots]
     F = p.antiderivative()
     E, D = _cleared(ends)
@@ -481,7 +480,7 @@ def prefix_abs_integrals(p: Polynomial, a, ends, tol: Fraction = DEFAULT_TOL) ->
     out = []
     passed = Fraction(0)  # integral of |p| from a to the last break below b
     F_break = F(a)
-    cost = CertifiedValue(Fraction(0))  # of the brackets starting below b
+    cost = Fraction(0)  # of the brackets starting below b
     n_breaks = n_costed = 0
     for b, e in zip(ends, E):
         while n_breaks < len(roots) and roots[n_breaks].midpoint < b:
@@ -490,14 +489,13 @@ def prefix_abs_integrals(p: Polynomial, a, ends, tol: Fraction = DEFAULT_TOL) ->
             F_break = F_mid
             n_breaks += 1
         while n_costed < len(roots) and roots[n_costed].lo < b:
-            enc = roots[n_costed]  # an exact root costs nothing: width 0
-            cost += CertifiedValue(Fraction(0), enc.exact is not None,
-                                   2 * enc.width * bound)
+            # an exact root costs nothing: width 0
+            cost += 2 * roots[n_costed].width * bound
             n_costed += 1
         (u, w), (s, t) = F_break.as_integer_ratio(), passed.as_integer_ratio()
         fe = _homogeneous(F.nums, e, D)
         out.append(CertifiedValue(Fraction(abs(fe * w - u * K) * t + s * K * w,
-                                           K * w * t), cost.exact, cost.error))
+                                           K * w * t), cost))
     return out
 
 
@@ -507,18 +505,16 @@ def sup_norm(p: Polynomial, a, b, tol: Fraction = DEFAULT_TOL) -> CertifiedValue
     if a > b:
         raise ValueError("require a <= b")
     candidates = [abs(p(a)), abs(p(b))]
-    exact = True
     error = Fraction(0)
     dp = p.derivative()
     if dp.degree >= 1:
         crits = isolate_roots(dp, a, b)
         if crits:
-            dbound = _coeff_bound(dp, a, b)
-            width = tol / dbound if dbound > 0 else Fraction(1)
+            dbound = _coeff_bound(dp, a, b)  # > 0: dp is not zero
+            width = tol / dbound
             for enc in crits:
                 enc = refine_root(enc, width)  # an exact root has width 0
-                exact = exact and enc.exact is not None
                 error = max(error, enc.width * dbound)
                 candidates.append(abs(p(enc.midpoint)))
-    return CertifiedValue(max(candidates), exact, error)
+    return CertifiedValue(max(candidates), error)
 

@@ -533,6 +533,16 @@ class TestJetsCheck:
             assert status == 0, ladder
             assert json.loads(out)["verdict"] == "pass"
 
+    @pytest.mark.parametrize("ladder", ["1/2,0", "0", "-1/4"])
+    def test_non_positive_scale_is_usage_error(self, capsys, tmp_path,
+                                               ladder):
+        p = tmp_path / "zero.json"
+        write_zero_triple(p)
+        status, out, err = invoke(capsys, "jets", "check", "--input", str(p),
+                                  "--ladder=" + ladder)
+        assert status == 2
+        assert out == "" and err == "error: delta must be positive\n"
+
     def test_order_mismatch(self, capsys, tmp_path):
         p = tmp_path / "zero.json"
         write_zero_triple(p, m=2)

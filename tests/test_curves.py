@@ -3,6 +3,7 @@ import json
 import math
 import random
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 from hypothesis import assume, given, settings
@@ -24,7 +25,7 @@ from heislusin.curves import (
 )
 from heislusin.intervalsets import rational_to_str
 from heislusin.jets import Jet, JetTriple
-from heislusin.polynomials import Polynomial, sup_norm
+from heislusin.polynomials import DEFAULT_TOL, Polynomial, sup_norm
 
 
 def poly(*cs):
@@ -640,15 +641,34 @@ class TestPairSweep:
             assert rep.whitney_profiles[name] == [
                 jet.whitney_modulus(d) for d in ladder]
 
+    # every pair's gap, a scale between gaps and one below them all; drawn
+    # with repeats and in any order
+    SCALES = sorted({F(1, 64), F(1, 5)}
+                    | {b - a for a, b in combinations(SITES, 2)})
+
+    @given(st.randoms(use_true_random=False), st.integers(0, 3),
+           st.lists(st.sampled_from(SCALES), min_size=1, max_size=10))
+    @settings(max_examples=40, deadline=None)
+    def test_every_profile_is_non_decreasing_in_delta(self, rng, m, ladder):
+        # so the pass rule reads only the smallest populated scale
+        rep = extendability_report(random_triple(rng, m, self.SITES), ladder)
+        up = sorted(range(len(ladder)), key=ladder.__getitem__)
+        for profile in (*rep.whitney_profiles.values(), rep.ratio_profile):
+            empty = [profile[i] is None for i in up]
+            # a scale is unpopulated only below every populated one
+            assert empty == sorted(empty, reverse=True)
+            values = [profile[i] for i in up if profile[i] is not None]
+            assert values == sorted(values)
+
     def test_certified_ratios_within_tol_of_per_pair(self):
         # m = 3: quadratic integrands with irrational roots
         t = random_triple(random.Random(7), 3, self.SITES)
-        tol = F(1, 10**12)
-        rep = extendability_report(t, (F(1, 2), 1), tol=tol)
+        tol = DEFAULT_TOL  # the budget of both routes
+        rep = extendability_report(t, (F(1, 2), 1))
         ratios, slack = [], F(0)
         for i, a in enumerate(t.sites):
             for b in t.sites[i + 1:]:
-                A, V = abs(area_discrepancy(t, a, b)), velocity(t, a, b, tol)
+                A, V = abs(area_discrepancy(t, a, b)), velocity(t, a, b)
                 ratios.append(A / V)
                 # both routes are within 2 tol of the true sum of the two
                 # integrals, so the velocities differ by <= 4 tol (b-a)^m

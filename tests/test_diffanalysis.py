@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heislusin import diffanalysis, jets
+from heislusin import jets
 from heislusin.curves import PiecewisePolynomial
 from heislusin.diffanalysis import (
     _first_bad_counts,
@@ -180,30 +180,6 @@ class TestWhitneySieve:
         res = whitney_sieve(single(poly(1, 2, 1)), 2, F(5, 100), grid=2**9)
         assert res.retained.measure() == 1
         assert all(v == 0 for v in res.modulus_profile)
-
-    def test_empty_ladder_tests_nothing(self):
-        u = PiecewisePolynomial([0, F(1, 2), 1], [poly(0), poly(1)])
-        res = whitney_sieve(u, 1, F(5, 100), grid=2**6, ladder=())
-        assert res.retained.measure() == 1
-        assert res.modulus_profile == []
-
-    @pytest.mark.parametrize("ladder", [
-        (F(1, 2), 0, -1), (F(1, 2), F(-1, 4)),
-    ])
-    def test_non_positive_scale_is_rejected(self, ladder):
-        # the sieve and Jet.modulus_profile share the kernel's check
-        with pytest.raises(ValueError, match="delta must be positive"):
-            whitney_sieve(single(CUBE), 2, F(1, 20), grid=64, ladder=ladder)
-
-    def test_non_positive_scale_is_rejected_before_any_stage(self,
-                                                             monkeypatch):
-        def fail(*args):
-            raise AssertionError("a stage test ran")
-
-        monkeypatch.setattr(diffanalysis, "_first_bad_counts", fail)
-        with pytest.raises(ValueError, match="delta must be positive"):
-            whitney_sieve(single(CUBE), 2, F(1, 20), grid=2**12,
-                          ladder=(F(1, 2), 0))
 
     def test_jump_excludes_neighborhood(self):
         u = PiecewisePolynomial([0, F(1, 2), 1], [poly(0), poly(1)])

@@ -1,8 +1,9 @@
 """The public surface: every name that `heislusin/__init__.py` imports,
 and every public function and method of the package, is read outside the
 tests, by another module of the package, a demo or the benchmark, so a
-name that nothing calls cannot stay; and the interval-set key encoding is
-named only where it is defined."""
+name that nothing calls cannot stay; the interval-set key encoding is
+named only where it is defined; and only the certified primitives of
+`polynomials` take an error budget `tol`."""
 
 import ast
 import importlib.util
@@ -99,3 +100,20 @@ def test_only_intervalsets_names_the_key_encoding():
              for path in PACKAGE.glob("*.py") if path.name != "intervalsets.py"}
     assert "counterexample.py" in named  # the glob works
     assert {name: used for name, used in named.items() if used} == {}
+
+
+def test_only_polynomials_takes_a_tolerance():
+    # every other function spends the one budget DEFAULT_TOL, split into
+    # the primitives abs_integral, prefix_abs_integrals and sup_norm
+    def takes_tol(path):
+        return sorted(
+            f.name for f in ast.walk(ast.parse(path.read_text()))
+            if isinstance(f, ast.FunctionDef) and "tol" in {
+                a.arg for a in (*f.args.posonlyargs, *f.args.args,
+                                *f.args.kwonlyargs)})
+    assert {"abs_integral", "sup_norm"} <= set(
+        takes_tol(PACKAGE / "polynomials.py"))  # the walk works
+    found = {path.name: takes_tol(path) for path in PACKAGE.glob("*.py")
+             if path.name != "polynomials.py"}
+    assert "curves.py" in found  # the glob works
+    assert {name: funcs for name, funcs in found.items() if funcs} == {}
