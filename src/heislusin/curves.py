@@ -265,26 +265,89 @@ def horizontality_residual(curve: PiecewiseCurve) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
+def _descartes_exact(row) -> bool:
+    """True when the jet row (v_0, ..., v_m) at a site a shows no sign
+    change among v_1, ..., v_m. By Descartes' rule, T' = sum_k v_k
+    (t - a)^(k-1) / (k-1)! then has no root right of a, so the integral
+    of |T'| over [a, b] is |T(b) - v_0|, with no root to isolate."""
+    return len({v > 0 for v in row[1:] if v}) <= 1
+
+
+class _AreaKernel:
+    """A(a, b) and two bounds on V(a, b) on ints, for the sites `idx` of
+    a jet triple.
+
+    The sites are cleared over D and all F, G, H values over one L, so
+    f_k = L F^(k)(a) is an int, and so are g_k and h_k. With the gap
+    b - a = G/D, L m! D^m (TF(b) - F(a)) is the int polynomial
+    dF(G) = sum_(k>=1) f_k (m!/k!) D^(m-k) G^k, and likewise dG. With
+    M = lcm(1..2m-1), K = L^2 m!^2 D^(2m) M and base = K / L^2,
+        K A(a, b) = base (L (h_b - h_a) + 2 (f_a g_b - g_a f_b)) - Q(G),
+    Q = K (S + 2 F(a) (TG(b) - G(a)) - 2 G(a) (TF(b) - F(a))), where S is
+    the swept area int_a^b area_rate(TF, TG): one int polynomial per site.
+    On the scale W = L m! D^(2m), V is bounded by ints:
+        W V >= L m! G^(2m) + G^m (|dF(G)| + |dG(G)|),
+        W V <= L m! G^(2m) + G^m U(G),
+    U the sum of dF and dG with each coefficient made positive. A part
+    that passes the Descartes test is exact: it adds its |dF| or |dG| to
+    both bounds and nothing to U.
+    """
+
+    def __init__(self, triple: JetTriple, idx):
+        m = self.m = triple.m
+        self.X, D = _cleared([triple.sites[i] for i in idx])
+        nums, L = _cleared([v for jet in (triple.F, triple.G, triple.H)
+                            for i in idx for v in jet.values[i]])
+        n, w = len(idx), m + 1
+        rows = [nums[k * w:(k + 1) * w] for k in range(3 * n)]
+        self.f, self.g, self.h = rows[:n], rows[n:2 * n], rows[2 * n:]
+        self.descartes = [(_descartes_exact(triple.F.values[i]),
+                           _descartes_exact(triple.G.values[i])) for i in idx]
+        fact = math.factorial(m)
+        M = math.lcm(*range(1, 2 * m))
+        self.L, self.unit = L, L * fact
+        self.base = fact * fact * D ** (2 * m) * M
+        self.K, self.W = L * L * self.base, L * fact * D ** (2 * m)
+        self.weights = [fact // math.factorial(k) * D ** (m - k)
+                        for k in range(w)]
+        self.c2 = 2 * M * fact * D ** m
+        self.D, self.M = D, M
+
+    def row(self, r: int, cols):
+        """Yield (j, G, K A, lower, upper) for the sites j of `cols` as
+        seen from the site r = a: G the int gap, and the int bounds on
+        W V(a, b), equal when both parts are exact and read only when
+        b > a."""
+        m, X, h, f, g = self.m, self.X, self.h, self.f, self.g
+        phi = [v * c for v, c in zip(f[r], self.weights)]
+        gam = [v * c for v, c in zip(g[r], self.weights)]
+        dF, dG = [0] + phi[1:], [0] + gam[1:]
+        Q = [0] * (2 * m)
+        for j, pj in enumerate(phi):
+            for k, gk in enumerate(gam):
+                if j != k:
+                    Q[j + k] += 2 * (j - k) * (self.M // (j + k)) * pj * gk
+        fa, ga = f[r][0], g[r][0]
+        for k in range(1, m + 1):
+            Q[k] += self.c2 * (fa * dG[k] - ga * dF[k])
+        exF, exG = self.descartes[r]
+        U = [(not exF) * abs(a) + (not exG) * abs(b) for a, b in zip(dF, dG)]
+        base, L, unit, Xr, hr = self.base, self.L, self.unit, X[r], h[r][0]
+        for j in cols:
+            G = X[j] - Xr
+            KA = (base * (L * (h[j][0] - hr)
+                          + 2 * (fa * g[j][0] - ga * f[j][0]))
+                  - _homogeneous(Q, G, 1))
+            aF, aG = abs(_homogeneous(dF, G, 1)), abs(_homogeneous(dG, G, 1))
+            Gm = G ** m
+            low = high = unit * Gm * Gm
+            low += Gm * (aF + aG)
+            high += Gm * (_homogeneous(U, G, 1) + exF * aF + exG * aG)
+            yield j, G, KA, low, high
+
+
 def _taylor_pair(triple: JetTriple, a):
     return triple.F.taylor_poly(a), triple.G.taylor_poly(a)
-
-
-def _discrepancies(triple: JetTriple, a, TF: Polynomial, TG: Polynomial,
-                   ends) -> list:
-    """A(a, b) for every b in `ends`, from the Taylor polynomials at a:
-    H(b) + 2 F(a) G(b) - 2 G(a) F(b) - P(b) for the one polynomial
-    P = swept + 2 F(a) TG - 2 G(a) TF + H(a) - swept(a), swept the
-    antiderivative of area_rate(TF, TG). P is read at each b = E/D, the
-    ends cleared over D, by the homogenised Horner rule."""
-    F, G, H = triple.F, triple.G, triple.H
-    Fa, Ga = 2 * F.value(a, 0), 2 * G.value(a, 0)
-    swept = area_rate(TF, TG).antiderivative()
-    P = swept + TG * Fa - TF * Ga + (H.value(a, 0) - swept(a))
-    E, D = _cleared(ends)
-    nums = P.nums or (0,)
-    K = P.den * D ** (len(nums) - 1)  # P(E/D) = _homogeneous(nums, E, D) / K
-    return [H.value(b, 0) + Fa * G.value(b, 0) - Ga * F.value(b, 0)
-            - Fraction(_homogeneous(nums, e, D), K) for b, e in zip(ends, E)]
 
 
 def _velocities(m: int, a, TF: Polynomial, TG: Polynomial, ends) -> list:
@@ -299,11 +362,15 @@ def _velocities(m: int, a, TF: Polynomial, TG: Polynomial, ends) -> list:
 
 def area_discrepancy(triple: JetTriple, a, b) -> Fraction:
     """Vertical gap A(a,b) between the prescribed H-increment and the
-    signed area swept by the Taylor polynomials of F and G."""
+    signed area swept by the Taylor polynomials of F and G:
+    H(b) - H(a) - int_a^b area_rate(TF, TG) + 2 F(a) (G(b) - TG(b))
+    - 2 G(a) (F(b) - TF(b)), the one-pair case of `_AreaKernel`."""
     a, b = _q(a), _q(b)
     if a == b:
         raise ValueError("require distinct sites")
-    return _discrepancies(triple, a, *_taylor_pair(triple, a), (b,))[0]
+    kernel = _AreaKernel(triple, (triple.F._index(a), triple.F._index(b)))
+    (_, _, KA, _, _), = kernel.row(0, (1,))
+    return Fraction(KA, kernel.K)
 
 
 def velocity(triple: JetTriple, a, b) -> Fraction:
@@ -312,6 +379,63 @@ def velocity(triple: JetTriple, a, b) -> Fraction:
     if a >= b:
         raise ValueError("require a < b")
     return _velocities(triple.m, a, *_taylor_pair(triple, a), (b,))[0]
+
+
+def _ratio_maxima(triple: JetTriple, bins) -> list:
+    """For each of the sorted, distinct scales `bins`, the largest |A|/V
+    over the site pairs whose gap lies above the scale before it and at
+    most this one, or None if there is no such pair; the filter that
+    `extendability_report` describes."""
+    sites = triple.sites
+    n = len(sites)
+    kernel = _AreaKernel(triple, range(n))
+    X, D, m = kernel.X, kernel.D, kernel.m
+    floors = [s.numerator * D // s.denominator for s in bins]
+    # widening of W V, ceil(G^m wn / wd)
+    wn, wd = (2 * DEFAULT_TOL * kernel.unit * D ** m).as_integer_ratio()
+    nb = len(bins)
+    lb = [(0, 1)] * nb  # largest lower bound per bin, as (|K A|, W V)
+    lb_exact = [True] * nb  # attained by a pair whose ratio is exact
+    seen = [False] * nb
+    pending = [[] for _ in range(nb)]  # (r, j, |K A|, lower W V)
+    for r in range(n - 1):
+        stop = bisect.bisect_right(X, X[r] + floors[-1], r + 1)
+        exact = all(kernel.descartes[r])
+        for j, G, KA, low, high in kernel.row(r, range(r + 1, stop)):
+            b = bisect.bisect_left(floors, G)
+            seen[b] = True
+            if not KA:
+                continue
+            A = abs(KA)
+            num, den = lb[b]
+            if exact:
+                if A * den >= num * low:
+                    lb[b], lb_exact[b] = (A, low), True
+                continue
+            wide = -(-G ** m * wn // wd)
+            low, high = low - wide, high + wide
+            if A * den > num * high:
+                num, den = lb[b] = (A, high)
+                lb_exact[b] = False
+            if low <= 0 or A * den >= num * low:
+                pending[b].append((r, j, A, low))
+    best = [Fraction(num * kernel.W, kernel.K * den) if s and ok else None
+            for s, ok, (num, den) in zip(seen, lb_exact, lb)]
+    todo = {}  # r -> [(j, bin, |K A|)] of the pairs whose V is computed
+    for b, ((num, den), rows) in enumerate(zip(lb, pending)):
+        for r, j, A, low in rows:
+            if low <= 0 or A * den >= num * low:
+                todo.setdefault(r, []).append((j, b, A))
+    for r, pairs in todo.items():
+        pairs.sort()
+        a = sites[r]
+        ends = [sites[j] for j, _, _ in pairs] + [sites[-1]]
+        speeds = _velocities(m, a, *_taylor_pair(triple, a), ends)
+        for (_, b, A), V in zip(pairs, speeds):
+            ratio = Fraction(A, kernel.K) / V
+            if best[b] is None or ratio > best[b]:
+                best[b] = ratio
+    return best
 
 
 @dataclass
@@ -368,6 +492,29 @@ def extendability_report(
     evidence. A Whitney profile reads 0 at a scale with no pair, so only
     an A/V profile can be unpopulated. The ODE condition passes when the
     largest residual is at most `tolerance`.
+
+    The A/V profile is read from each scale bin's largest ratio, and
+    pairs farther apart than the largest scale are never visited. Every
+    pair gets K A as one int and W V bounded by ints with no root
+    (`_AreaKernel`), with d = b - a:
+        V >= d^(2m) + d^m (|TF(b) - F(a)| + |TG(b) - G(a)|),
+    as int |p'| >= |int p'|, and
+        V <= d^(2m) + d^m sum_(k=1..m) (|F^(k)(a)| + |G^(k)(a)|) d^k / k!,
+    by the triangle inequality on TF' and TG'. Both are widened by
+    2 DEFAULT_TOL d^m, more than a certified V can differ from the true
+    one, so they hold for the V that is computed. When F'(a), ...,
+    F^(m)(a) show no sign change, TF' has no root right of a (Descartes'
+    rule) and the F part is exactly |TF(b) - F(a)|, the value
+    `prefix_abs_integrals` returns; likewise for G. A pair's V is computed
+    only when A != 0, a part is not exact and its upper bound on A/V
+    reaches the largest lower bound in its bin; every other pair's ratio
+    is 0, exact, or below a pair that is computed, so no bin maximum
+    changes. A computed V comes from `prefix_abs_integrals` on
+    (a, last site], the isolation interval and refinement width that
+    every pair of the site a shares, so it is the same certified
+    `Fraction` as if every pair were computed. Ratios compare by
+    cross-multiplication, K and W being the same for every pair, and only
+    the bin maxima become `Fraction`s.
     """
     ladder = tuple(_q(d) for d in ladder)
     if not ladder:
@@ -380,18 +527,10 @@ def extendability_report(
     }
     ode_max = triple.max_ode_residual()
 
-    # Taylor data once per site a, every later site b in one sweep
-    pairs = []
-    sites = triple.sites
-    for i, a in enumerate(sites[:-1]):
-        ends = sites[i + 1:]
-        TF, TG = _taylor_pair(triple, a)
-        areas = _discrepancies(triple, a, TF, TG, ends)
-        speeds = _velocities(triple.m, a, TF, TG, ends)
-        pairs.extend(
-            (b - a, abs(av) / vv) for b, av, vv in zip(ends, areas, speeds)
-        )
-    ratio_profile = ladder_maxima(pairs, ladder)
+    bins = sorted(set(ladder))
+    ratio_profile = ladder_maxima(
+        ((s, v) for s, v in zip(bins, _ratio_maxima(triple, bins))
+         if v is not None), ladder)
 
     up = sorted(range(len(ladder)), key=ladder.__getitem__)
 

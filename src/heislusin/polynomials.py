@@ -424,10 +424,6 @@ class CertifiedValue:
     value: Fraction
     error: Fraction = Fraction(0)
 
-    @property
-    def exact(self) -> bool:
-        return self.error == 0
-
     def __add__(self, other: "CertifiedValue") -> "CertifiedValue":
         return CertifiedValue(self.value + other.value,
                               self.error + other.error)

@@ -147,7 +147,7 @@ def test_criterion_06_integral_max_bound(capsys):
         c = F(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
         P = c * Polynomial((-a, 1)) ** i * Polynomial((-b, 1)) ** j
         I, S, bound = within(P, a, b)
-        ok = ok and I.exact and S.exact and bound
+        ok = ok and I.error == S.error == 0 and bound
     # certified path: arbitrary coefficients
     for _ in range(500):
         P = rand_poly(rng, rng.randint(0, 10))

@@ -352,7 +352,7 @@ class TestPrefixAbsIntegrals:
         ends = sorted(ends)
         got = prefix_abs_integrals(p, a, ends)
         assert got == [abs_integral(p, a, b) for b in ends]
-        assert all(v.exact and v.error == 0 for v in got)
+        assert all(v.error == 0 for v in got)
 
     @pytest.mark.parametrize("p", [
         P(-2, 0, 1),  # y^2 - 2
@@ -373,7 +373,7 @@ class TestPrefixAbsIntegrals:
                 ends |= {F(k - 2 ** (70 - e), 2**70), F(k + 2 ** (70 - e), 2**70)}
         ends = sorted(ends)
         got = prefix_abs_integrals(p, a, ends, tol)
-        assert not all(v.exact for v in got)
+        assert not all(v.error == 0 for v in got)
         for b, v in zip(ends, got):
             assert v.error <= tol
             with mpmath.workdps(50):
@@ -402,12 +402,12 @@ class TestPrefixAbsIntegrals:
 class TestAbsIntegral:
     def test_sign_change_exact(self):
         v = abs_integral(P(-1, 0, 1), 0, 2)  # |t^2-1|
-        assert v.exact and v.value == 2
+        assert v.error == 0 and v.value == 2
 
     def test_constant_sign_equals_plain_integral(self):
         p = P(1, 0, 1)
         v = abs_integral(p, -1, 1)
-        assert v.exact and v.value == p.integral(-1, 1)
+        assert v.error == 0 and v.value == p.integral(-1, 1)
 
     def test_certified_path_error_bound(self):
         p = P(-2, 0, 1)  # root sqrt(2), irrational
@@ -453,11 +453,11 @@ class TestNonPositiveTol:
 class TestSupNorm:
     def test_interior_critical_point(self):
         v = sup_norm(P(0, 0, -1, 1), 0, 1)  # t^3 - t^2, max 4/27 at 2/3
-        assert v.exact and v.value == F(4, 27)
+        assert v.error == 0 and v.value == F(4, 27)
 
     def test_endpoint_max(self):
         v = sup_norm(P(0, 1), -1, 1)
-        assert v.exact and v.value == 1
+        assert v.error == 0 and v.value == 1
 
 
 def integral_and_sup(p, a, b, tol=DEFAULT_TOL):
@@ -471,15 +471,15 @@ class TestIntmax:
 
     def test_constant(self):
         I, S = integral_and_sup(P(5), 0, 1)
-        assert I.exact and S.exact and I.value == S.value == 5
+        assert I.error == S.error == 0 and I.value == S.value == 5
 
     def test_linear(self):
         I, S = integral_and_sup(P(0, 1), -1, 1)
-        assert I.exact and S.exact and (I.value, S.value) == (1, 1)
+        assert I.error == S.error == 0 and (I.value, S.value) == (1, 1)
 
     def test_quadratic(self):
         I, S = integral_and_sup(P(0, 0, 1), -1, 1)
-        assert I.exact and S.exact and (I.value, S.value) == (F(2, 3), 1)
+        assert I.error == S.error == 0 and (I.value, S.value) == (F(2, 3), 1)
 
     def test_rejects_zero(self):
         # the zero polynomial leaves the ratio without a denominator
@@ -513,7 +513,7 @@ class TestCertifiedQuotient:
         a, b = CertifiedValue(n, en), CertifiedValue(d, ed)
         s = a + b
         assert s.value == n + d
-        assert s.exact == (en == 0 and ed == 0)
+        assert (s.error == 0) == (en == 0 and ed == 0)
         # n + d is monotone in each argument: its extremes are at corners
         for nn in (n - en, n + en):
             for dd in (d - ed, d + ed):
@@ -526,14 +526,15 @@ class TestCertifiedQuotient:
         got, sup = integral_and_sup(p, 0, 2)
         with mpmath.workdps(50):
             integral = 8 * mpmath.sqrt(2) / 3 - mp(F(4, 3))
-            assert not got.exact and 0 < got.error < F(1, 10**6)
+            assert 0 < got.error < F(1, 10**6)
             assert abs(mp(got.value) - integral) <= mp(got.error)
         assert sup == CertifiedValue(F(2))
 
 
 def triples_digest(values):
-    """sha256 of the exact (value, exact, error) triples, one per line."""
-    text = "".join("%s %s %s\n" % (v.value, v.exact, v.error) for v in values)
+    """sha256 of the (value, error == 0, error) triples, one per line."""
+    text = "".join("%s %s %s\n" % (v.value, v.error == 0, v.error)
+                   for v in values)
     return hashlib.sha256(text.encode()).hexdigest()
 
 
@@ -593,7 +594,7 @@ class TestCertifiedPins:
             "prefix cubic", "prefix sq2"])
     def test_triples_are_pinned(self, values, digest):
         values = values()
-        assert any(not v.exact for v in values)
+        assert any(v.error != 0 for v in values)
         assert triples_digest(values) == digest
 
 
@@ -621,7 +622,7 @@ class TestDeGiorgi:
         ps = Polynomial([c * s**k for k, c in enumerate(p.coeffs)])
         Es = IntervalSet.closed(F(1, 8), F(3, 8))
         base, scaled = over_parts(p, E)[-1], over_parts(ps, Es)[-1]
-        assert base.exact and scaled.exact and scaled.value * s == base.value
+        assert base.error == scaled.error == 0 and scaled.value * s == base.value
 
     def test_degenerate_rejected(self):
         # the zero polynomial leaves the ratio without a denominator
@@ -1023,7 +1024,7 @@ class TestCertifiedSympyOracle:
     def check(sympy, got, want, exact):
         value = sympy.Rational(got.value.numerator, got.value.denominator)
         if exact:
-            assert want.is_Rational and value == want and got.exact
+            assert want.is_Rational and value == want and got.error == 0
         else:
             error = sympy.Rational(got.error.numerator, got.error.denominator)
             slack = sympy.Rational(1, 10**40)
